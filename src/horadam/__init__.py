@@ -7,7 +7,6 @@ equal as rationals at every checked grid case.
 """
 
 from .catalog import CatalogEntry, catalog_entry, catalog_list, catalog_run
-from .cli import REPORT_JSON_SCHEMA
 from .dsl import (
     IdentityAst,
     default_registry,
@@ -26,28 +25,20 @@ from .errors import (
     ParseError,
     PreconditionError,
     RangeError,
-    SingularMatrixError,
     UsageError,
 )
 from .grid import GridSpec, make_grid, parse_grid
 from .kernel import (
     IDENTITY_NAMES,
-    KernelArgs,
     ThreeTermRelation,
     basis_coefficients,
-    check_corollary,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_sum_binomial,
-    check_sum_ordinary,
-    check_theorem1,
+    check_identity,
     f_g,
     identity_variables,
     verify_identity_grid,
 )
-from .report import VerificationReport, run_grid
-from .scalar import Mat2, Rational, binom, m1, mat_pow, rat, rat_from_text, rat_text
+from .report import REPORT_JSON_SCHEMA, VerificationReport, run_grid
+from .scalar import Rational, binom, m1, rat, rat_from_text, rat_text
 from .sequences import (
     RecurrenceParams,
     Sequence,
@@ -65,7 +56,7 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # scalar core
-    "Rational", "rat", "rat_from_text", "rat_text", "binom", "m1", "Mat2", "mat_pow",
+    "Rational", "rat", "rat_from_text", "rat_text", "binom", "m1",
     # sequences
     "RecurrenceParams", "Sequence", "make_sequence", "get_named", "named_sequences",
     "term", "term_fn", "term_range", "term_iterative_oracle",
@@ -73,10 +64,8 @@ __all__ = [
     "GridSpec", "make_grid", "parse_grid", "VerificationReport", "run_grid",
     "REPORT_JSON_SCHEMA",
     # identity kernel
-    "KernelArgs", "ThreeTermRelation", "f_g", "basis_coefficients",
-    "check_theorem1", "check_corollary", "check_lemma1", "check_lemma2",
-    "check_lemma3", "check_sum_ordinary", "check_sum_binomial",
-    "IDENTITY_NAMES", "identity_variables", "verify_identity_grid",
+    "ThreeTermRelation", "f_g", "basis_coefficients",
+    "IDENTITY_NAMES", "identity_variables", "verify_identity_grid", "check_identity",
     # catalog
     "CatalogEntry", "catalog_entry", "catalog_list", "catalog_run",
     # DSL
@@ -84,6 +73,6 @@ __all__ = [
     "eval_expr", "verify_over_grid", "default_registry",
     # errors
     "HoradamError", "ParameterError", "DomainError", "RangeError",
-    "SingularMatrixError", "DegeneracyError", "PreconditionError",
+    "DegeneracyError", "PreconditionError",
     "UsageError", "ParseError", "EvalError",
 ]

@@ -8,7 +8,8 @@ Subcommands:
   check    parse an identity written in the DSL and verify it over a grid
 
 Exit codes: 0 all checked cases hold, 1 at least one counterexample,
-2 usage or parse error (diagnostics go to the error stream).
+2 any failure: usage, parse, evaluation, unreadable input or unwritable
+output (a one-line diagnostic goes to the error stream).
 """
 
 from __future__ import annotations
@@ -25,50 +26,12 @@ from .catalog import catalog_list, catalog_run
 from .dsl import default_registry, parse_identity, verify_over_grid
 from .errors import HoradamError, UsageError
 from .grid import make_grid, parse_grid
-from .kernel import IDENTITY_NAMES, ThreeTermRelation, verify_identity_grid
+from .kernel import IDENTITIES, IDENTITY_NAMES, ThreeTermRelation, verify_identity_grid
 from .report import VerificationReport
 from .scalar import rat_from_text, rat_text
 from .sequences import Sequence, get_named, make_sequence, term, term_range
 
-__all__ = ["REPORT_JSON_SCHEMA", "build_parser", "main"]
-
-# Stable shape of every JSON report this tool emits (verify/catalog run/check).
-REPORT_JSON_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "type": "object",
-    "properties": {
-        "identity": {"type": "string"},
-        "grid": {"type": "string"},
-        "cases_total": {"type": "integer", "minimum": 0},
-        "cases_checked": {"type": "integer", "minimum": 0},
-        "cases_skipped_precondition": {"type": "integer", "minimum": 0},
-        "counterexamples": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "properties": {
-                    "bindings": {
-                        "type": "object",
-                        "additionalProperties": {"type": "integer"},
-                    },
-                    "lhs": {"type": "string"},
-                    "rhs": {"type": "string"},
-                },
-                "required": ["bindings", "lhs", "rhs"],
-                "additionalProperties": False,
-            },
-        },
-    },
-    "required": [
-        "identity",
-        "grid",
-        "cases_total",
-        "cases_checked",
-        "cases_skipped_precondition",
-        "counterexamples",
-    ],
-    "additionalProperties": False,
-}
+__all__ = ["build_parser", "main"]
 
 _TABLE_ORDER = (
     "fibonacci",
@@ -78,22 +41,6 @@ _TABLE_ORDER = (
     "jacobsthal",
     "jacobsthal-lucas",
 )
-
-_THEOREM1_GRID = "a=-2..2,b=-2..2,c=-2..2,d=-2..2,m=-3..3,n=-3..3"
-_COROLLARY_GRID = "a=-3..3,b=-3..3,m=-4..4,n=-4..4"
-_LEMMA_GRID = "k=0..6,n=-5..5"
-_SUM_GRID = "a=-1..2,b=-1..2,c=-1..2,d=-1..2,k=0..5,m=-2..2,n=-2..2"
-
-
-def _default_grid_text(identity: str) -> str:
-    if identity == "theorem1":
-        return _THEOREM1_GRID
-    if identity == "corollary":
-        return _COROLLARY_GRID
-    if identity.startswith("lemma"):
-        return _LEMMA_GRID
-    return _SUM_GRID
-
 
 def _rational(text: str):
     try:
@@ -296,8 +243,9 @@ def cmd_table(args) -> int:
 def cmd_verify(args) -> int:
     g = _resolve_sequence(args)
     h = _resolve_companion(args, g)
+    spec = IDENTITIES[args.identity]
     rel = None
-    if args.identity.startswith("lemma"):
+    if spec.takes_relation:
         rel = ThreeTermRelation(
             g.params.p if args.f1 is None else args.f1,
             g.params.q if args.f2 is None else args.f2,
@@ -306,7 +254,7 @@ def cmd_verify(args) -> int:
         )
     elif any(v is not None for v in (args.f1, args.f2, args.rel_a, args.rel_b)):
         raise UsageError("--f1/--f2/--rel-a/--rel-b apply only to lemma identities")
-    grid = parse_grid(args.grid if args.grid is not None else _default_grid_text(args.identity))
+    grid = parse_grid(args.grid if args.grid is not None else spec.default_grid)
     report = verify_identity_grid(args.identity, g, h, grid, rel=rel)
     return _emit_report(report, args)
 
@@ -381,7 +329,8 @@ def main(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return _DISPATCH[args.command](args)
-    except HoradamError as exc:
+    except (HoradamError, OSError, UnicodeDecodeError, RecursionError) as exc:
+        # Exit code 1 means "counterexample found"; every failure is a 2.
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

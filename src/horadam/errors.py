@@ -17,10 +17,6 @@ class RangeError(HoradamError):
     """Malformed index range (lower bound above upper bound)."""
 
 
-class SingularMatrixError(HoradamError):
-    """Inverse or negative power requested for a non-invertible matrix."""
-
-
 class DegeneracyError(HoradamError):
     """Linear system for basis coefficients is singular."""
 

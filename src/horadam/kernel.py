@@ -1,12 +1,18 @@
-"""Kernel form, basis solver, and exact checkers for the generic identities.
+"""Kernel form, basis solver, and the table of generic identities.
 
 The antisymmetric kernel over a sequence G is
     f_g(u, v; s, t) = G(u-s)*G(v-t) - G(u-t)*G(v-s).
-Every checker here evaluates both sides of its identity exactly and reports
-equality; nothing is rounded. Checkers for the two generic summation
-theorems skip (rather than fail) cases where a kernel value in a denominator
-position vanishes, since the statements hypothesize those values nonzero.
-The k = 0 instance of each summation identity has no denominator, so it is
+Theorem 1 relates H(n+m), H(n+c) and H(n+d) through the three kernel values
+    A = f_g(d, c; b, a),  B = f_g(d, m; b, a),  C = f_g(c, m; a, b),
+and every summation theorem is the same telescoping or binomial formula
+with A, B and C in permuted roles. IDENTITIES holds one entry per identity
+(grid variables, CLI default grid, whether it takes a ThreeTermRelation,
+the function that builds its outcome); each formula below is stated once.
+
+Every outcome evaluates both sides of its identity exactly; nothing is
+rounded. The summation theorems skip (rather than fail) cases where the
+kernel value in a denominator position vanishes, since the statements
+hypothesize it nonzero. Their k = 0 instance has no denominator, so it is
 always checked.
 """
 
@@ -15,41 +21,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from functools import partial
+from typing import Callable, NamedTuple, Optional
 
 from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
-from .grid import GridSpec
-from .report import VerificationReport, run_grid, single_case_report
-from .scalar import Rational, m1
+from .grid import GridSpec, make_grid
+from .report import VerificationReport, run_grid
+from .scalar import Rational
 from .sequences import Sequence, term, term_fn
 
 __all__ = [
-    "KernelArgs",
-    "ThreeTermRelation",
-    "f_g",
-    "basis_coefficients",
-    "check_theorem1",
-    "check_corollary",
-    "check_lemma1",
-    "check_lemma2",
-    "check_lemma3",
-    "check_sum_ordinary",
-    "check_sum_binomial",
-    "identity_variables",
-    "identity_outcome",
-    "verify_identity_grid",
-    "IDENTITY_NAMES",
+    "ThreeTermRelation", "f_g", "basis_coefficients", "IdentitySpec", "IDENTITIES",
+    "IDENTITY_NAMES", "identity_variables", "identity_outcome", "verify_identity_grid",
+    "check_identity",
 ]
-
-
-@dataclass(frozen=True)
-class KernelArgs:
-    """Index quadruple (u, v; s, t) for the kernel form."""
-
-    u: int
-    v: int
-    s: int
-    t: int
 
 
 @dataclass(frozen=True)
@@ -70,16 +55,18 @@ class ThreeTermRelation:
             raise UsageError("relation shifts a and b must differ")
 
 
+def _swap(rel: ThreeTermRelation) -> ThreeTermRelation:
+    # The same relation with the roles of (f1, a) and (f2, b) exchanged.
+    return ThreeTermRelation(rel.f2, rel.f1, rel.b, rel.a)
+
+
 def _fg(gt: Callable[[int], object], u: int, v: int, s: int, t: int):
     return gt(u - s) * gt(v - t) - gt(u - t) * gt(v - s)
 
 
-def f_g(g: Sequence, args) -> Rational:
-    """Exact kernel value; args is a KernelArgs or a (u, v, s, t) tuple."""
-    if isinstance(args, KernelArgs):
-        u, v, s, t = args.u, args.v, args.s, args.t
-    else:
-        u, v, s, t = args
+def f_g(g: Sequence, args: tuple) -> Rational:
+    """Exact kernel value at the index quadruple args = (u, v, s, t)."""
+    u, v, s, t = args
     value = _fg(lambda i: term(g, i), u, v, s, t)
     return value if isinstance(value, Fraction) else Fraction(value)
 
@@ -95,15 +82,6 @@ def _require_same_params(g: Sequence, h: Sequence) -> None:
             "sequences must share one recurrence: "
             f"(p={g.params.p}, q={g.params.q}) vs (p={h.params.p}, q={h.params.q})"
         )
-
-
-def _require_vars(case: dict, names: tuple) -> None:
-    missing = [v for v in names if v not in case]
-    if missing:
-        raise UsageError(f"case is missing variables: {', '.join(missing)}")
-    extra = [v for v in case if v not in names]
-    if extra:
-        raise UsageError(f"case has unused variables: {', '.join(sorted(extra))}")
 
 
 def basis_coefficients(
@@ -144,12 +122,17 @@ def basis_coefficients(
 
 # ---------------------------------------------------------------------------
 # Outcome builders. Each returns a function binding -> None | (lhs, rhs);
-# the single-case check_* wrappers and the grid runner share these, so one
-# formula has exactly one implementation.
+# identity_outcome binds them through the IDENTITIES table.
 
 
-def _theorem1_outcome(g: Sequence, h: Sequence) -> Callable[[dict], tuple]:
-    _require_same_params(g, h)
+def _bound(case: dict) -> int:
+    k = case["k"]
+    if k < 0:
+        raise DomainError(f"summation bound k must be non-negative, got {k}")
+    return k
+
+
+def _theorem1_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
     gt, ht = term_fn(g), term_fn(h)
 
     def outcome(case: dict):
@@ -162,8 +145,7 @@ def _theorem1_outcome(g: Sequence, h: Sequence) -> Callable[[dict], tuple]:
     return outcome
 
 
-def _corollary_outcome(g: Sequence, h: Sequence) -> Callable[[dict], tuple]:
-    _require_same_params(g, h)
+def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
     gt, ht = term_fn(g), term_fn(h)
 
     def outcome(case: dict):
@@ -178,6 +160,69 @@ def _corollary_outcome(g: Sequence, h: Sequence) -> Callable[[dict], tuple]:
     return outcome
 
 
+# Roles of the kernel values in the ordinary sums: with
+#   S = sum_{j=0..k} (Y/Z)^j H(n - s*k + t + s*j),
+# variant v states X*S = +-(Y^(k+1)/Z^k H(n) - Z H(n - s*(k+1))).
+# Each maps (A, B, C, m, c, d) to (X, Y, Z, s, t, negated).
+_ORDINARY_ROLES = {
+    1: lambda A, B, C, m, c, d: (C, A, B, m - c, d - m, False),
+    2: lambda A, B, C, m, c, d: (B, A, C, m - d, c - m, False),
+    3: lambda A, B, C, m, c, d: (A, -B, C, c - d, m - c, True),
+}
+
+# Roles in the binomial sums:
+#   sum_{j=0..k} binom(k, j) (Y/Z)^j H(n + s*k + t*j) = (W/Z)^k H(n).
+# Each maps (A, B, C, m, c, d) to (Y, Z, W, s, t).
+_BINOMIAL_ROLES = {
+    1: lambda A, B, C, m, c, d: (B, C, A, d - m, c - d),
+    2: lambda A, B, C, m, c, d: (-A, C, -B, d - c, m - d),
+    3: lambda A, B, C, m, c, d: (-A, B, -C, c - d, m - c),
+}
+
+
+def _sum_ordinary_outcome(roles, g: Sequence, h: Sequence, rel=None) -> Callable:
+    gt, ht = term_fn(g), term_fn(h)
+
+    def outcome(case: dict):
+        n, m, k = case["n"], case["m"], _bound(case)
+        a, b, c, d = case["a"], case["b"], case["c"], case["d"]
+        X, Y, Z, s, t, negated = roles(
+            _fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m, c, d
+        )
+        if k == 0:
+            lhs, rhs = X * ht(n + t), Y * ht(n) - Z * ht(n - s)
+        elif Z == 0:
+            return None
+        else:
+            r = _div(Y, Z)
+            lhs = X * sum(r ** j * ht(n - s * k + t + s * j) for j in range(k + 1))
+            rhs = _div(Y ** (k + 1), Z ** k) * ht(n) - Z * ht(n - s * (k + 1))
+        return lhs, (-rhs if negated else rhs)
+
+    return outcome
+
+
+def _sum_binomial_outcome(roles, g: Sequence, h: Sequence, rel=None) -> Callable:
+    gt, ht = term_fn(g), term_fn(h)
+
+    def outcome(case: dict):
+        n, m, k = case["n"], case["m"], _bound(case)
+        if k == 0:
+            value = ht(n)
+            return value, value
+        a, b, c, d = case["a"], case["b"], case["c"], case["d"]
+        Y, Z, W, s, t = roles(
+            _fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m, c, d
+        )
+        if Z == 0:
+            return None
+        r = _div(Y, Z)
+        lhs = sum(math.comb(k, j) * r ** j * ht(n + s * k + t * j) for j in range(k + 1))
+        return lhs, _div(W, Z) ** k * ht(n)
+
+    return outcome
+
+
 def _check_relation_window(xt, yt, rel: ThreeTermRelation, anchors) -> None:
     """Every summand rewrite uses X(s) = f1*X(s-a) + f2*Y(s-b) at some anchor s;
     verify those instances up front so a wrong relation surfaces as a clear error."""
@@ -185,18 +230,17 @@ def _check_relation_window(xt, yt, rel: ThreeTermRelation, anchors) -> None:
     for s in anchors:
         if xt(s) != f1 * xt(s - a) + f2 * yt(s - b):
             raise PreconditionError(
-                f"relation X(n) = f1*X(n-{a}) + f2*Y(n-{b}) fails at n={s}"
+                f"relation X(n) = {f1}*X(n-{a}) + {f2}*Y(n-{b}) fails at n={s}"
             )
 
 
 def _lemma1_outcome(x: Sequence, y: Sequence, rel: ThreeTermRelation) -> Callable[[dict], tuple]:
+    # Telescoping sum for X(n) = f1*X(n-a) + f2*Y(n-b).
     xt, yt = term_fn(x), term_fn(y)
     f1, f2, a, b = rel.f1, rel.f2, rel.a, rel.b
 
     def outcome(case: dict):
-        n, k = case["n"], case["k"]
-        if k < 0:
-            raise DomainError(f"summation bound k must be non-negative, got {k}")
+        n, k = case["n"], _bound(case)
         _check_relation_window(xt, yt, rel, (n - j * a for j in range(k + 1)))
         lhs = f2 * sum(yt(n - k * a - b + a * j) / f1 ** j for j in range(k + 1))
         rhs = xt(n) / f1 ** k - f1 * xt(n - (k + 1) * a)
@@ -205,268 +249,110 @@ def _lemma1_outcome(x: Sequence, y: Sequence, rel: ThreeTermRelation) -> Callabl
     return outcome
 
 
-def _lemma2_outcome(x: Sequence, rel: ThreeTermRelation, variant: int) -> Callable[[dict], tuple]:
+def _lemma2_3_outcome(x: Sequence, rel: ThreeTermRelation) -> Callable[[dict], tuple]:
     xt = term_fn(x)
     f1, f2, a, b = rel.f1, rel.f2, rel.a, rel.b
+    r = -f1 / f2
 
     def outcome(case: dict):
-        n, k = case["n"], case["k"]
-        if k < 0:
-            raise DomainError(f"summation bound k must be non-negative, got {k}")
-        if variant == 1:
-            _check_relation_window(xt, xt, rel, (n - j * a for j in range(k + 1)))
-            lhs = f2 * sum(xt(n - k * a - b + a * j) / f1 ** j for j in range(k + 1))
-            rhs = xt(n) / f1 ** k - f1 * xt(n - (k + 1) * a)
-        elif variant == 2:
-            _check_relation_window(xt, xt, rel, (n - j * b for j in range(k + 1)))
-            lhs = f1 * sum(xt(n - k * b - a + b * j) / f2 ** j for j in range(k + 1))
-            rhs = xt(n) / f2 ** k - f2 * xt(n - (k + 1) * b)
-        else:
-            _check_relation_window(xt, xt, rel, (n - j * (a - b) + b for j in range(k + 1)))
-            r = -f1 / f2
-            lhs = sum(xt(n - (a - b) * k + b + (a - b) * j) / r ** j for j in range(k + 1))
-            rhs = f2 * xt(n) / r ** k + f1 * xt(n - (k + 1) * (a - b))
+        n, k = case["n"], _bound(case)
+        _check_relation_window(xt, xt, rel, (n - j * (a - b) + b for j in range(k + 1)))
+        lhs = sum(xt(n - (a - b) * k + b + (a - b) * j) / r ** j for j in range(k + 1))
+        rhs = f2 * xt(n) / r ** k + f1 * xt(n - (k + 1) * (a - b))
         return lhs, rhs
 
     return outcome
 
 
-def _lemma3_outcome(x: Sequence, rel: ThreeTermRelation, variant: int) -> Callable[[dict], tuple]:
+def _lemma3_1_outcome(x: Sequence, rel: ThreeTermRelation) -> Callable[[dict], tuple]:
     xt = term_fn(x)
     f1, f2, a, b = rel.f1, rel.f2, rel.a, rel.b
+    r = f1 / f2
 
-    def anchors(n: int, k: int):
+    def outcome(case: dict):
+        n, k = case["n"], _bound(case)
         # Indices where the relation gets substituted while expanding k times.
-        if variant == 1:
-            return (n - j * a - l * b for j in range(k) for l in range(k - j))
-        if variant == 2:
-            return (n + (a - b) * j + l * a + a for j in range(k) for l in range(k - j))
-        return (n - (a - b) * j + l * b + b for j in range(k) for l in range(k - j))
-
-    def outcome(case: dict):
-        n, k = case["n"], case["k"]
-        if k < 0:
-            raise DomainError(f"summation bound k must be non-negative, got {k}")
-        _check_relation_window(xt, xt, rel, anchors(n, k))
-        if variant == 1:
-            r = f1 / f2
-            lhs = sum(
-                math.comb(k, j) * r ** j * xt(n - b * k + (b - a) * j) for j in range(k + 1)
-            )
-            rhs = xt(n) / f2 ** k
-        elif variant == 2:
-            lhs = sum(
-                math.comb(k, j) * xt(n + (a - b) * k + b * j) / (-f2) ** j
-                for j in range(k + 1)
-            )
-            rhs = (-f1 / f2) ** k * xt(n)
-        else:
-            lhs = sum(
-                math.comb(k, j) * xt(n + (b - a) * k + a * j) / (-f1) ** j
-                for j in range(k + 1)
-            )
-            rhs = (-f2 / f1) ** k * xt(n)
-        return lhs, rhs
+        anchors = (n - j * a - l * b for j in range(k) for l in range(k - j))
+        _check_relation_window(xt, xt, rel, anchors)
+        lhs = sum(math.comb(k, j) * r ** j * xt(n - b * k + (b - a) * j) for j in range(k + 1))
+        return lhs, xt(n) / f2 ** k
 
     return outcome
 
 
-def _sum_ordinary_outcome(g: Sequence, h: Sequence, variant: int) -> Callable[[dict], Optional[tuple]]:
-    _require_same_params(g, h)
-    gt, ht = term_fn(g), term_fn(h)
+def _lemma3_2_outcome(x: Sequence, rel: ThreeTermRelation) -> Callable[[dict], tuple]:
+    xt = term_fn(x)
+    f1, f2, a, b = rel.f1, rel.f2, rel.a, rel.b
 
     def outcome(case: dict):
-        n, m = case["n"], case["m"]
-        a, b, c, d, k = case["a"], case["b"], case["c"], case["d"], case["k"]
-        if k < 0:
-            raise DomainError(f"summation bound k must be non-negative, got {k}")
-        A = _fg(gt, d, c, b, a)
-        B = _fg(gt, d, m, b, a)
-        C = _fg(gt, c, m, a, b)
-        if variant == 1:
-            if k == 0:
-                return C * ht(n - (m - d)), A * ht(n) - B * ht(n - (m - c))
-            if B == 0:
-                return None
-            r = _div(A, B)
-            lhs = C * sum(
-                r ** j * ht(n - (m - c) * k - (m - d) + (m - c) * j) for j in range(k + 1)
-            )
-            rhs = _div(A ** (k + 1), B ** k) * ht(n) - B * ht(n - (m - c) * (k + 1))
-            return lhs, rhs
-        if variant == 2:
-            if k == 0:
-                return B * ht(n - (m - c)), A * ht(n) - C * ht(n - (m - d))
-            if C == 0:
-                return None
-            r = _div(A, C)
-            lhs = B * sum(
-                r ** j * ht(n - (m - d) * k - (m - c) + (m - d) * j) for j in range(k + 1)
-            )
-            rhs = _div(A ** (k + 1), C ** k) * ht(n) - C * ht(n - (m - d) * (k + 1))
-            return lhs, rhs
-        if k == 0:
-            return A * ht(n + (m - c)), B * ht(n) + C * ht(n - (c - d))
-        if C == 0:
-            return None
-        r = _div(-B, C)
-        lhs = A * sum(
-            r ** j * ht(n - (c - d) * k + (m - c) + (c - d) * j) for j in range(k + 1)
-        )
-        rhs = m1(k) * _div(B ** (k + 1), C ** k) * ht(n) + C * ht(n - (c - d) * (k + 1))
-        return lhs, rhs
-
-    return outcome
-
-
-def _sum_binomial_outcome(g: Sequence, h: Sequence, variant: int) -> Callable[[dict], Optional[tuple]]:
-    _require_same_params(g, h)
-    gt, ht = term_fn(g), term_fn(h)
-
-    def outcome(case: dict):
-        n, m = case["n"], case["m"]
-        a, b, c, d, k = case["a"], case["b"], case["c"], case["d"], case["k"]
-        if k < 0:
-            raise DomainError(f"summation bound k must be non-negative, got {k}")
-        if k == 0:
-            value = ht(n)
-            return value, value
-        A = _fg(gt, d, c, b, a)
-        B = _fg(gt, d, m, b, a)
-        C = _fg(gt, c, m, a, b)
-        if variant == 1:
-            if C == 0:
-                return None
-            r = _div(B, C)
-            lhs = sum(
-                math.comb(k, j) * r ** j * ht(n - (m - d) * k + (c - d) * j)
-                for j in range(k + 1)
-            )
-            rhs = _div(A, C) ** k * ht(n)
-            return lhs, rhs
-        if variant == 2:
-            if C == 0:
-                return None
-            r = _div(-A, C)
-            lhs = sum(
-                math.comb(k, j) * r ** j * ht(n - (c - d) * k + (m - d) * j)
-                for j in range(k + 1)
-            )
-            rhs = _div(-B, C) ** k * ht(n)
-            return lhs, rhs
-        if B == 0:
-            return None
-        r = _div(-A, B)
-        lhs = sum(
-            math.comb(k, j) * r ** j * ht(n + (c - d) * k + (m - c) * j)
-            for j in range(k + 1)
-        )
-        rhs = _div(-C, B) ** k * ht(n)
-        return lhs, rhs
+        n, k = case["n"], _bound(case)
+        anchors = (n + (a - b) * j + l * a + a for j in range(k) for l in range(k - j))
+        _check_relation_window(xt, xt, rel, anchors)
+        lhs = sum(math.comb(k, j) * xt(n + (a - b) * k + b * j) / (-f2) ** j for j in range(k + 1))
+        return lhs, (-f1 / f2) ** k * xt(n)
 
     return outcome
 
 
 # ---------------------------------------------------------------------------
-# Public single-case checkers.
+# The identity table, read by the grid sweep, the CLI and the test suite.
 
 
-def check_theorem1(g: Sequence, h: Sequence, case: dict) -> VerificationReport:
-    """Three-term kernel identity at one binding {n, m, a, b, c, d}.
+class IdentitySpec(NamedTuple):
+    """One identity; build(g, h, rel) returns its outcome, rel used iff takes_relation."""
 
-    Checked as stated even when the kernel coefficient of H(n+m) vanishes;
-    no case is ever skipped.
-    """
-    _require_vars(case, ("n", "m", "a", "b", "c", "d"))
-    return single_case_report("theorem1", case, _theorem1_outcome(g, h))
-
-
-def check_corollary(g: Sequence, h: Sequence, case: dict) -> VerificationReport:
-    """Two-shift specialization of the kernel identity at one binding {n, m, a, b}."""
-    _require_vars(case, ("n", "m", "a", "b"))
-    return single_case_report("corollary", case, _corollary_outcome(g, h))
+    variables: tuple
+    default_grid: str
+    takes_relation: bool
+    build: Callable
 
 
-def check_lemma1(
-    x: Sequence, y: Sequence, rel: ThreeTermRelation, n: int, k: int
-) -> VerificationReport:
-    """Telescoping sum for a two-sequence relation X(n) = f1*X(n-a) + f2*Y(n-b)."""
-    return single_case_report("lemma1", {"n": n, "k": k}, _lemma1_outcome(x, y, rel))
+_KERNEL_VARS = ("a", "b", "c", "d", "m", "n")
+_SUM_VARS = ("a", "b", "c", "d", "k", "m", "n")
+_SUM_GRID = "a=-1..2,b=-1..2,c=-1..2,d=-1..2,k=0..5,m=-2..2,n=-2..2"
 
 
-def check_lemma2(
-    x: Sequence, rel: ThreeTermRelation, variant: int, n: int, k: int
-) -> VerificationReport:
-    """Single-sequence ordinary sums (variants 1-3)."""
-    _require_variant(variant)
-    return single_case_report(
-        f"lemma2:{variant}", {"n": n, "k": k}, _lemma2_outcome(x, rel, variant)
-    )
+def _lemma(build: Callable) -> IdentitySpec:
+    return IdentitySpec(("k", "n"), "k=0..6,n=-5..5", True, build)
 
 
-def check_lemma3(
-    x: Sequence, rel: ThreeTermRelation, variant: int, n: int, k: int
-) -> VerificationReport:
-    """Single-sequence binomial sums (variants 1-3)."""
-    _require_variant(variant)
-    return single_case_report(
-        f"lemma3:{variant}", {"n": n, "k": k}, _lemma3_outcome(x, rel, variant)
-    )
-
-
-def check_sum_ordinary(g: Sequence, h: Sequence, variant: int, case: dict) -> VerificationReport:
-    """Generic ordinary-summation identity at one binding {n, m, a, b, c, d, k}."""
-    _require_variant(variant)
-    _require_vars(case, ("n", "m", "a", "b", "c", "d", "k"))
-    return single_case_report(
-        f"sum-ordinary:{variant}", case, _sum_ordinary_outcome(g, h, variant)
-    )
-
-
-def check_sum_binomial(g: Sequence, h: Sequence, variant: int, case: dict) -> VerificationReport:
-    """Generic binomial-summation identity at one binding {n, m, a, b, c, d, k}."""
-    _require_variant(variant)
-    _require_vars(case, ("n", "m", "a", "b", "c", "d", "k"))
-    return single_case_report(
-        f"sum-binomial:{variant}", case, _sum_binomial_outcome(g, h, variant)
-    )
-
-
-def _require_variant(variant: int) -> None:
-    if variant not in (1, 2, 3):
-        raise UsageError(f"variant must be 1, 2, or 3, got {variant}")
-
-
-# ---------------------------------------------------------------------------
-# Grid-level driver shared by the CLI and the test suite.
-
-_IDENTITY_VARS = {
-    "theorem1": ("a", "b", "c", "d", "m", "n"),
-    "corollary": ("a", "b", "m", "n"),
-    "lemma1": ("k", "n"),
-    "lemma2:1": ("k", "n"),
-    "lemma2:2": ("k", "n"),
-    "lemma2:3": ("k", "n"),
-    "lemma3:1": ("k", "n"),
-    "lemma3:2": ("k", "n"),
-    "lemma3:3": ("k", "n"),
-    "sum-ordinary:1": ("a", "b", "c", "d", "k", "m", "n"),
-    "sum-ordinary:2": ("a", "b", "c", "d", "k", "m", "n"),
-    "sum-ordinary:3": ("a", "b", "c", "d", "k", "m", "n"),
-    "sum-binomial:1": ("a", "b", "c", "d", "k", "m", "n"),
-    "sum-binomial:2": ("a", "b", "c", "d", "k", "m", "n"),
-    "sum-binomial:3": ("a", "b", "c", "d", "k", "m", "n"),
+IDENTITIES = {
+    "theorem1": IdentitySpec(
+        _KERNEL_VARS, "a=-2..2,b=-2..2,c=-2..2,d=-2..2,m=-3..3,n=-3..3", False, _theorem1_outcome
+    ),
+    "corollary": IdentitySpec(
+        ("a", "b", "m", "n"), "a=-3..3,b=-3..3,m=-4..4,n=-4..4", False, _corollary_outcome
+    ),
+    "lemma1": _lemma(_lemma1_outcome),
+    "lemma2:1": _lemma(lambda x, y, rel: _lemma1_outcome(x, x, rel)),
+    "lemma2:2": _lemma(lambda x, y, rel: _lemma1_outcome(x, x, _swap(rel))),
+    "lemma2:3": _lemma(lambda x, y, rel: _lemma2_3_outcome(x, rel)),
+    "lemma3:1": _lemma(lambda x, y, rel: _lemma3_1_outcome(x, rel)),
+    "lemma3:2": _lemma(lambda x, y, rel: _lemma3_2_outcome(x, rel)),
+    "lemma3:3": _lemma(lambda x, y, rel: _lemma3_2_outcome(x, _swap(rel))),
+    **{
+        f"sum-{kind}:{v}": IdentitySpec(_SUM_VARS, _SUM_GRID, False, partial(build, roles))
+        for kind, build, table in (
+            ("ordinary", _sum_ordinary_outcome, _ORDINARY_ROLES),
+            ("binomial", _sum_binomial_outcome, _BINOMIAL_ROLES),
+        )
+        for v, roles in table.items()
+    },
 }
 
-IDENTITY_NAMES = tuple(sorted(_IDENTITY_VARS))
+IDENTITY_NAMES = tuple(sorted(IDENTITIES))
+
+
+def _spec(identity: str) -> IdentitySpec:
+    try:
+        return IDENTITIES[identity]
+    except KeyError:
+        raise UsageError(f"unknown identity {identity!r}") from None
 
 
 def identity_variables(identity: str) -> tuple:
     """Grid variables an identity consumes."""
-    try:
-        return _IDENTITY_VARS[identity]
-    except KeyError:
-        raise UsageError(f"unknown identity {identity!r}") from None
+    return _spec(identity).variables
 
 
 def identity_outcome(
@@ -475,29 +361,18 @@ def identity_outcome(
     h: Sequence,
     rel: Optional[ThreeTermRelation] = None,
 ):
-    """Outcome function for one identity bound to concrete sequences."""
-    if identity == "theorem1":
-        return _theorem1_outcome(g, h)
-    if identity == "corollary":
-        return _corollary_outcome(g, h)
-    if identity == "lemma1":
-        return _lemma1_outcome(g, h, _default_rel(g, rel))
-    if identity.startswith("lemma2:"):
-        return _lemma2_outcome(g, _default_rel(g, rel), int(identity[-1]))
-    if identity.startswith("lemma3:"):
-        return _lemma3_outcome(g, _default_rel(g, rel), int(identity[-1]))
-    if identity.startswith("sum-ordinary:"):
-        return _sum_ordinary_outcome(g, h, int(identity[-1]))
-    if identity.startswith("sum-binomial:"):
-        return _sum_binomial_outcome(g, h, int(identity[-1]))
-    raise UsageError(f"unknown identity {identity!r}")
+    """Outcome function for one identity bound to concrete sequences.
 
-
-def _default_rel(g: Sequence, rel: Optional[ThreeTermRelation]) -> ThreeTermRelation:
-    # The defining recurrence itself, as shifts (1, 2).
-    if rel is not None:
-        return rel
-    return ThreeTermRelation(g.params.p, g.params.q, 1, 2)
+    Lemmas default rel to the defining recurrence of g, as shifts (1, 2);
+    every other identity needs g and h to share one recurrence.
+    """
+    spec = _spec(identity)
+    if spec.takes_relation:
+        if rel is None:
+            rel = ThreeTermRelation(g.params.p, g.params.q, 1, 2)
+    else:
+        _require_same_params(g, h)
+    return spec.build(g, h, rel)
 
 
 def verify_identity_grid(
@@ -516,3 +391,15 @@ def verify_identity_grid(
             f" got {{{', '.join(have)}}}"
         )
     return run_grid(identity, grid, identity_outcome(identity, g, h, rel))
+
+
+def check_identity(
+    identity: str,
+    g: Sequence,
+    h: Sequence,
+    case: dict,
+    rel: Optional[ThreeTermRelation] = None,
+) -> VerificationReport:
+    """One binding, e.g. {"n": 4, "k": 1}, checked as the one-point grid "k=1,n=4"."""
+    grid = make_grid({name: (value, value) for name, value in case.items()})
+    return verify_identity_grid(identity, g, h, grid, rel)

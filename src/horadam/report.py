@@ -8,6 +8,7 @@ import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .errors import HoradamError
 from .grid import GridSpec
 from .scalar import rat_text
 
@@ -16,6 +17,40 @@ from .scalar import rat_text
 CaseOutcome = Optional[tuple]
 
 _TEXT_COUNTEREXAMPLE_CAP = 20
+
+# Leading fields of every JSON object and CSV row, in output order.
+_SUMMARY_FIELDS = ("identity", "grid", "cases_total", "cases_checked", "cases_skipped_precondition")
+
+# Stable shape of every JSON report this tool emits (verify/catalog run/check).
+REPORT_JSON_SCHEMA = {
+    "$schema": "https://json-schema.org/draft/2020-12/schema",
+    "type": "object",
+    "properties": {
+        "identity": {"type": "string"},
+        "grid": {"type": "string"},
+        "cases_total": {"type": "integer", "minimum": 0},
+        "cases_checked": {"type": "integer", "minimum": 0},
+        "cases_skipped_precondition": {"type": "integer", "minimum": 0},
+        "counterexamples": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "properties": {
+                    "bindings": {
+                        "type": "object",
+                        "additionalProperties": {"type": "integer"},
+                    },
+                    "lhs": {"type": "string"},
+                    "rhs": {"type": "string"},
+                },
+                "required": ["bindings", "lhs", "rhs"],
+                "additionalProperties": False,
+            },
+        },
+    },
+    "required": [*_SUMMARY_FIELDS, "counterexamples"],
+    "additionalProperties": False,
+}
 
 
 def render_bindings(bindings: dict) -> str:
@@ -43,11 +78,7 @@ class VerificationReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "identity": self.identity,
-            "grid": self.grid,
-            "cases_total": self.cases_total,
-            "cases_checked": self.cases_checked,
-            "cases_skipped_precondition": self.cases_skipped_precondition,
+            **{name: getattr(self, name) for name in _SUMMARY_FIELDS},
             "counterexamples": [
                 {
                     "bindings": {k: bindings[k] for k in sorted(bindings)},
@@ -64,25 +95,8 @@ class VerificationReport:
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            [
-                "identity",
-                "grid",
-                "cases_total",
-                "cases_checked",
-                "cases_skipped_precondition",
-                "bindings",
-                "lhs",
-                "rhs",
-            ]
-        )
-        head = [
-            self.identity,
-            self.grid,
-            self.cases_total,
-            self.cases_checked,
-            self.cases_skipped_precondition,
-        ]
+        writer.writerow([*_SUMMARY_FIELDS, "bindings", "lhs", "rhs"])
+        head = [getattr(self, name) for name in _SUMMARY_FIELDS]
         if self.counterexamples:
             for bindings, lhs, rhs in self.counterexamples:
                 writer.writerow(head + [render_bindings(bindings), rat_text(lhs), rat_text(rhs)])
@@ -124,7 +138,12 @@ def run_grid(identity: str, grid: GridSpec, outcome: Callable[[dict], CaseOutcom
     counterexamples = []
     for binding in grid.cases():
         total += 1
-        result = outcome(binding)
+        try:
+            result = outcome(binding)
+        except HoradamError as exc:
+            if binding:
+                exc.args = (f"{exc} (case {render_bindings(binding)})",)
+            raise
         if result is None:
             skipped += 1
             continue
@@ -133,14 +152,3 @@ def run_grid(identity: str, grid: GridSpec, outcome: Callable[[dict], CaseOutcom
         if lhs != rhs:
             counterexamples.append((dict(binding), lhs, rhs))
     return VerificationReport(identity, grid.text, total, checked, skipped, tuple(counterexamples))
-
-
-def single_case_report(identity: str, binding: dict, outcome: Callable[[dict], CaseOutcome]) -> VerificationReport:
-    """Report for one explicit binding, rendered as a single-point grid."""
-    grid_text = ",".join(f"{k}={binding[k]}" for k in sorted(binding))
-    result = outcome(binding)
-    if result is None:
-        return VerificationReport(identity, grid_text, 1, 0, 1, ())
-    lhs, rhs = result
-    counterexamples = () if lhs == rhs else ((dict(binding), lhs, rhs),)
-    return VerificationReport(identity, grid_text, 1, 1, 0, counterexamples)

@@ -1,13 +1,12 @@
-"""Exact rational scalars, binomial coefficients, and 2x2 rational matrices."""
+"""Exact rational scalars, rational text, binomial coefficients and parity signs."""
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError, ParameterError, SingularMatrixError
+from .errors import DomainError, ParameterError
 
 # The universal scalar type. fractions.Fraction already guarantees the
 # canonical form this package relies on: positive denominator, lowest terms,
@@ -53,56 +52,3 @@ def m1(e: int) -> int:
     """(-1)**e for any integer e, including negative e."""
     # int ** negative-int would produce a float; parity keeps this exact.
     return -1 if e % 2 else 1
-
-
-@dataclass(frozen=True)
-class Mat2:
-    """Immutable 2x2 matrix over the exact rationals."""
-
-    a11: Rational
-    a12: Rational
-    a21: Rational
-    a22: Rational
-
-    def __mul__(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.a11 * other.a11 + self.a12 * other.a21,
-            self.a11 * other.a12 + self.a12 * other.a22,
-            self.a21 * other.a11 + self.a22 * other.a21,
-            self.a21 * other.a12 + self.a22 * other.a22,
-        )
-
-    def det(self) -> Rational:
-        return self.a11 * self.a22 - self.a12 * self.a21
-
-    def inverse(self) -> "Mat2":
-        d = self.det()
-        if d == 0:
-            raise SingularMatrixError("matrix is singular, no inverse")
-        return Mat2(self.a22 / d, -self.a12 / d, -self.a21 / d, self.a11 / d)
-
-
-MAT2_IDENTITY = Mat2(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-
-def mat2(a11, a12, a21, a22) -> Mat2:
-    """Convenience constructor accepting ints, Fractions, or rational text."""
-    def coerce(x):
-        return rat_from_text(x) if isinstance(x, str) else Fraction(x)
-    return Mat2(coerce(a11), coerce(a12), coerce(a21), coerce(a22))
-
-
-def mat_pow(m: Mat2, n: int) -> Mat2:
-    """Exact n-th power by binary exponentiation; negative n needs det != 0."""
-    if n < 0:
-        return mat_pow(m.inverse(), -n)
-    result = MAT2_IDENTITY
-    base = m
-    e = n
-    while e:
-        if e & 1:
-            result = result * base
-        e >>= 1
-        if e:
-            base = base * base
-    return result

@@ -1,9 +1,13 @@
 """Command-line interface: subcommands, formats, and the exit-code contract."""
 
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import horadam
 from horadam.cli import main
 from conftest import EXPECTED_TABLE
 
@@ -269,3 +273,46 @@ class TestOutputPlumbing:
 
     def test_unknown_flag_fails(self, capsys):
         assert main(["eval", "--seq", "fibonacci", "-n", "1", "--bogus"]) == 2
+
+
+class TestExitContract:
+    """Every failure exits 2 with one "error:" line; 1 means a counterexample."""
+
+    def _assert_usage_failure(self, capsys, *argv):
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_output_into_missing_directory(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.txt"
+        self._assert_usage_failure(capsys, "eval", "--seq", "fibonacci", "-n", "3",
+                                   "--output", str(target))
+
+    def test_output_names_a_directory(self, capsys, tmp_path):
+        self._assert_usage_failure(capsys, "table", "--seq", "lucas", "--from", "0", "--to", "3",
+                                   "--output", str(tmp_path))
+
+    def test_non_utf8_file(self, capsys, tmp_path):
+        path = tmp_path / "identity.txt"
+        path.write_bytes(b"F[n] = F[n] \xff\xfe\n")
+        self._assert_usage_failure(capsys, "check", "--file", str(path), "--grid", "n=0..1")
+
+    def test_deeply_nested_expression(self, capsys):
+        text = "(" * 3000 + "1" + ")" * 3000 + " = 1"
+        self._assert_usage_failure(capsys, "check", "--expr", text)
+
+    def test_mid_sweep_error_names_binding(self, capsys):
+        code, _, err = run(capsys, "check", "--expr", "F[n]^(-1)*F[n] = 1", "--grid", "n=-2..2")
+        assert code == 2
+        assert "zero raised to a negative power" in err and "n=0" in err
+
+
+def test_import_leaves_cli_and_argparse_unloaded():
+    src = Path(horadam.__file__).resolve().parent.parent
+    code = (
+        "import sys; sys.path.insert(0, sys.argv[1]); import horadam; "
+        "print(sorted({'horadam.cli', 'argparse'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", code, str(src)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    assert done.stdout == "[]\n"

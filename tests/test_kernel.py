@@ -1,4 +1,4 @@
-"""Three-term identity kernel: single-case checkers and grid verification.
+"""Three-term identity kernel: single-case checks and grid verification.
 
 Dual-route discipline: every formula checked here is also transcribed
 literally on top of term_iterative_oracle (fresh values, plain Fraction
@@ -16,18 +16,11 @@ from hypothesis import strategies as st
 from horadam import (
     DegeneracyError,
     DomainError,
-    KernelArgs,
     PreconditionError,
     ThreeTermRelation,
     UsageError,
     basis_coefficients,
-    check_corollary,
-    check_lemma1,
-    check_lemma2,
-    check_lemma3,
-    check_sum_binomial,
-    check_sum_ordinary,
-    check_theorem1,
+    check_identity,
     f_g,
     get_named,
     identity_variables,
@@ -79,9 +72,6 @@ class TestKernelForm:
         assert f_g(P, (3, 3, 1, 0)) == 0
         assert f_g(P, (4, 1, 2, 2)) == 0
 
-    def test_kernel_args_and_tuple_agree(self):
-        assert f_g(J, KernelArgs(2, -1, 0, 3)) == f_g(J, (2, -1, 0, 3))
-
 
 class TestBasisCoefficients:
     def test_lucas_from_fibonacci_neighbors(self):
@@ -111,21 +101,21 @@ class TestBasisCoefficients:
 
 class TestTheorem1:
     def test_case_report_shape(self):
-        report = check_theorem1(F, L, {"n": 1, "m": 2, "a": 0, "b": 1, "c": -1, "d": 2})
+        report = check_identity("theorem1", F, L, {"n": 1, "m": 2, "a": 0, "b": 1, "c": -1, "d": 2})
         assert report.identity == "theorem1"
         assert report.holds and report.cases_total == 1
 
     def test_missing_and_extra_variables_rejected(self):
         with pytest.raises(UsageError):
-            check_theorem1(F, L, {"n": 1, "m": 2, "a": 0, "b": 1, "c": -1})
+            check_identity("theorem1", F, L, {"n": 1, "m": 2, "a": 0, "b": 1, "c": -1})
         with pytest.raises(UsageError):
-            check_theorem1(
-                F, L, {"n": 1, "m": 2, "a": 0, "b": 1, "c": -1, "d": 2, "k": 0}
+            check_identity(
+                "theorem1", F, L, {"n": 1, "m": 2, "a": 0, "b": 1, "c": -1, "d": 2, "k": 0}
             )
 
     def test_mismatched_recurrences_rejected(self):
         with pytest.raises(UsageError):
-            check_theorem1(F, P, {"n": 0, "m": 0, "a": 0, "b": 1, "c": 0, "d": 1})
+            check_identity("theorem1", F, P, {"n": 0, "m": 0, "a": 0, "b": 1, "c": 0, "d": 1})
 
     @given(
         n=idx, m=idx,
@@ -146,7 +136,8 @@ class TestTheorem1:
     def test_degenerate_kernel_cases_still_hold(self):
         # c == d makes the lhs multiplier vanish; the relation must still balance
         for c in range(-2, 3):
-            report = check_theorem1(F, L, {"n": 2, "m": -1, "a": 0, "b": 1, "c": c, "d": c})
+            case = {"n": 2, "m": -1, "a": 0, "b": 1, "c": c, "d": c}
+            report = check_identity("theorem1", F, L, case)
             assert report.holds
 
     def test_grid_over_named_pairs(self):
@@ -186,7 +177,7 @@ class TestCorollary:
 
     def test_case_validation(self):
         with pytest.raises(UsageError):
-            check_corollary(F, L, {"n": 0, "m": 0, "a": 0})
+            check_identity("corollary", F, L, {"n": 0, "m": 0, "a": 0})
 
 
 def _default_rel(seq) -> ThreeTermRelation:
@@ -216,19 +207,19 @@ class TestLemma1:
         rel = ThreeTermRelation(2, -1, -1, 0)
         for n in (-4, 0, 3):
             for k in (0, 1, 4):
-                assert check_lemma1(F, L, rel, n=n, k=k).holds
+                assert check_identity("lemma1", F, L, {"n": n, "k": k}, rel).holds
 
     def test_standard_relation_form(self):
-        report = check_lemma1(L, L, _default_rel(L), n=-4, k=5)
+        report = check_identity("lemma1", L, L, {"n": -4, "k": 5}, _default_rel(L))
         assert report.holds
 
     def test_wrong_relation_rejected_up_front(self):
         with pytest.raises(PreconditionError):
-            check_lemma1(F, F, ThreeTermRelation(2, 1, 1, 2), n=0, k=2)
+            check_identity("lemma1", F, F, {"n": 0, "k": 2}, ThreeTermRelation(2, 1, 1, 2))
 
     def test_negative_k_rejected(self):
         with pytest.raises(DomainError):
-            check_lemma1(F, F, _default_rel(F), n=0, k=-1)
+            check_identity("lemma1", F, F, {"n": 0, "k": -1}, _default_rel(F))
 
     def test_zero_weight_rejected(self):
         with pytest.raises(UsageError):
@@ -249,7 +240,7 @@ class TestLemma2:
 
     def test_variant_validation(self):
         with pytest.raises(UsageError):
-            check_lemma2(F, _default_rel(F), 4, n=0, k=1)
+            check_identity("lemma2:4", F, F, {"n": 0, "k": 1}, _default_rel(F))
 
     def test_variant3_matches_literal_transcription(self):
         rel = _default_rel(J)
@@ -297,7 +288,7 @@ class TestLemma3:
 
     def test_wrong_relation_rejected(self):
         with pytest.raises(PreconditionError):
-            check_lemma3(F, ThreeTermRelation(1, 3, 1, 2), 1, n=0, k=2)
+            check_identity("lemma3:1", F, F, {"n": 0, "k": 2}, ThreeTermRelation(1, 3, 1, 2))
 
 
 class TestSumOrdinary:
@@ -306,7 +297,7 @@ class TestSumOrdinary:
         # m == d forces that kernel to vanish
         case = {"n": 0, "m": 1, "a": 0, "b": -1, "c": 0, "d": 1, "k": 2}
         assert f_g(F, (case["d"], case["m"], case["b"], case["a"])) == 0
-        report = check_sum_ordinary(F, L, 1, case)
+        report = check_identity("sum-ordinary:1", F, L, case)
         assert report.cases_total == 1
         assert report.cases_skipped_precondition == 1
         assert report.cases_checked == 0
@@ -314,7 +305,7 @@ class TestSumOrdinary:
 
     def test_k_zero_never_skipped(self):
         case = {"n": 0, "m": 1, "a": 0, "b": -1, "c": 0, "d": 1, "k": 0}
-        report = check_sum_ordinary(F, L, 1, case)
+        report = check_identity("sum-ordinary:1", F, L, case)
         assert report.cases_checked == 1 and report.holds
 
     @pytest.mark.parametrize("variant", [1, 2, 3])
@@ -371,12 +362,12 @@ class TestSumBinomial:
         # variant 1 skips when f_g(c, m; a, b) = 0 (k >= 1); m == c forces it
         case = {"n": 0, "m": 1, "a": 0, "b": -1, "c": 1, "d": 0, "k": 2}
         assert f_g(F, (case["c"], case["m"], case["a"], case["b"])) == 0
-        report = check_sum_binomial(F, L, 1, case)
+        report = check_identity("sum-binomial:1", F, L, case)
         assert report.cases_skipped_precondition == 1
 
     def test_k_zero_reduces_to_trivial_equality(self):
         case = {"n": 3, "m": 1, "a": 0, "b": -1, "c": 1, "d": 0, "k": 0}
-        report = check_sum_binomial(F, L, 1, case)
+        report = check_identity("sum-binomial:1", F, L, case)
         assert report.cases_checked == 1 and report.holds
 
     @pytest.mark.parametrize("variant", [1, 2, 3])

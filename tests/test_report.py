@@ -6,7 +6,6 @@ import json
 from fractions import Fraction
 
 from horadam import make_grid, parse_grid, run_grid
-from horadam.report import single_case_report
 
 
 def _failing_outcome(case):
@@ -121,12 +120,12 @@ class TestText:
 
 class TestSingleCase:
     def test_pass_report(self):
-        report = single_case_report("one", {"n": 4, "k": 1}, lambda c: (7, 7))
+        report = run_grid("one", make_grid({"n": (4, 4), "k": (1, 1)}), lambda c: (7, 7))
         assert report.holds and report.cases_total == 1
         assert report.grid == "k=1,n=4"
 
     def test_fail_report(self):
-        report = single_case_report("one", {"n": 4}, lambda c: (7, 8))
+        report = run_grid("one", make_grid({"n": (4, 4)}), lambda c: (7, 8))
         assert not report.holds
         bindings, lhs, rhs = report.counterexamples[0]
         assert bindings == {"n": 4} and (lhs, rhs) == (7, 8)

@@ -1,25 +1,21 @@
-"""Exact scalar and 2x2 matrix building blocks."""
+"""Exact scalar building blocks."""
 
 import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from horadam import (
     DomainError,
-    Mat2,
     ParameterError,
-    SingularMatrixError,
     binom,
     m1,
-    mat_pow,
     rat,
     rat_from_text,
     rat_text,
 )
-from horadam.scalar import MAT2_IDENTITY
 
 small_ints = st.integers(min_value=-30, max_value=30)
 nonzero_small = small_ints.filter(lambda v: v != 0)
@@ -94,67 +90,3 @@ class TestM1:
     @given(e=st.integers(min_value=-1000, max_value=1000))
     def test_matches_parity(self, e):
         assert m1(e) == (-1) ** abs(e)
-
-
-def _random_mat(rng_vals) -> Mat2:
-    a, b, c, d = rng_vals
-    return Mat2(Fraction(a), Fraction(b), Fraction(c), Fraction(d))
-
-
-mat_entries = st.tuples(small_ints, small_ints, small_ints, small_ints)
-
-
-class TestMat2:
-    def test_identity_is_neutral(self):
-        m = Mat2(Fraction(1), Fraction(2), Fraction(3), Fraction(4))
-        assert m * MAT2_IDENTITY == m
-        assert MAT2_IDENTITY * m == m
-
-    @given(x=mat_entries, y=mat_entries)
-    @settings(max_examples=60)
-    def test_determinant_is_multiplicative(self, x, y):
-        mx, my = _random_mat(x), _random_mat(y)
-        assert (mx * my).det() == mx.det() * my.det()
-
-    def test_inverse_multiplies_to_identity(self):
-        m = Mat2(Fraction(2), Fraction(1), Fraction(7), Fraction(4))
-        assert m * m.inverse() == MAT2_IDENTITY
-        assert m.inverse() * m == MAT2_IDENTITY
-
-    def test_singular_inverse_rejected(self):
-        with pytest.raises(SingularMatrixError):
-            Mat2(Fraction(1), Fraction(2), Fraction(2), Fraction(4)).inverse()
-
-
-class TestMatPow:
-    def test_zeroth_power_is_identity(self):
-        m = Mat2(Fraction(5), Fraction(-3), Fraction(2), Fraction(1))
-        assert mat_pow(m, 0) == MAT2_IDENTITY
-
-    def test_negative_power_of_singular_rejected(self):
-        singular = Mat2(Fraction(1), Fraction(1), Fraction(1), Fraction(1))
-        with pytest.raises(SingularMatrixError):
-            mat_pow(singular, -1)
-
-    def test_fibonacci_entries(self):
-        # [[1,1],[1,0]]^n holds consecutive Fibonacci numbers.
-        m = Mat2(Fraction(1), Fraction(1), Fraction(1), Fraction(0))
-        fib = [0, 1]
-        for _ in range(20):
-            fib.append(fib[-1] + fib[-2])
-        for n in range(1, 15):
-            power = mat_pow(m, n)
-            assert power.a11 == fib[n + 1]
-            assert power.a12 == fib[n]
-            assert power.a22 == fib[n - 1]
-
-    @given(e1=st.integers(min_value=-6, max_value=6), e2=st.integers(min_value=-6, max_value=6))
-    @settings(max_examples=40)
-    def test_power_law(self, e1, e2):
-        m = Mat2(Fraction(2), Fraction(1), Fraction(1), Fraction(1))  # det 1
-        assert mat_pow(m, e1) * mat_pow(m, e2) == mat_pow(m, e1 + e2)
-
-    def test_negative_power_matches_inverse_power(self):
-        m = Mat2(Fraction(1), Fraction(2), Fraction(0), Fraction(3))
-        for e in range(1, 6):
-            assert mat_pow(m, -e) == mat_pow(m.inverse(), e)
