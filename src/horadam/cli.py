@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import re
 import sys
 from pathlib import Path
 from typing import Optional
@@ -41,6 +42,21 @@ _TABLE_ORDER = (
     "jacobsthal",
     "jacobsthal-lucas",
 )
+
+_LONG_OPTION = re.compile(r"--[^=]+")
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+
+
+def _attach_negative_fractions(argv: list) -> list:
+    """Rewrite "--p -3/2" as "--p=-3/2": argparse takes a word such as -3/2
+    for an option string, and only plain negative numbers such as -3 for values."""
+    out: list = []
+    for word in argv:
+        if out and _LONG_OPTION.fullmatch(out[-1]) and _NEGATIVE_FRACTION.fullmatch(word):
+            word = out.pop() + "=" + word
+        out.append(word)
+    return out
+
 
 def _rational(text: str):
     try:
@@ -323,7 +339,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_fractions(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

@@ -22,6 +22,9 @@ operator, so evaluation is total apart from 0^(negative).
 
 sum(var, lo, hi, body) sums body for var = lo..hi inclusive and is empty
 (zero) when lo > hi; the bound variable must not shadow any other variable.
+
+Bracket nesting and syntax-tree depth (a flat chain 1+1+...+1 is as deep as it
+is long) are capped at MAX_DEPTH, below the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -43,6 +46,9 @@ __all__ = [
 ]
 
 _RESERVED = ("binom", "sum")
+
+MAX_DEPTH = 100  # the catalog's deepest tree has 11 levels
+_TOO_DEEP = f"expression is nested too deeply (more than {MAX_DEPTH} levels)"
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +196,7 @@ class _Parser:
     def __init__(self, text: str):
         self._tokens = _tokenize(text)
         self._i = 0
+        self._depth = 0
 
     def _peek(self) -> _Token:
         return self._tokens[self._i]
@@ -225,27 +232,36 @@ class _Parser:
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
         free = _validate(lhs, rhs)
-        return IdentityAst(lhs, rhs, free, pos=_pos(lhs))
+        return IdentityAst(lhs, rhs, free, pos=lhs.pos)
 
     def parse_expr(self):
+        return self._chain(self.parse_factor)
+
+    def _chain(self, parse_atom):
+        """["-"] term (("+" | "-") term)* with term := atom ("*" atom)*,
+        one level of bracket nesting deeper than the caller."""
+        self._depth += 1
         tok = self._peek()
+        if self._depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, tok.line, tok.col)
         if tok.kind == "-":
             self._next()
-            node = Neg(self.parse_term(), pos=(tok.line, tok.col))
+            node = Neg(self._product(parse_atom), pos=(tok.line, tok.col))
         else:
-            node = self.parse_term()
+            node = self._product(parse_atom)
         while self._peek().kind in ("+", "-"):
             op = self._next()
-            right = self.parse_term()
+            right = self._product(parse_atom)
             cls = Add if op.kind == "+" else Sub
-            node = cls(node, right, pos=_pos(node))
+            node = cls(node, right, pos=node.pos)
+        self._depth -= 1
         return node
 
-    def parse_term(self):
-        node = self.parse_factor()
+    def _product(self, parse_atom):
+        node = parse_atom()
         while self._peek().kind == "*":
             self._next()
-            node = Mul(node, self.parse_factor(), pos=_pos(node))
+            node = Mul(node, parse_atom(), pos=node.pos)
         return node
 
     def parse_factor(self):
@@ -255,7 +271,7 @@ class _Parser:
             self._expect("(", "'(' after '^'")
             exponent = self.parse_index_expr()
             self._expect(")", "')' closing the exponent")
-            node = Pow(node, exponent, pos=_pos(node))
+            node = Pow(node, exponent, pos=node.pos)
         return node
 
     def parse_base(self):
@@ -300,25 +316,7 @@ class _Parser:
     # -- index-level expressions (integers only, no ^) ---------------------
 
     def parse_index_expr(self):
-        tok = self._peek()
-        if tok.kind == "-":
-            self._next()
-            node = Neg(self.parse_index_term(), pos=(tok.line, tok.col))
-        else:
-            node = self.parse_index_term()
-        while self._peek().kind in ("+", "-"):
-            op = self._next()
-            right = self.parse_index_term()
-            cls = Add if op.kind == "+" else Sub
-            node = cls(node, right, pos=_pos(node))
-        return node
-
-    def parse_index_term(self):
-        node = self.parse_index_atom()
-        while self._peek().kind == "*":
-            self._next()
-            node = Mul(node, self.parse_index_atom(), pos=_pos(node))
-        return node
+        return self._chain(self.parse_index_atom)
 
     def parse_index_atom(self):
         tok = self._peek()
@@ -343,42 +341,42 @@ class _Parser:
         raise ParseError(f"expected an index expression, found {got}", tok.line, tok.col)
 
 
-def _pos(node) -> tuple:
-    return node.pos
-
-
 def _validate(lhs, rhs) -> tuple:
-    """Collect free variables in first-occurrence order; ban sum shadowing."""
+    """Collect free variables in first-occurrence order; ban sum shadowing;
+    refuse a tree deeper than MAX_DEPTH before anything else recurses over it."""
     free: list = []
     sum_vars: list = []
 
-    def walk(node, bound: tuple):
+    def walk(node, bound: tuple, depth: int = 1):
+        if depth > MAX_DEPTH:
+            raise ParseError(_TOO_DEEP, *node.pos)
+        depth += 1
         t = type(node)
         if t is Var:
             if node.name not in bound and node.name not in free:
                 free.append(node.name)
         elif t is Neg:
-            walk(node.operand, bound)
+            walk(node.operand, bound, depth)
         elif t in (Add, Sub, Mul):
-            walk(node.left, bound)
-            walk(node.right, bound)
+            walk(node.left, bound, depth)
+            walk(node.right, bound, depth)
         elif t is Pow:
-            walk(node.base, bound)
-            walk(node.exponent, bound)
+            walk(node.base, bound, depth)
+            walk(node.exponent, bound, depth)
         elif t is SeqTerm:
-            walk(node.index, bound)
+            walk(node.index, bound, depth)
         elif t is Binom:
-            walk(node.first, bound)
-            walk(node.second, bound)
+            walk(node.first, bound, depth)
+            walk(node.second, bound, depth)
         elif t is Sum:
             if node.var in bound:
                 raise ParseError(
                     f"sum variable {node.var!r} shadows an enclosing sum variable",
                     *node.pos,
                 )
-            walk(node.lo, bound)
-            walk(node.hi, bound)
-            walk(node.body, bound + (node.var,))
+            walk(node.lo, bound, depth)
+            walk(node.hi, bound, depth)
+            walk(node.body, bound + (node.var,), depth)
             sum_vars.append((node.var, node.pos))
 
     walk(lhs, ())

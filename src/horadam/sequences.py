@@ -72,57 +72,54 @@ def make_sequence(p, q, g0, g1, name: Optional[str] = None) -> Sequence:
 
 @functools.lru_cache(maxsize=None)
 def _build_engine(params: RecurrenceParams):
-    """Precompute the integer-scaled companion matrix and its scaled adjugate.
+    """Integer constants (s, P, qs, Q) of the scaled fundamental sequence.
 
-    With s = lcm of the coefficient denominators, M = [[p, q], [1, 0]] = N/s
-    for an integer matrix N, so M**e = N**e / s**e for e >= 0. For e < 0,
-    M**-1 = B/t with B = s*adj(M) (integer) and t = s*det(M) = -q*s (integer,
-    nonzero), so M**e = B**|e| / t**|e|. Integer-only products avoid
-    per-step gcd normalization.
+    With s = lcm of the coefficient denominators, P = p*s, qs = q*s and
+    Q = qs*s are integers. The integer sequence W(k) = P*W(k-1) + Q*W(k-2),
+    W(0) = 0, W(1) = 1, is the (0, 1)-seeded sequence U of (p, q) scaled:
+    U(k) = W(k) / s**(k-1). Integer-only products avoid per-step gcd
+    normalization.
     """
     p, q = params.p, params.q
     s = math.lcm(p.denominator, q.denominator)
-    ps = int(p * s)
     qs = int(q * s)
-    fwd = (ps, qs, s, 0)          # N
-    bwd = (0, -qs, -s, ps)        # s * adj(M)
-    return s, fwd, -qs, bwd
+    return s, int(p * s), qs, qs * s
 
 
-def _int_mat_pow(m: tuple, e: int) -> tuple:
-    """e-th power (e >= 0) of a 2x2 integer matrix given as (a11, a12, a21, a22)."""
-    r11, r12, r21, r22 = 1, 0, 0, 1
-    b11, b12, b21, b22 = m
-    while e:
-        if e & 1:
-            r11, r12, r21, r22 = (
-                r11 * b11 + r12 * b21,
-                r11 * b12 + r12 * b22,
-                r21 * b11 + r22 * b21,
-                r21 * b12 + r22 * b22,
-            )
-        e >>= 1
-        if e:
-            b11, b12, b21, b22 = (
-                b11 * b11 + b12 * b21,
-                b11 * b12 + b12 * b22,
-                b21 * b11 + b22 * b21,
-                b21 * b12 + b22 * b22,
-            )
-    return r11, r12, r21, r22
+def _lucas_pair(P: int, Q: int, m: int) -> tuple:
+    """(W(m), W(m+1)) for m >= 0, walking the bits of m from the top.
+
+    Doubling W(2k) = W(k)*(2*W(k+1) - P*W(k)), W(2k+1) = W(k+1)**2 + Q*W(k)**2
+    costs three big products per bit (Joye and Quisquater, "Efficient
+    computation of full Lucas sequences", Electronics Letters 32, 1996).
+    """
+    a, b = 0, 1
+    for bit in bin(m)[2:]:
+        a, b = a * (2 * b - P * a), b * b + Q * (a * a)
+        if bit == "1":
+            a, b = b, P * b + Q * a
+    return a, b
 
 
 def term(s: Sequence, n: int) -> Rational:
-    """Exact G(n) for any integer n in O(log |n|) big-integer multiplications."""
-    scale, fwd, t, bwd = _build_engine(s.params)
-    if n >= 0:
-        _, _, m21, m22 = _int_mat_pow(fwd, n)
-        den = scale ** n
+    """Exact G(n) for any integer n in O(log |n|) big-integer multiplications.
+
+    G(n) = g1*U(n) + q*g0*U(n-1) with U the (0, 1)-seeded sequence of (p, q);
+    for n <= 0, U(-m) = -U(m) / (-q)**m gives G(-m) = (g0*U(m+1) - g1*U(m)) / (-q)**m.
+    The numerator and denominator are built as integers and reduced once.
+    """
+    scale, P, qs, Q = _build_engine(s.params)
+    a0, d0 = s.g0.numerator, s.g0.denominator
+    a1, d1 = s.g1.numerator, s.g1.denominator
+    if n > 0:
+        w0, w1 = _lucas_pair(P, Q, n - 1)
+        num = a1 * d0 * w1 + qs * a0 * d1 * w0
+        den = d0 * d1 * scale ** (n - 1)
     else:
-        _, _, m21, m22 = _int_mat_pow(bwd, -n)
-        den = t ** (-n)
-    num = m21 * s.g1 + m22 * s.g0
-    return num if den == 1 else num / den
+        w0, w1 = _lucas_pair(P, Q, -n)
+        num = a0 * d1 * w1 - scale * a1 * d0 * w0
+        den = d0 * d1 * (-qs) ** -n
+    return Fraction(num) if den == 1 else Fraction(num, den)
 
 
 def term_range(s: Sequence, lo: int, hi: int) -> list:

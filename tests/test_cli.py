@@ -53,6 +53,11 @@ class TestEval:
         code, _, _ = run(capsys, "eval", "--p", "1.5", "--q", "1", "--g0", "0", "--g1", "1", "-n", "2")
         assert code == 2
 
+    def test_negative_fraction_as_separate_word(self, capsys):
+        split = run(capsys, "eval", "--p", "-3/2", "--q", "2/3", "--g0", "-1/2", "--g1", "1", "-n", "3")
+        joined = run(capsys, "eval", "--p=-3/2", "--q=2/3", "--g0=-1/2", "--g1=1", "-n", "3")
+        assert split == joined == (0, "41/12\n", "")
+
     def test_unknown_sequence_suggests(self, capsys):
         code, _, err = run(capsys, "eval", "--seq", "fibonaci", "-n", "1")
         assert code == 2 and "did you mean" in err
@@ -130,6 +135,20 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["counterexamples"] == []
 
+    def test_negative_fractions_as_separate_words(self, capsys):
+        # F(n) = -1/3*F(n+3) - 3/2*H(n+1) with H = -4/9*L
+        grid = ["--rel-a", "-3", "--rel-b", "-1", "--grid", "k=0..4,n=-3..3"]
+        split = run(
+            capsys, "verify", "--identity", "lemma1", "--seq", "fibonacci",
+            "--h0", "-8/9", "--h1", "-4/9", "--f1", "-1/3", "--f2", "-3/2", *grid,
+        )
+        joined = run(
+            capsys, "verify", "--identity", "lemma1", "--seq", "fibonacci",
+            "--h0=-8/9", "--h1=-4/9", "--f1=-1/3", "--f2=-3/2", *grid,
+        )
+        assert split == joined and split[0] == 0
+        assert json.loads(split[1])["counterexamples"] == []
+
     def test_relation_flags_on_non_lemma_fail(self, capsys):
         code, _, err = run(
             capsys, "verify", "--identity", "theorem1", "--seq", "fibonacci",
@@ -187,6 +206,12 @@ class TestCatalog:
             "--grid", "a=-1..1,b=-1..1,m=-1..1,n=-1..1", "--h0", "3", "--h1", "-5",
         )
         assert code == 0 and json.loads(out)["counterexamples"] == []
+
+    def test_run_with_negative_fraction_initials(self, capsys):
+        argv = ["catalog", "run", "jac.master", "--grid", "a=-1..1,b=-1..1,m=-1..1,n=-1..1"]
+        split = run(capsys, *argv, "--h0", "-1/2", "--h1", "-5/3")
+        joined = run(capsys, *argv, "--h0=-1/2", "--h1=-5/3")
+        assert split == joined and split[0] == 0
 
     def test_half_initials_fail(self, capsys):
         code, _, _ = run(capsys, "catalog", "run", "fib.master", "--h0", "1")
@@ -300,6 +325,16 @@ class TestExitContract:
     def test_deeply_nested_expression(self, capsys):
         text = "(" * 3000 + "1" + ")" * 3000 + " = 1"
         self._assert_usage_failure(capsys, "check", "--expr", text)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["(" * 250 + "1" + ")" * 250 + " = 1", "+".join(["1"] * 1000) + " = 1000"],
+        ids=["250-brackets", "1000-term-chain"],
+    )
+    def test_nesting_cap_names_the_cause(self, capsys, text):
+        code, _, err = run(capsys, "check", "--expr", text)
+        assert code == 2
+        assert "nested too deeply" in err and "recursion" not in err
 
     def test_mid_sweep_error_names_binding(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "F[n]^(-1)*F[n] = 1", "--grid", "n=-2..2")

@@ -22,7 +22,7 @@ from horadam import (
     pretty_print,
     verify_over_grid,
 )
-from horadam.dsl import Add, Binom, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var
+from horadam.dsl import MAX_DEPTH, Add, Binom, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var
 
 REG = default_registry()
 
@@ -99,6 +99,25 @@ class TestParseErrors:
     def test_sum_variable_shadowing_free_variable_rejected(self):
         with pytest.raises(ParseError, match="shadows"):
             parse_identity("sum(j,0,2,F[j]) + j = 0")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH + " = 1",
+            "F[" + "(" * MAX_DEPTH + "n" + ")" * MAX_DEPTH + "] = 0",
+            "1 = " + "+".join(["n"] * (MAX_DEPTH + 1)),
+        ],
+        ids=["brackets", "index-brackets", "flat-chain"],
+    )
+    def test_nesting_past_the_cap_rejected(self, text):
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_identity(text)
+
+    def test_nesting_at_the_cap_parses(self):
+        deep = "(" * (MAX_DEPTH - 1) + "n" + ")" * (MAX_DEPTH - 1)
+        ast = parse_identity(deep + " = " + "+".join(["n"] * MAX_DEPTH))
+        assert ast.free_vars == ("n",)
+        assert parse_expression(deep) == Var("n")
 
 
 class TestPrettyPrint:

@@ -118,9 +118,22 @@ class TestTerm:
                 assert term(seq, n) == term_iterative_oracle(seq, n)
 
     def test_large_index_matches_oracle(self):
-        fib = get_named("fibonacci")
-        assert term(fib, 2000) == term_iterative_oracle(fib, 2000)
-        assert term(fib, -1201) == term_iterative_oracle(fib, -1201)
+        # Near powers of two the doubling walk's index (n - 1 for n > 0, -n
+        # otherwise) is all ones, a single one, or ones at both ends.
+        near_powers = {d * (2 ** k + e) for k in range(12) for e in (-1, 0, 1) for d in (1, -1)}
+        cases = (
+            (get_named("fibonacci"), (2000, -1201)),
+            (make_sequence(0, 3, 1, 2), ()),  # p = 0
+            (make_sequence(1, -1, 0, 1), ()),  # q = -1
+            (make_sequence(2, -1, 1, 3), ()),  # repeated root x = 1
+            (make_sequence(3, 2, Fraction(-2, 3), Fraction(5, 7)), ()),
+            (make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3), (1500, -1500)),
+        )
+        for seq, extra in cases:
+            for n in sorted(near_powers | {0, 1, -1} | set(extra)):
+                value = term(seq, n)
+                assert type(value) is Fraction, (seq, n)
+                assert value == term_iterative_oracle(seq, n), (seq, n)
 
 
 class TestNegativeIndexLaws:
