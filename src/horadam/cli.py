@@ -228,6 +228,8 @@ def _table_rows(args) -> tuple:
             raise UsageError("select sequences with --seq, --p/--q/--g0/--g1, or --all")
         names = (seq.name or "sequence",)
         seqs = [seq]
+    if args.lo > args.hi:
+        raise UsageError(f"--from {args.lo} is greater than --to {args.hi}")
     columns = ("n",) + tuple(names)
     values = [term_range(s, args.lo, args.hi) for s in seqs]
     rows = [

@@ -14,11 +14,12 @@ Grammar (whitespace insensitive; '#' is not a comment character):
     indexAtom := INT | IDENT | "(" indexExpr ")"
 
 INT is a non-negative digit run; IDENT is a letter/underscore word. An IDENT
-directly followed by "[" is a sequence name, resolved against the registry at
-evaluation time; otherwise it is a free integer variable. "binom" and "sum"
-are reserved. Exponents and index expressions always evaluate to integers;
-exponents may be negative when the base is nonzero. There is no division
-operator, so evaluation is total apart from 0^(negative).
+directly followed by "[" is a sequence name, resolved against the registry
+when the identity is compiled, before any case runs; otherwise it is a free
+integer variable. "binom" and "sum" are reserved. Exponents and index
+expressions always evaluate to integers; exponents may be negative when the
+base is nonzero. There is no division operator, so evaluation is total apart
+from 0^(negative).
 
 sum(var, lo, hi, body) sums body for var = lo..hi inclusive and is empty
 (zero) when lo > hi; the bound variable must not shadow any other variable.
@@ -474,83 +475,110 @@ def default_registry() -> dict:
     return {alias: get_named(alias) for alias in NAME_ALIASES}
 
 
-class _Evaluator:
-    def __init__(self, registry: Mapping[str, Sequence]):
-        self._registry = dict(registry)
-        self._terms: dict = {}
+def _as_int(value, what: str) -> int:
+    if isinstance(value, int):
+        return value
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    raise EvalError(f"{what} did not evaluate to an integer: {value}")
 
-    def _term(self, node: SeqTerm):
-        fn = self._terms.get(node.seq)
+
+def _compile(node, registry: Mapping[str, Sequence], terms: dict):
+    """Turn a validated syntax tree into one function of the binding dict,
+    evaluating left operands first. terms maps each sequence name to its
+    term_fn for one sweep; an unknown name fails here, before any case runs."""
+    t = type(node)
+    if t is IntLit:
+        value = node.value
+        return lambda b: value
+    if t is Var:
+        name = node.name
+
+        def var(b):
+            try:
+                return b[name]
+            except KeyError:
+                raise EvalError(f"unbound variable {name!r}") from None
+
+        return var
+    if t is Neg:
+        operand = _compile(node.operand, registry, terms)
+        return lambda b: -operand(b)
+    if t is Add or t is Sub or t is Mul:
+        # a literal operand is closed over as a constant, not called
+        f = _compile(node.left, registry, terms)
+        g = _compile(node.right, registry, terms)
+        if type(node.right) is IntLit:
+            c = node.right.value
+            return {Add: lambda b: f(b) + c, Sub: lambda b: f(b) - c, Mul: lambda b: f(b) * c}[t]
+        if type(node.left) is IntLit:
+            c = node.left.value
+            return {Add: lambda b: c + g(b), Sub: lambda b: c - g(b), Mul: lambda b: c * g(b)}[t]
+        return {Add: lambda b: f(b) + g(b), Sub: lambda b: f(b) - g(b), Mul: lambda b: f(b) * g(b)}[t]
+    if t is SeqTerm:
+        fn = terms.get(node.seq)
         if fn is None:
-            seq = self._registry.get(node.seq)
+            seq = registry.get(node.seq)
             if seq is None:
                 raise EvalError(f"unknown sequence name {node.seq!r}")
-            fn = term_fn(seq)
-            self._terms[node.seq] = fn
-        return fn
+            fn = terms[node.seq] = term_fn(seq)
+        index = _compile(node.index, registry, terms)
 
-    @staticmethod
-    def _int(value, node, what: str) -> int:
-        if isinstance(value, int):
-            return value
-        if isinstance(value, Fraction) and value.denominator == 1:
-            return value.numerator
-        raise EvalError(f"{what} did not evaluate to an integer: {value}")
+        def seq_term(b):
+            i = index(b)
+            return fn(i if type(i) is int else _as_int(i, "sequence index"))
 
-    def eval(self, node, bindings: dict):
-        t = type(node)
-        if t is IntLit:
-            return node.value
-        if t is Var:
-            value = bindings.get(node.name, _MISSING)
-            if value is _MISSING:
-                raise EvalError(f"unbound variable {node.name!r}")
-            return value
-        if t is Add:
-            return self.eval(node.left, bindings) + self.eval(node.right, bindings)
-        if t is Sub:
-            return self.eval(node.left, bindings) - self.eval(node.right, bindings)
-        if t is Mul:
-            return self.eval(node.left, bindings) * self.eval(node.right, bindings)
-        if t is Neg:
-            return -self.eval(node.operand, bindings)
-        if t is SeqTerm:
-            fn = self._term(node)
-            return fn(self._int(self.eval(node.index, bindings), node, "sequence index"))
-        if t is Pow:
-            base = self.eval(node.base, bindings)
-            exponent = self._int(self.eval(node.exponent, bindings), node, "exponent")
-            if exponent >= 0:
-                return base ** exponent
-            if base == 0:
+        return seq_term
+    if t is Pow:
+        base = _compile(node.base, registry, terms)
+        exponent = _compile(node.exponent, registry, terms)
+
+        def power(b):
+            x, e = base(b), exponent(b)
+            if type(e) is not int:
+                e = _as_int(e, "exponent")
+            if e >= 0:
+                return x ** e
+            if x == 0:
                 raise EvalError("zero raised to a negative power")
-            return Fraction(base) ** exponent
-        if t is Sum:
-            lo = self._int(self.eval(node.lo, bindings), node, "sum lower bound")
-            hi = self._int(self.eval(node.hi, bindings), node, "sum upper bound")
-            total = 0
-            saved = bindings.get(node.var, _MISSING)
+            if x == 1 or x == -1:
+                return x if e % 2 else 1
+            return Fraction(x) ** e
+
+        return power
+    if t is Sum:
+        var_name = node.var
+        lo_fn, hi_fn = _compile(node.lo, registry, terms), _compile(node.hi, registry, terms)
+        body = _compile(node.body, registry, terms)
+
+        def total(b):
+            lo = _as_int(lo_fn(b), "sum lower bound")
+            hi = _as_int(hi_fn(b), "sum upper bound")
+            acc, saved = 0, b.get(var_name, _MISSING)
             try:
                 for value in range(lo, hi + 1):
-                    bindings[node.var] = value
-                    total = total + self.eval(node.body, bindings)
+                    b[var_name] = value
+                    acc = acc + body(b)
             finally:
                 if saved is _MISSING:
-                    bindings.pop(node.var, None)
+                    b.pop(var_name, None)
                 else:
-                    bindings[node.var] = saved
-            return total
-        if t is Binom:
-            return binom(
-                self._int(self.eval(node.first, bindings), node, "binom argument"),
-                self._int(self.eval(node.second, bindings), node, "binom argument"),
-            )
-        raise TypeError(f"not a DSL node: {node!r}")
+                    b[var_name] = saved
+            return acc
+
+        return total
+    if t is Binom:
+        first = _compile(node.first, registry, terms)
+        second = _compile(node.second, registry, terms)
+        return lambda b: binom(
+            _as_int(first(b), "binom argument"), _as_int(second(b), "binom argument")
+        )
+    raise TypeError(f"not a DSL node: {node!r}")
 
 
 def eval_expr(node, bindings: Mapping[str, int], registry: Mapping[str, Sequence]) -> Rational:
     """Evaluate one expression tree exactly under integer bindings."""
-    value = _Evaluator(registry).eval(node, dict(bindings))
+    value = _compile(node, registry, {})(dict(bindings))
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -574,10 +602,8 @@ def verify_over_grid(
         if extra:
             parts.append(f"unused {', '.join(extra)}")
         raise UsageError(f"grid variables do not match identity: {'; '.join(parts)}")
-    evaluator = _Evaluator(registry)
-
-    def outcome(case: dict):
-        return evaluator.eval(ast.lhs, case), evaluator.eval(ast.rhs, case)
-
+    terms: dict = {}
+    lhs = _compile(ast.lhs, registry, terms)
+    rhs = _compile(ast.rhs, registry, terms)
     label = identity_label if identity_label is not None else pretty_print(ast)
-    return run_grid(label, grid, outcome)
+    return run_grid(label, grid, lambda case: (lhs(case), rhs(case)))

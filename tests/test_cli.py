@@ -85,6 +85,7 @@ class TestTable:
     def test_reversed_bounds_fail(self, capsys):
         code, _, err = run(capsys, "table", "--seq", "lucas", "--from", "3", "--to", "2")
         assert code == 2
+        assert err == "error: --from 3 is greater than --to 2\n"
 
     def test_all_excludes_seq(self, capsys):
         code, _, _ = run(capsys, "table", "--all", "--seq", "lucas", "--from", "0", "--to", "1")
@@ -335,6 +336,15 @@ class TestExitContract:
         code, _, err = run(capsys, "check", "--expr", text)
         assert code == 2
         assert "nested too deeply" in err and "recursion" not in err
+
+    @pytest.mark.parametrize(
+        "text, grid",
+        [("X[n]=1", "n=1..0"), ("sum(j,1,0,X[j])=0*n", "n=1..2")],
+        ids=["empty-grid", "empty-sum"],
+    )
+    def test_unknown_sequence_name_fails_before_the_sweep(self, capsys, text, grid):
+        code, out, err = run(capsys, "check", "--expr", text, "--grid", grid)
+        assert (code, out, err) == (2, "", "error: unknown sequence name 'X'\n")
 
     def test_mid_sweep_error_names_binding(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "F[n]^(-1)*F[n] = 1", "--grid", "n=-2..2")

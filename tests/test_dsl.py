@@ -1,5 +1,6 @@
 """DSL tokenizer, parser, pretty printer, and evaluator."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from horadam import (
     parse_expression,
     parse_identity,
     pretty_print,
+    term,
     verify_over_grid,
 )
 from horadam.dsl import MAX_DEPTH, Add, Binom, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var
@@ -259,6 +261,9 @@ class TestEval:
     def test_unknown_sequence_rejected(self):
         with pytest.raises(EvalError):
             eval_expr(parse_expression("X[0]"), {}, REG)
+        # names resolve before evaluation, so an empty sum does not hide one
+        with pytest.raises(EvalError, match="unknown sequence name 'X'"):
+            eval_expr(parse_expression("sum(j, 1, 0, X[j])"), {}, REG)
 
     def test_binomial_domain_error_propagates(self):
         with pytest.raises(DomainError):
@@ -277,6 +282,120 @@ class TestEval:
         registry["H"] = make_sequence(1, 1, 3, -5)
         assert eval_expr(parse_expression("H[2]"), {}, registry) == -2
 
+    def test_bindings_left_unchanged(self):
+        bindings = {"n": 3}
+        assert eval_expr(parse_expression("sum(j, 0, n, j)"), bindings, REG) == 6
+        assert bindings == {"n": 3}
+
+    def test_rational_index_rejected(self):
+        with pytest.raises(EvalError) as err:
+            eval_expr(parse_expression("F[n]"), {"n": Fraction(1, 2)}, REG)
+        assert str(err.value) == "sequence index did not evaluate to an integer: 1/2"
+
+    def test_parity_power_at_negative_exponent(self):
+        node = parse_expression("(-1)^(n)")
+        for n, sign in ((-1, -1), (-2, 1), (-3, -1)):
+            value = eval_expr(node, {"n": n}, REG)
+            assert value == Fraction(sign) and type(value) is Fraction
+
+
+def _walk(node, b, registry):
+    """Reference tree walker with the DSL's semantics, sharing no evaluation
+    code with horadam.dsl: sums bind through a fresh dict, terms come from term()."""
+    t = type(node)
+    if t is IntLit:
+        return node.value
+    if t is Var:
+        if node.name not in b:
+            raise EvalError(f"unbound variable {node.name!r}")
+        return b[node.name]
+    if t is Neg:
+        return -_walk(node.operand, b, registry)
+    if t in (Add, Sub, Mul):
+        x, y = _walk(node.left, b, registry), _walk(node.right, b, registry)
+        return x + y if t is Add else x - y if t is Sub else x * y
+    if t is SeqTerm:
+        if node.seq not in registry:
+            raise EvalError(f"unknown sequence name {node.seq!r}")
+        return term(registry[node.seq], _walk_int(node.index, b, registry, "sequence index"))
+    if t is Pow:
+        x = _walk(node.base, b, registry)
+        e = _walk_int(node.exponent, b, registry, "exponent")
+        if e < 0 and x == 0:
+            raise EvalError("zero raised to a negative power")
+        return x ** e if e >= 0 else Fraction(x) ** e
+    if t is Binom:
+        k = _walk_int(node.first, b, registry, "binom argument")
+        j = _walk_int(node.second, b, registry, "binom argument")
+        if k < 0:
+            raise DomainError(f"binom needs k >= 0, got k={k}")
+        return math.comb(k, j) if 0 <= j <= k else 0
+    lo = _walk_int(node.lo, b, registry, "sum lower bound")
+    hi = _walk_int(node.hi, b, registry, "sum upper bound")
+    return sum((_walk(node.body, {**b, node.var: v}, registry) for v in range(lo, hi + 1)), 0)
+
+
+def _walk_int(node, b, registry, what):
+    value = Fraction(_walk(node, b, registry))
+    if value.denominator != 1:
+        raise EvalError(f"{what} did not evaluate to an integer: {value}")
+    return value.numerator
+
+
+def _outcome(evaluate):
+    try:
+        return Fraction(evaluate())
+    except (DomainError, EvalError) as exc:
+        return type(exc), str(exc)
+
+
+# Random trees for the compiler-against-walker property. Variables n and m are
+# bound to -3..3, i and j only inside sums over them (elsewhere they are
+# unbound, an error both routes must report alike); sum bounds and exponents
+# stay in -3..3 so nested sums and powers keep small.
+_WALK_REG = {**REG, "H": make_sequence(Fraction(3, 2), Fraction(2, 3), Fraction(1, 2), -2)}
+_walk_var = st.sampled_from("nmnmnmij").map(Var)
+_walk_small = st.one_of(
+    _walk_var, st.integers(0, 3).map(IntLit), st.integers(1, 3).map(lambda e: Neg(IntLit(e)))
+)
+_walk_index = st.recursive(
+    st.one_of(_walk_var, st.integers(0, 4).map(IntLit)), _index_nodes, max_leaves=4
+)
+
+
+def _walk_nodes(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda t: Add(*t)),
+        st.tuples(children, children).map(lambda t: Sub(*t)),
+        st.tuples(children, children).map(lambda t: Mul(*t)),
+        children.map(Neg),
+        st.tuples(children, _walk_small).map(lambda t: Pow(*t)),
+        st.tuples(_walk_index, _walk_index).map(lambda t: Binom(*t)),
+        st.tuples(st.sampled_from("ij"), _walk_small, _walk_small, children).map(
+            lambda t: Sum(*t)
+        ),
+    )
+
+
+_walk_exprs = st.recursive(
+    st.one_of(
+        st.integers(0, 9).map(IntLit),
+        _walk_var,
+        st.tuples(st.sampled_from("FJH"), _walk_index).map(lambda t: SeqTerm(*t)),
+    ),
+    _walk_nodes,
+    max_leaves=10,
+)
+
+
+class TestCompilerAgainstWalker:
+    @given(node=_walk_exprs, n=st.integers(-3, 3), m=st.integers(-3, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_compiled_tree_matches_walker(self, node, n, m):
+        bindings = {"n": n, "m": m}
+        expected = _outcome(lambda: _walk(node, bindings, _WALK_REG))
+        assert _outcome(lambda: eval_expr(node, bindings, _WALK_REG)) == expected
+
 
 class TestVerifyOverGrid:
     def test_catalan_holds(self):
@@ -292,6 +411,11 @@ class TestVerifyOverGrid:
         assert bindings == {"n": 0}
         assert str(lhs) == "1" and str(rhs) == "0"
         assert report.exit_code() == 1
+
+    def test_counterexample_bindings_hold_no_sum_variable(self):
+        ast = parse_identity("sum(j,0,n,1)=n")
+        report = verify_over_grid(ast, make_grid({"n": (0, 2)}), REG)
+        assert [c[0] for c in report.counterexamples] == [{"n": 0}, {"n": 1}, {"n": 2}]
 
     def test_empty_grid_vacuous(self):
         ast = parse_identity("F[n+1] = F[n]")
