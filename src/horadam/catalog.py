@@ -6,9 +6,12 @@ but with caller-chosen initial terms; the base sequence supplies the
 coefficient terms. All checkers here are polynomial in sequence terms
 (division-free), so no case is ever skipped.
 
-Every entry also carries its identity rendered in the DSL (field dsl_texts),
-which the test suite verifies against the native checker case by case; the
-two routes share no evaluation code.
+Natively, every non-sum entry is the master identity at a substitution of
+its indices, and the six sums are one ordinary and one binomial formula
+over role tables. Every entry also carries its classical statement
+rendered literally in the DSL (field dsl_texts), which the test suite
+verifies against the native checker case by case; the two routes share no
+evaluation code.
 """
 
 from __future__ import annotations
@@ -17,38 +20,28 @@ import difflib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .errors import UsageError
-from .grid import GridSpec, parse_grid
+from .grid import parse_grid
+from .kernel import _bound
 from .report import VerificationReport, run_grid
 from .scalar import m1
-from .sequences import Sequence, get_named, make_sequence, term_fn
+from .sequences import get_named, make_sequence, term_fn
 
 __all__ = ["CatalogEntry", "catalog_list", "catalog_run", "catalog_entry"]
 
 
-def _neg_q_pow(q: Fraction):
-    """Evaluator for (-q)**e, exact for any integer e."""
-    if q == 1:
-        return m1
-    mq = -q
-
-    def p(e: int):
-        return mq ** e
-
-    return p
-
-
-def _q_pow(q: Fraction):
-    """Evaluator for q**e, exact for any integer e."""
-    if q == 1:
+def _pow_of(x: Fraction):
+    """Evaluator for x**e, exact for any integer e; an int where the value is one."""
+    if x == 1:
         return lambda e: 1
-
-    def p(e: int):
-        return q ** e
-
-    return p
+    if x == -1:
+        return m1
+    if x.denominator == 1:
+        xi = x.numerator
+        return lambda e: xi ** e if e >= 0 else x ** e
+    return lambda e: x ** e
 
 
 def _powers(x, k: int) -> list:
@@ -64,247 +57,102 @@ def _powers(x, k: int) -> list:
 # ---------------------------------------------------------------------------
 # Native checkers. Each builder takes the term accessors for the base (gt)
 # and companion (ht) sequences plus the family q, and returns a function
-# binding -> (lhs, rhs) (or a pair of equations for the odd/even split).
+# binding -> (lhs, rhs).
 
 
-def _t_master(gt, ht, q):
-    sp = _neg_q_pow(q)
+def _t_master(*substitutions):
+    """The master identity
+        G(a-b) H(n+m) = G(m-b) H(n+a) - (-q)^(a-b) G(m-a) H(n+b)
+    at each (n, m, a, b) that a substitution maps the binding to; the first
+    unbalanced pair is returned, or else the first pair."""
 
-    def oc(case):
-        n, m, a, b = case["n"], case["m"], case["a"], case["b"]
-        lhs = gt(a - b) * ht(n + m)
-        rhs = gt(m - b) * ht(n + a) - sp(a - b) * gt(m - a) * ht(n + b)
-        return lhs, rhs
-
-    return oc
-
-
-def _t_master_dual(gt, ht, q):
-    sp = _neg_q_pow(q)
-
-    def oc(case):
-        n, m, a, b = case["n"], case["m"], case["a"], case["b"]
-        lhs = gt(a - b) * ht(n + m)
-        rhs = ht(m - b) * gt(n + a) - sp(a - b) * ht(m - a) * gt(n + b)
-        return lhs, rhs
-
-    return oc
-
-
-def _t_catalan_general(gt, ht, q):
-    sp = _neg_q_pow(q)
-
-    def oc(case):
-        n, m = case["n"], case["m"]
-        lhs = gt(n - m) * ht(n + m)
-        rhs = gt(n) * ht(n) - sp(n - m) * gt(m) * ht(m)
-        return lhs, rhs
-
-    return oc
-
-
-def _t_catalan(gt, ht, q):
-    qp = _q_pow(q)
-
-    def oc(case):
-        n, m = case["n"], case["m"]
-        lhs = gt(n - m) * gt(n + m)
-        gm = gt(m)
-        rhs = gt(n) * gt(n) + m1(n + m + 1) * qp(n - m) * gm * gm
-        return lhs, rhs
-
-    return oc
-
-
-def _t_double_shift(gt, ht, q):
-    qp = _q_pow(q)
-
-    def oc(case):
-        n, m, a = case["n"], case["m"], case["a"]
-        lhs = gt(2 * a) * ht(n + m)
-        rhs = gt(m + a) * ht(n + a) - qp(2 * a) * gt(m - a) * ht(n - a)
-        return lhs, rhs
-
-    return oc
-
-
-def _t_halton(gt, ht, q):
-    q2 = q * q
-    q2 = q2.numerator if q2.denominator == 1 else q2
-
-    def oc(case):
-        n, m = case["n"], case["m"]
-        lhs = gt(2) * ht(n + m)
-        rhs = gt(m + 1) * ht(n + 1) - q2 * gt(m - 1) * ht(n - 1)
-        return lhs, rhs
-
-    return oc
-
-
-def _t_odd_even_split(gt, ht, q):
-    qp = _q_pow(q)
-
-    def oc(case):
-        n, m, k = case["n"], case["m"], case["k"]
-        lhs1 = gt(2 * k - 1) * ht(n + m)
-        rhs1 = qp(2 * k - 1) * gt(m - 2 * k) * ht(n + 1) + gt(m - 1) * ht(n + 2 * k)
-        if lhs1 != rhs1:
-            return lhs1, rhs1
-        lhs2 = gt(2 * k) * ht(n + m)
-        rhs2 = gt(m) * ht(n + 2 * k) - qp(2 * k) * gt(m - 2 * k) * ht(n)
-        if lhs2 != rhs2:
-            return lhs2, rhs2
-        return lhs1, rhs1
-
-    return oc
-
-
-def _t_vajda8(gt, ht, q):
-    qv = q.numerator if q.denominator == 1 else q
-
-    def oc(case):
-        n, m = case["n"], case["m"]
-        lhs = ht(n + m)
-        rhs = gt(m) * ht(n + 1) + qv * gt(m - 1) * ht(n)
-        return lhs, rhs
-
-    return oc
-
-
-def _t_double_index(gt, ht, q):
-    qp = _q_pow(q)
-
-    def oc(case):
-        n, m = case["n"], case["m"]
-        lhs = gt(2 * m) * ht(2 * n)
-        rhs = gt(n + m) * ht(n + m) - qp(2 * m) * gt(n - m) * ht(n - m)
-        return lhs, rhs
-
-    return oc
-
-
-def _t_sum_ordinary(variant: int):
     def build(gt, ht, q):
-        sp = _neg_q_pow(q)
-        qp = _q_pow(q)
+        sp = _pow_of(-q)
 
         def oc(case):
-            n, m = case["n"], case["m"]
-            a, b, k = case["a"], case["b"], case["k"]
-            gab, gma, gmb = gt(a - b), gt(m - a), gt(m - b)
-            if variant == 1:
-                base, step = n - (m - a) * k - (m - b), m - a
-                mb = _powers(gmb, k)
-                tot = 0
-                ab_j = 1
-                for j in range(k + 1):
-                    tot += mb[k - j] * ab_j * ht(base + step * j)
-                    ab_j = ab_j * gab
-                lhs = -sp(a - b) * gma * tot
-                rhs = ab_j * ht(n) - mb[k] * gmb * ht(n - (m - a) * (k + 1))
-                return lhs, rhs
-            if variant == 2:
-                u = -sp(a - b) * gma
-                base, step = n - (m - b) * k - (m - a), m - b
-                up = _powers(u, k)
-                tot = 0
-                ab_j = 1
-                for j in range(k + 1):
-                    tot += up[k - j] * ab_j * ht(base + step * j)
-                    ab_j = ab_j * gab
-                lhs = gmb * tot
-                rhs = ab_j * ht(n) - up[k] * u * ht(n - (m - b) * (k + 1))
-                return lhs, rhs
-            u = qp(a - b) * gma
-            s0 = m1(a + b)
-            base, step = n - (a - b) * k + (m - a), a - b
-            up = _powers(u, k)
-            tot = 0
-            mb_j = 1
-            sgn = 1
-            for j in range(k + 1):
-                tot += sgn * up[k - j] * mb_j * ht(base + step * j)
-                mb_j = mb_j * gmb
-                sgn = sgn * s0
-            lhs = gab * tot
-            rhs = m1((a + b) * k) * mb_j * ht(n) + m1(a + b + 1) * up[k] * u * ht(
-                n - (a - b) * (k + 1)
-            )
-            return lhs, rhs
+            first = None
+            for sub in substitutions:
+                n, m, a, b = sub(**case)
+                lhs = gt(a - b) * ht(n + m)
+                rhs = gt(m - b) * ht(n + a) - sp(a - b) * gt(m - a) * ht(n + b)
+                if lhs != rhs:
+                    return lhs, rhs
+                if first is None:
+                    first = lhs, rhs
+            return first
 
         return oc
 
     return build
 
 
-def _t_sum_binomial(variant: int):
+# The summation entries, with gab, gma, gmb = G(a-b), G(m-a), G(m-b),
+# w = q^(a-b) and s0 = (-1)^(a+b). Ordinary sums state
+#   X * sum_{j=0..k} Z^(k-j) Y^j H(n - s*k + t + s*j)
+#     = sign * (Y^(k+1) H(n) - Z^(k+1) H(n - s*(k+1)));
+# each variant maps (gab, gma, gmb, w, s0, a, b, m) to (X, Y, Z, s, t, sign).
+_ORDINARY_ROLES = {
+    1: lambda gab, gma, gmb, w, s0, a, b, m: (-s0 * w * gma, gab, gmb, m - a, b - m, 1),
+    2: lambda gab, gma, gmb, w, s0, a, b, m: (gmb, gab, -s0 * w * gma, m - b, a - m, 1),
+    3: lambda gab, gma, gmb, w, s0, a, b, m: (gab, s0 * gmb, w * gma, a - b, m - a, s0),
+}
+
+# Binomial sums state
+#   sum_{j=0..k} binom(k, j) Z^(k-j) Y^j H(n + s*k + t*j) = W^k H(n);
+# each variant maps (gab, gma, gmb, w, s0, a, b, m) to (Y, Z, W, s, t).
+_BINOMIAL_ROLES = {
+    1: lambda gab, gma, gmb, w, s0, a, b, m: (gmb, -s0 * w * gma, gab, b - m, a - b),
+    2: lambda gab, gma, gmb, w, s0, a, b, m: (s0 * gab, w * gma, s0 * gmb, b - a, m - b),
+    3: lambda gab, gma, gmb, w, s0, a, b, m: (-gab, gmb, s0 * w * gma, a - b, m - a),
+}
+
+
+def _sum_roles(roles, gt, qp, case) -> tuple:
+    a, b, m = case["a"], case["b"], case["m"]
+    return roles(gt(a - b), gt(m - a), gt(m - b), qp(a - b), m1(a + b), a, b, m)
+
+
+def _t_sum_ordinary(roles):
     def build(gt, ht, q):
-        qp = _q_pow(q)
+        qp = _pow_of(q)
 
         def oc(case):
-            n, m = case["n"], case["m"]
-            a, b, k = case["a"], case["b"], case["k"]
-            gab, gma, gmb = gt(a - b), gt(m - a), gt(m - b)
-            if variant == 1:
-                u = m1(a + b + 1) * qp(a - b) * gma
-                base, step = n - (m - b) * k, a - b
-                up = _powers(u, k)
-                tot = 0
-                mb_j = 1
-                for j in range(k + 1):
-                    tot += comb(k, j) * up[k - j] * mb_j * ht(base + step * j)
-                    mb_j = mb_j * gmb
-                lhs = tot
-                rhs = _powers(gab, k)[k] * ht(n)
-                return lhs, rhs
-            if variant == 2:
-                u = qp(a - b) * gma
-                v = m1(a + b) * gab
-                base, step = n - (a - b) * k, m - b
-                up = _powers(u, k)
-                tot = 0
-                v_j = 1
-                for j in range(k + 1):
-                    tot += comb(k, j) * up[k - j] * v_j * ht(base + step * j)
-                    v_j = v_j * v
-                lhs = tot
-                rhs = m1((a + b) * k) * _powers(gmb, k)[k] * ht(n)
-                return lhs, rhs
-            v = -gab
-            base, step = n + (a - b) * k, m - a
-            up = _powers(gmb, k)
+            n, k = case["n"], _bound(case)
+            X, Y, Z, s, t, sign = _sum_roles(roles, gt, qp, case)
+            zp = _powers(Z, k + 1)
+            base = n - s * k + t
             tot = 0
-            v_j = 1
+            y_j = 1
             for j in range(k + 1):
-                tot += comb(k, j) * up[k - j] * v_j * ht(base + step * j)
-                v_j = v_j * v
-            lhs = tot
-            rhs = m1((a + b) * k) * qp((a - b) * k) * _powers(gma, k)[k] * ht(n)
-            return lhs, rhs
+                tot += zp[k - j] * y_j * ht(base + s * j)
+                y_j = y_j * Y
+            rhs = y_j * ht(n) - zp[k + 1] * ht(n - s * (k + 1))
+            return X * tot, (rhs if sign == 1 else -rhs)
 
         return oc
 
     return build
 
 
-def _t_double_shift_lucas(gt, ht, q):
-    def oc(case):
-        n, m, a = case["n"], case["m"], case["a"]
-        lhs = gt(2 * a) * ht(n + m)
-        rhs = gt(m + a) * ht(n + a) - gt(m - a) * ht(n - a)
-        return lhs, rhs
+def _t_sum_binomial(roles):
+    def build(gt, ht, q):
+        qp = _pow_of(q)
 
-    return oc
+        def oc(case):
+            n, k = case["n"], _bound(case)
+            Y, Z, W, s, t = _sum_roles(roles, gt, qp, case)
+            zp = _powers(Z, k)
+            base = n + s * k
+            tot = 0
+            y_j = 1
+            for j in range(k + 1):
+                tot += comb(k, j) * zp[k - j] * y_j * ht(base + t * j)
+                y_j = y_j * Y
+            return tot, W ** k * ht(n)
 
+        return oc
 
-def _t_halton_lucas(gt, ht, q):
-    def oc(case):
-        n, m = case["n"], case["m"]
-        lhs = 2 * ht(n + m)
-        rhs = gt(m + 1) * ht(n + 1) - gt(m - 1) * ht(n - 1)
-        return lhs, rhs
-
-    return oc
+    return build
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +289,9 @@ class CatalogEntry:
     default_grid: str
     dsl_texts: tuple
     builder: Callable = field(repr=False, compare=False)
+    # Named sequence in the companion slot of a non-generalized entry;
+    # None means the base sequence itself.
+    companion: Optional[str] = field(default=None, repr=False, compare=False)
 
     def make_outcome(self, h0=None, h1=None) -> Callable[[dict], tuple]:
         """Bind the checker to concrete sequences (fresh term caches)."""
@@ -451,219 +302,136 @@ class CatalogEntry:
                 base.params.p, base.params.q, 0 if h0 is None else h0, 1 if h1 is None else h1
             )
             ht = term_fn(companion)
-        elif self.family == "pell" and self.id.endswith("-lucas"):
-            ht = term_fn(get_named("pell-lucas"))
+        elif self.companion is not None:
+            ht = term_fn(get_named(self.companion))
         else:
             ht = gt
         return self.builder(gt, ht, base.params.q)
 
 
-_GRID_NMAB = "a=-4..4,b=-4..4,m=-4..4,n=-4..4"
-_GRID_NM = "m=-4..4,n=-4..4"
-_GRID_NMA = "a=-4..4,m=-4..4,n=-4..4"
-_GRID_NMK = "k=0..6,m=-4..4,n=-4..4"
-_GRID_SUM = "a=-4..4,b=-4..4,k=0..6,m=-4..4,n=-4..4"
+_FAMILIES = {
+    "fib": ("fibonacci", "F", 1, "Fibonacci"),
+    "pell": ("pell", "P", 1, "Pell"),
+    "jac": ("jacobsthal", "J", 2, "Jacobsthal"),
+}
 
-# (suffix, free vars, generalized, default grid, builder, dsl renderer,
-#  description template, citation template)
+
+class _Template(NamedTuple):
+    """One identity, instantiated once per family in `families`."""
+
+    suffix: str
+    free_vars: tuple
+    generalized: bool
+    builder: Callable
+    renderer: Callable
+    description: str
+    citation: str = ""
+    companion: Optional[str] = None
+    families: tuple = tuple(_FAMILIES)
+
+
+_MASTER_VARS = ("a", "b", "m", "n")
+_SUM_VARS = ("a", "b", "k", "m", "n")
+_catalan = _t_master(lambda n, m: (0, n + m, n, m))
+_double_shift = _t_master(lambda n, m, a: (n, m, a, -a))
+_halton = _t_master(lambda n, m: (n, m, 1, -1))
+
 _TEMPLATES = (
-    (
-        "master",
-        ("a", "b", "m", "n"),
-        True,
-        _GRID_NMAB,
-        _t_master,
-        _d_master,
+    _Template(
+        "master", _MASTER_VARS, True, _t_master(lambda n, m, a, b: (n, m, a, b)), _d_master,
         "Three-term expansion of H(n+m) by {base} multipliers at shifts a and b",
-        "",
     ),
-    (
-        "master-dual",
-        ("a", "b", "m", "n"),
-        True,
-        _GRID_NMAB,
-        _t_master_dual,
-        _d_master_dual,
+    _Template(
+        "master-dual", _MASTER_VARS, True,
+        _t_master(lambda n, m, a, b: (m - a - b, n + a + b, a, b)), _d_master_dual,
         "Mirror of the master expansion with base and companion roles swapped",
-        "",
     ),
-    (
-        "catalan-general",
-        ("m", "n"),
-        True,
-        _GRID_NM,
-        _t_catalan_general,
-        _d_catalan_general,
+    _Template(
+        "catalan-general", ("m", "n"), True, _catalan, _d_catalan_general,
         "Catalan-type relation among H(n+m), H(n), H(m) with {base} multipliers",
         "Catalan's identity (generalized companion form)",
     ),
-    (
-        "catalan",
-        ("m", "n"),
-        False,
-        _GRID_NM,
-        _t_catalan,
-        _d_catalan,
-        "Catalan's identity for {base} numbers",
-        "Catalan's identity",
+    _Template(
+        # Not generalized and no named companion, so H is the base itself.
+        "catalan", ("m", "n"), False, _catalan, _d_catalan,
+        "Catalan's identity for {base} numbers", "Catalan's identity",
     ),
-    (
-        "double-shift",
-        ("a", "m", "n"),
-        True,
-        _GRID_NMA,
-        _t_double_shift,
-        _d_double_shift,
+    _Template(
+        "double-shift", ("a", "m", "n"), True, _double_shift, _d_double_shift,
         "Symmetric shift of both H indices by a with {base} coefficients",
-        "",
     ),
-    (
-        "halton",
-        ("m", "n"),
-        True,
-        _GRID_NM,
-        _t_halton,
-        _d_halton,
+    _Template(
+        "halton", ("m", "n"), True, _halton, _d_halton,
         "Unit-shift instance of the symmetric double shift over {base}",
         "Halton's identity (63), companion form",
     ),
-    (
-        "odd-even-split",
-        ("k", "m", "n"),
-        True,
-        _GRID_NMK,
-        _t_odd_even_split,
+    _Template(
+        "odd-even-split", ("k", "m", "n"), True,
+        _t_master(lambda n, m, k: (n, m, 2 * k, 1), lambda n, m, k: (n, m, 2 * k, 0)),
         _d_odd_even_split,
         "Splits H(n+m) with an odd (2k-1) and an even (2k) {base} shift",
-        "",
     ),
-    (
-        "vajda8",
-        ("m", "n"),
-        True,
-        _GRID_NM,
-        _t_vajda8,
-        _d_vajda8,
+    _Template(
+        # G(1) = 1 in every family, so the lhs G(1) H(n+m) is H(n+m).
+        "vajda8", ("m", "n"), True, _t_master(lambda n, m: (n, m, 1, 0)), _d_vajda8,
         "Addition rule: H(n+m) from H(n) and H(n+1) with {base} coefficients",
         "Vajda's formula (8)",
     ),
-    (
-        "double-index",
-        ("m", "n"),
-        True,
-        _GRID_NM,
-        _t_double_index,
-        _d_double_index,
+    _Template(
+        "double-index", ("m", "n"), True, _t_master(lambda n, m: (n, n, m, -m)), _d_double_index,
         "Index doubling: H(2n) against {base} terms at n+m and n-m",
-        "",
     ),
-    (
-        "sum.ordinary.1",
-        ("a", "b", "k", "m", "n"),
-        True,
-        _GRID_SUM,
-        _t_sum_ordinary(1),
-        _d_sum_ordinary(1),
-        "Power-weighted ordinary sum over H, variant 1, {base} weights",
-        "",
+    *(
+        _Template(
+            f"sum.{kind}.{v}", _SUM_VARS, True, build(roles), render(v),
+            f"{title} over H, variant {v}, {{base}} weights",
+        )
+        for kind, title, build, render, table in (
+            ("ordinary", "Power-weighted ordinary sum", _t_sum_ordinary, _d_sum_ordinary,
+             _ORDINARY_ROLES),
+            ("binomial", "Binomial-weighted sum", _t_sum_binomial, _d_sum_binomial,
+             _BINOMIAL_ROLES),
+        )
+        for v, roles in table.items()
     ),
-    (
-        "sum.ordinary.2",
-        ("a", "b", "k", "m", "n"),
-        True,
-        _GRID_SUM,
-        _t_sum_ordinary(2),
-        _d_sum_ordinary(2),
-        "Power-weighted ordinary sum over H, variant 2, {base} weights",
-        "",
+    _Template(
+        "double-shift-lucas", ("a", "m", "n"), False, _double_shift, _d_double_shift_lucas,
+        "Symmetric double shift pairing Pell and Pell-Lucas terms",
+        companion="pell-lucas", families=("pell",),
     ),
-    (
-        "sum.ordinary.3",
-        ("a", "b", "k", "m", "n"),
-        True,
-        _GRID_SUM,
-        _t_sum_ordinary(3),
-        _d_sum_ordinary(3),
-        "Power-weighted ordinary sum over H, variant 3, {base} weights",
-        "",
-    ),
-    (
-        "sum.binomial.1",
-        ("a", "b", "k", "m", "n"),
-        True,
-        _GRID_SUM,
-        _t_sum_binomial(1),
-        _d_sum_binomial(1),
-        "Binomial-weighted sum over H, variant 1, {base} weights",
-        "",
-    ),
-    (
-        "sum.binomial.2",
-        ("a", "b", "k", "m", "n"),
-        True,
-        _GRID_SUM,
-        _t_sum_binomial(2),
-        _d_sum_binomial(2),
-        "Binomial-weighted sum over H, variant 2, {base} weights",
-        "",
-    ),
-    (
-        "sum.binomial.3",
-        ("a", "b", "k", "m", "n"),
-        True,
-        _GRID_SUM,
-        _t_sum_binomial(3),
-        _d_sum_binomial(3),
-        "Binomial-weighted sum over H, variant 3, {base} weights",
-        "",
+    _Template(
+        # Pell(2) = 2 is the lhs multiplier.
+        "halton-lucas", ("m", "n"), False, _halton, _d_halton_lucas,
+        "Unit-offset double shift pairing Pell and Pell-Lucas terms",
+        "Halton's identity (63), Pell-Lucas pairing",
+        companion="pell-lucas", families=("pell",),
     ),
 )
 
-_FAMILIES = (
-    ("fib", "fibonacci", "F", 1, "Fibonacci"),
-    ("pell", "pell", "P", 1, "Pell"),
-    ("jac", "jacobsthal", "J", 2, "Jacobsthal"),
-)
+
+def _default_grid(free_vars: tuple) -> str:
+    """Every variable over -4..4, except the summation bound k over 0..6."""
+    return ",".join(f"{v}=0..6" if v == "k" else f"{v}=-4..4" for v in free_vars)
 
 
 def _build_entries() -> dict:
     entries = {}
-    for prefix, family, letter, q, base_name in _FAMILIES:
-        for suffix, free_vars, generalized, grid, builder, renderer, desc, cite in _TEMPLATES:
-            entry_id = f"{prefix}.{suffix}"
+    for t in _TEMPLATES:
+        for prefix in t.families:
+            family, letter, q, base_name = _FAMILIES[prefix]
+            entry_id = f"{prefix}.{t.suffix}"
             entries[entry_id] = CatalogEntry(
                 id=entry_id,
-                description=desc.format(base=base_name),
+                description=t.description.format(base=base_name),
                 family=family,
-                free_vars=free_vars,
-                generalized=generalized,
-                citation=cite,
-                default_grid=grid,
-                dsl_texts=renderer(letter, q),
-                builder=builder,
+                free_vars=t.free_vars,
+                generalized=t.generalized,
+                citation=t.citation,
+                default_grid=_default_grid(t.free_vars),
+                dsl_texts=t.renderer(letter, q),
+                builder=t.builder,
+                companion=t.companion,
             )
-    entries["pell.double-shift-lucas"] = CatalogEntry(
-        id="pell.double-shift-lucas",
-        description="Symmetric double shift pairing Pell and Pell-Lucas terms",
-        family="pell",
-        free_vars=("a", "m", "n"),
-        generalized=False,
-        citation="",
-        default_grid=_GRID_NMA,
-        dsl_texts=_d_double_shift_lucas("P", 1),
-        builder=_t_double_shift_lucas,
-    )
-    entries["pell.halton-lucas"] = CatalogEntry(
-        id="pell.halton-lucas",
-        description="Unit-offset double shift pairing Pell and Pell-Lucas terms",
-        family="pell",
-        free_vars=("m", "n"),
-        generalized=False,
-        citation="Halton's identity (63), Pell-Lucas pairing",
-        default_grid=_GRID_NM,
-        dsl_texts=_d_halton_lucas("P", 1),
-        builder=_t_halton_lucas,
-    )
     return entries
 
 

@@ -260,8 +260,10 @@ def cmd_table(args) -> int:
 
 def cmd_verify(args) -> int:
     g = _resolve_sequence(args)
-    h = _resolve_companion(args, g)
     spec = IDENTITIES[args.identity]
+    if not spec.takes_companion and any(v is not None for v in (args.h, args.h0, args.h1)):
+        raise UsageError(f"--h/--h0/--h1 do not apply to {args.identity}, which reads one sequence")
+    h = _resolve_companion(args, g)
     rel = None
     if spec.takes_relation:
         rel = ThreeTermRelation(

@@ -7,7 +7,8 @@ Theorem 1 relates H(n+m), H(n+c) and H(n+d) through the three kernel values
 and every summation theorem is the same telescoping or binomial formula
 with A, B and C in permuted roles. IDENTITIES holds one entry per identity
 (grid variables, CLI default grid, whether it takes a ThreeTermRelation,
-the function that builds its outcome); each formula below is stated once.
+the function that builds its outcome, whether it reads the companion);
+each formula below is stated once.
 
 Every outcome evaluates both sides of its identity exactly; nothing is
 rounded. The summation theorems skip (rather than fail) cases where the
@@ -299,12 +300,14 @@ def _lemma3_2_outcome(x: Sequence, rel: ThreeTermRelation) -> Callable[[dict], t
 
 
 class IdentitySpec(NamedTuple):
-    """One identity; build(g, h, rel) returns its outcome, rel used iff takes_relation."""
+    """One identity; build(g, h, rel) returns its outcome, rel used iff takes_relation
+    and h used iff takes_companion."""
 
     variables: tuple
     default_grid: str
     takes_relation: bool
     build: Callable
+    takes_companion: bool = True
 
 
 _KERNEL_VARS = ("a", "b", "c", "d", "m", "n")
@@ -312,8 +315,8 @@ _SUM_VARS = ("a", "b", "c", "d", "k", "m", "n")
 _SUM_GRID = "a=-1..2,b=-1..2,c=-1..2,d=-1..2,k=0..5,m=-2..2,n=-2..2"
 
 
-def _lemma(build: Callable) -> IdentitySpec:
-    return IdentitySpec(("k", "n"), "k=0..6,n=-5..5", True, build)
+def _lemma(build: Callable, takes_companion: bool = False) -> IdentitySpec:
+    return IdentitySpec(("k", "n"), "k=0..6,n=-5..5", True, build, takes_companion)
 
 
 IDENTITIES = {
@@ -323,7 +326,7 @@ IDENTITIES = {
     "corollary": IdentitySpec(
         ("a", "b", "m", "n"), "a=-3..3,b=-3..3,m=-4..4,n=-4..4", False, _corollary_outcome
     ),
-    "lemma1": _lemma(_lemma1_outcome),
+    "lemma1": _lemma(_lemma1_outcome, takes_companion=True),
     "lemma2:1": _lemma(lambda x, y, rel: _lemma1_outcome(x, x, rel)),
     "lemma2:2": _lemma(lambda x, y, rel: _lemma1_outcome(x, x, _swap(rel))),
     "lemma2:3": _lemma(lambda x, y, rel: _lemma2_3_outcome(x, rel)),

@@ -9,10 +9,13 @@ from horadam import (
     catalog_entry,
     catalog_list,
     catalog_run,
+    default_registry,
+    eval_expr,
     get_named,
     make_grid,
     make_sequence,
     parse_grid,
+    parse_identity,
     term_iterative_oracle,
 )
 
@@ -101,6 +104,24 @@ class TestRun:
         report = catalog_run("pell.halton-lucas")
         assert report.grid == catalog_entry("pell.halton-lucas").default_grid
         assert report.holds
+
+
+class TestCompanionDiffersFromBase:
+    """With H = (3, -5), unlike the base of any family, a substitution that
+    swapped the G and H roles would change the native values."""
+
+    @pytest.mark.parametrize("entry_id", [e.id for e in ALL_ENTRIES if e.generalized])
+    def test_native_values_equal_dsl_values(self, entry_id):
+        entry = catalog_entry(entry_id)
+        base = get_named(entry.family)
+        registry = dict(default_registry())
+        registry["H"] = make_sequence(base.params.p, base.params.q, 3, -5)
+        ast = parse_identity(entry.dsl_texts[0])
+        outcome = entry.make_outcome(3, -5)
+        grid = make_grid({v: (0, 2) if v == "k" else (-2, 1) for v in entry.free_vars})
+        for case in grid.cases():
+            dsl_pair = (eval_expr(ast.lhs, case, registry), eval_expr(ast.rhs, case, registry))
+            assert outcome(case) == dsl_pair, (entry_id, case)
 
 
 class TestLiteralSpotChecks:

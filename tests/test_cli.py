@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, formats, and the exit-code contract."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import horadam
 from horadam.cli import main
@@ -160,6 +164,17 @@ class TestVerify:
     def test_unknown_identity_fails(self, capsys):
         code, _, _ = run(capsys, "verify", "--identity", "nosuch", "--seq", "fibonacci")
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "identity, companion",
+        [("lemma3:1", ["--h", "pell"]), ("lemma2:2", ["--h0", "5", "--h1", "7"]),
+         ("lemma2:3", ["--h", "fibonacci"])],
+    )
+    def test_companion_flags_on_single_sequence_lemma_fail(self, capsys, identity, companion):
+        code, out, err = run(capsys, "verify", "--identity", identity, "--seq", "fibonacci",
+                             *companion)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --h/--h0/--h1 do not apply to " + identity)
 
     def test_companion_initials(self, capsys):
         code, out, _ = run(
@@ -346,10 +361,97 @@ class TestExitContract:
         code, out, err = run(capsys, "check", "--expr", text, "--grid", grid)
         assert (code, out, err) == (2, "", "error: unknown sequence name 'X'\n")
 
+    @pytest.mark.parametrize("kind", ["ordinary", "binomial"])
+    @pytest.mark.parametrize("variant", [1, 2, 3])
+    def test_negative_summation_bound_is_a_usage_error(self, capsys, kind, variant):
+        grid = "a=0,b=1,k=-1,m=0,n=0"
+        code, out, err = run(capsys, "catalog", "run", f"fib.sum.{kind}.{variant}", "--grid", grid)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: summation bound k must be non-negative, got -1 (case a=0;b=1;k=-1;m=0;n=0)\n"
+        )
+
+    def test_odd_even_split_accepts_negative_k(self, capsys):
+        code, out, _ = run(capsys, "catalog", "run", "jac.odd-even-split",
+                           "--grid", "k=-3..-1,m=-2..2,n=-2..2")
+        assert code == 0 and json.loads(out)["cases_checked"] == 75
+
     def test_mid_sweep_error_names_binding(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "F[n]^(-1)*F[n] = 1", "--grid", "n=-2..2")
         assert code == 2
         assert "zero raised to a negative power" in err and "n=0" in err
+
+
+_RANGE = st.tuples(st.integers(-3, 3), st.integers(0, 1)).map(
+    lambda t: f"{t[0]}..{min(t[0] + t[1], 3)}"
+)
+_RATIONAL_WORDS = st.sampled_from(["0", "1", "-5", "3", "1/2", "-3/7"])
+_CHECK_TEXTS = (
+    "F[n+1] = F[n] + F[n-1]",
+    "F[n+1] = F[n]",
+    "sum(j,0,k,F[j]) = F[k+2] - 1",
+    "F[n]^(-1)*F[n] = 1",
+    "binom(k,n) = binom(k,k-n)",
+    "F[n",
+)
+
+
+def _grid_text(draw, names) -> str:
+    return ",".join(f"{name}={draw(_RANGE)}" for name in names)
+
+
+def _with_format(draw, argv: list) -> list:
+    return argv + ["--format", draw(st.sampled_from(["json", "csv", "text"]))]
+
+
+@st.composite
+def _catalog_argvs(draw) -> list:
+    entry = draw(st.sampled_from(horadam.catalog_list()))
+    argv = ["catalog", "run", entry.id, "--grid", _grid_text(draw, entry.free_vars)]
+    if draw(st.booleans()):
+        argv += ["--h0", draw(_RATIONAL_WORDS), "--h1", draw(_RATIONAL_WORDS)]
+    return _with_format(draw, argv)
+
+
+@st.composite
+def _verify_argvs(draw) -> list:
+    identity = draw(st.sampled_from(horadam.IDENTITY_NAMES))
+    names = sorted(horadam.named_sequences())
+    argv = ["verify", "--identity", identity, "--seq", draw(st.sampled_from(names)),
+            "--grid", _grid_text(draw, horadam.identity_variables(identity))]
+    companion = draw(st.sampled_from(["none", "named", "initials"]))
+    if companion == "named":
+        argv += ["--h", draw(st.sampled_from(names))]
+    elif companion == "initials":
+        argv += ["--h0", draw(_RATIONAL_WORDS), "--h1", draw(_RATIONAL_WORDS)]
+    return _with_format(draw, argv)
+
+
+@st.composite
+def _check_argvs(draw) -> list:
+    text = draw(st.sampled_from(_CHECK_TEXTS))
+    return _with_format(draw, ["check", "--expr", text, "--grid", _grid_text(draw, ("k", "n"))])
+
+
+def _quiet_main(argv) -> tuple:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert "Traceback" not in err.getvalue(), argv
+    return code, out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argvs", [_catalog_argvs(), _verify_argvs(), _check_argvs()], ids=["catalog", "verify", "check"]
+)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_exit_codes_are_total_and_reruns_repeat(argvs, data):
+    # In process, so an escaping exception fails the property itself.
+    argv = data.draw(argvs)
+    first = _quiet_main(argv)
+    assert first[0] in (0, 1, 2), argv
+    assert _quiet_main(argv) == first, argv
 
 
 def test_import_leaves_cli_and_argparse_unloaded():
