@@ -7,8 +7,9 @@ coefficient terms. All checkers here are polynomial in sequence terms
 (division-free), so no case is ever skipped.
 
 Natively, every non-sum entry is the master identity at a substitution of
-its indices, and the six sums are one ordinary and one binomial formula
-over role tables. Every entry also carries its classical statement
+its indices, and the six sums are role tables over the kernel's ordinary
+and binomial sum evaluators, the same two that check the kernel's sum-*
+identities. Every entry also carries its classical statement
 rendered literally in the DSL (field dsl_texts), which the test suite
 verifies against the native checker case by case; the two routes share no
 evaluation code.
@@ -19,12 +20,11 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 from typing import Callable, NamedTuple, Optional
 
 from .errors import UsageError
 from .grid import parse_grid
-from .kernel import _bound
+from .kernel import _binomial_sum, _bound, _ordinary_sum
 from .report import VerificationReport, run_grid
 from .scalar import m1
 from .sequences import get_named, make_sequence, term_fn
@@ -42,16 +42,6 @@ def _pow_of(x: Fraction):
         xi = x.numerator
         return lambda e: xi ** e if e >= 0 else x ** e
     return lambda e: x ** e
-
-
-def _powers(x, k: int) -> list:
-    """[x**0, ..., x**k] by running products."""
-    out = [1] * (k + 1)
-    acc = 1
-    for i in range(1, k + 1):
-        acc = acc * x
-        out[i] = acc
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -86,20 +76,17 @@ def _t_master(*substitutions):
     return build
 
 
-# The summation entries, with gab, gma, gmb = G(a-b), G(m-a), G(m-b),
-# w = q^(a-b) and s0 = (-1)^(a+b). Ordinary sums state
-#   X * sum_{j=0..k} Z^(k-j) Y^j H(n - s*k + t + s*j)
-#     = sign * (Y^(k+1) H(n) - Z^(k+1) H(n - s*(k+1)));
-# each variant maps (gab, gma, gmb, w, s0, a, b, m) to (X, Y, Z, s, t, sign).
+# The summation entries feed kernel._ordinary_sum and kernel._binomial_sum,
+# which state both theorems multiplied through by Z^k. With gab, gma, gmb =
+# G(a-b), G(m-a), G(m-b), w = q^(a-b) and s0 = (-1)^(a+b), each ordinary
+# variant maps (gab, gma, gmb, w, s0, a, b, m) to (X, Y, Z, s, t, sign).
 _ORDINARY_ROLES = {
     1: lambda gab, gma, gmb, w, s0, a, b, m: (-s0 * w * gma, gab, gmb, m - a, b - m, 1),
     2: lambda gab, gma, gmb, w, s0, a, b, m: (gmb, gab, -s0 * w * gma, m - b, a - m, 1),
     3: lambda gab, gma, gmb, w, s0, a, b, m: (gab, s0 * gmb, w * gma, a - b, m - a, s0),
 }
 
-# Binomial sums state
-#   sum_{j=0..k} binom(k, j) Z^(k-j) Y^j H(n + s*k + t*j) = W^k H(n);
-# each variant maps (gab, gma, gmb, w, s0, a, b, m) to (Y, Z, W, s, t).
+# Each binomial variant maps the same values to (Y, Z, W, s, t).
 _BINOMIAL_ROLES = {
     1: lambda gab, gma, gmb, w, s0, a, b, m: (gmb, -s0 * w * gma, gab, b - m, a - b),
     2: lambda gab, gma, gmb, w, s0, a, b, m: (s0 * gab, w * gma, s0 * gmb, b - a, m - b),
@@ -107,48 +94,15 @@ _BINOMIAL_ROLES = {
 }
 
 
-def _sum_roles(roles, gt, qp, case) -> tuple:
-    a, b, m = case["a"], case["b"], case["m"]
-    return roles(gt(a - b), gt(m - a), gt(m - b), qp(a - b), m1(a + b), a, b, m)
-
-
-def _t_sum_ordinary(roles):
+def _t_sum(evaluate, roles):
     def build(gt, ht, q):
         qp = _pow_of(q)
 
         def oc(case):
             n, k = case["n"], _bound(case)
-            X, Y, Z, s, t, sign = _sum_roles(roles, gt, qp, case)
-            zp = _powers(Z, k + 1)
-            base = n - s * k + t
-            tot = 0
-            y_j = 1
-            for j in range(k + 1):
-                tot += zp[k - j] * y_j * ht(base + s * j)
-                y_j = y_j * Y
-            rhs = y_j * ht(n) - zp[k + 1] * ht(n - s * (k + 1))
-            return X * tot, (rhs if sign == 1 else -rhs)
-
-        return oc
-
-    return build
-
-
-def _t_sum_binomial(roles):
-    def build(gt, ht, q):
-        qp = _pow_of(q)
-
-        def oc(case):
-            n, k = case["n"], _bound(case)
-            Y, Z, W, s, t = _sum_roles(roles, gt, qp, case)
-            zp = _powers(Z, k)
-            base = n + s * k
-            tot = 0
-            y_j = 1
-            for j in range(k + 1):
-                tot += comb(k, j) * zp[k - j] * y_j * ht(base + t * j)
-                y_j = y_j * Y
-            return tot, W ** k * ht(n)
+            a, b, m = case["a"], case["b"], case["m"]
+            values = roles(gt(a - b), gt(m - a), gt(m - b), qp(a - b), m1(a + b), a, b, m)
+            return evaluate(ht, n, k, *values)
 
         return oc
 
@@ -383,13 +337,13 @@ _TEMPLATES = (
     ),
     *(
         _Template(
-            f"sum.{kind}.{v}", _SUM_VARS, True, build(roles), render(v),
+            f"sum.{kind}.{v}", _SUM_VARS, True, _t_sum(evaluate, roles), render(v),
             f"{title} over H, variant {v}, {{base}} weights",
         )
-        for kind, title, build, render, table in (
-            ("ordinary", "Power-weighted ordinary sum", _t_sum_ordinary, _d_sum_ordinary,
+        for kind, title, evaluate, render, table in (
+            ("ordinary", "Power-weighted ordinary sum", _ordinary_sum, _d_sum_ordinary,
              _ORDINARY_ROLES),
-            ("binomial", "Binomial-weighted sum", _t_sum_binomial, _d_sum_binomial,
+            ("binomial", "Binomial-weighted sum", _binomial_sum, _d_sum_binomial,
              _BINOMIAL_ROLES),
         )
         for v, roles in table.items()

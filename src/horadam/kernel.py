@@ -11,10 +11,11 @@ the function that builds its outcome, whether it reads the companion);
 each formula below is stated once.
 
 Every outcome evaluates both sides of its identity exactly; nothing is
-rounded. The summation theorems skip (rather than fail) cases where the
-kernel value in a denominator position vanishes, since the statements
-hypothesize it nonzero. Their k = 0 instance has no denominator, so it is
-always checked.
+rounded. The summation theorems are evaluated multiplied through by Z^k,
+where Z is the kernel value the paper divides by, so no sum divides; one
+ordinary and one binomial evaluator serve both these identities and the
+catalog's sum entries. The kernel still skips (rather than fails) a case
+with k >= 1 and Z = 0, since the statements hypothesize Z nonzero.
 """
 
 from __future__ import annotations
@@ -161,19 +162,42 @@ def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], t
     return outcome
 
 
-# Roles of the kernel values in the ordinary sums: with
-#   S = sum_{j=0..k} (Y/Z)^j H(n - s*k + t + s*j),
-# variant v states X*S = +-(Y^(k+1)/Z^k H(n) - Z H(n - s*(k+1))).
-# Each maps (A, B, C, m, c, d) to (X, Y, Z, s, t, negated).
+# The summation theorems multiplied through by Z^k. The ordinary sums state
+#   X * sum_{j=0..k} Z^(k-j) Y^j H(n - s*k + t + s*j)
+#     = sign * (Y^(k+1) H(n) - Z^(k+1) H(n - s*(k+1))),
+# the binomial sums
+#   sum_{j=0..k} binom(k, j) Z^(k-j) Y^j H(n + s*k + t*j) = W^k H(n).
+# Both sums are accumulated in Horner form over Z. The catalog's sum entries
+# call these two evaluators with their own role tables.
+
+
+def _ordinary_sum(ht, n: int, k: int, X, Y, Z, s: int, t: int, sign: int) -> tuple:
+    base = n - s * k + t
+    tot, y = 0, 1
+    for j in range(k + 1):
+        tot = tot * Z + y * ht(base + s * j)
+        y = y * Y
+    rhs = y * ht(n) - Z ** (k + 1) * ht(n - s * (k + 1))
+    return X * tot, (rhs if sign == 1 else -rhs)
+
+
+def _binomial_sum(ht, n: int, k: int, Y, Z, W, s: int, t: int) -> tuple:
+    base = n + s * k
+    tot, y = 0, 1
+    for j in range(k + 1):
+        tot = tot * Z + math.comb(k, j) * y * ht(base + t * j)
+        y = y * Y
+    return tot, W ** k * ht(n)
+
+
+# The kernel's roles map (A, B, C, m, c, d) to (X, Y, Z, s, t, sign) for the
+# ordinary sums and to (Y, Z, W, s, t) for the binomial sums.
 _ORDINARY_ROLES = {
-    1: lambda A, B, C, m, c, d: (C, A, B, m - c, d - m, False),
-    2: lambda A, B, C, m, c, d: (B, A, C, m - d, c - m, False),
-    3: lambda A, B, C, m, c, d: (A, -B, C, c - d, m - c, True),
+    1: lambda A, B, C, m, c, d: (C, A, B, m - c, d - m, 1),
+    2: lambda A, B, C, m, c, d: (B, A, C, m - d, c - m, 1),
+    3: lambda A, B, C, m, c, d: (A, -B, C, c - d, m - c, -1),
 }
 
-# Roles in the binomial sums:
-#   sum_{j=0..k} binom(k, j) (Y/Z)^j H(n + s*k + t*j) = (W/Z)^k H(n).
-# Each maps (A, B, C, m, c, d) to (Y, Z, W, s, t).
 _BINOMIAL_ROLES = {
     1: lambda A, B, C, m, c, d: (B, C, A, d - m, c - d),
     2: lambda A, B, C, m, c, d: (-A, C, -B, d - c, m - d),
@@ -181,47 +205,24 @@ _BINOMIAL_ROLES = {
 }
 
 
-def _sum_ordinary_outcome(roles, g: Sequence, h: Sequence, rel=None) -> Callable:
+def _sum_outcome(evaluate, z_at: int, roles, g: Sequence, h: Sequence, rel=None) -> Callable:
+    # The theorems hypothesize Z != 0 (roles[z_at]); k = 0 needs no hypothesis.
     gt, ht = term_fn(g), term_fn(h)
 
     def outcome(case: dict):
         n, m, k = case["n"], case["m"], _bound(case)
         a, b, c, d = case["a"], case["b"], case["c"], case["d"]
-        X, Y, Z, s, t, negated = roles(
-            _fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m, c, d
-        )
-        if k == 0:
-            lhs, rhs = X * ht(n + t), Y * ht(n) - Z * ht(n - s)
-        elif Z == 0:
+        values = roles(_fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m, c, d)
+        if k and values[z_at] == 0:
             return None
-        else:
-            r = _div(Y, Z)
-            lhs = X * sum(r ** j * ht(n - s * k + t + s * j) for j in range(k + 1))
-            rhs = _div(Y ** (k + 1), Z ** k) * ht(n) - Z * ht(n - s * (k + 1))
-        return lhs, (-rhs if negated else rhs)
+        return evaluate(ht, n, k, *values)
 
     return outcome
 
 
-def _sum_binomial_outcome(roles, g: Sequence, h: Sequence, rel=None) -> Callable:
-    gt, ht = term_fn(g), term_fn(h)
-
-    def outcome(case: dict):
-        n, m, k = case["n"], case["m"], _bound(case)
-        if k == 0:
-            value = ht(n)
-            return value, value
-        a, b, c, d = case["a"], case["b"], case["c"], case["d"]
-        Y, Z, W, s, t = roles(
-            _fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m, c, d
-        )
-        if Z == 0:
-            return None
-        r = _div(Y, Z)
-        lhs = sum(math.comb(k, j) * r ** j * ht(n + s * k + t * j) for j in range(k + 1))
-        return lhs, _div(W, Z) ** k * ht(n)
-
-    return outcome
+def _minus(shift: int) -> str:
+    """The index n - shift as text: 'n-2', 'n' or 'n+1'."""
+    return f"n-{shift}" if shift > 0 else f"n+{-shift}" if shift else "n"
 
 
 def _check_relation_window(xt, yt, rel: ThreeTermRelation, anchors) -> None:
@@ -231,7 +232,7 @@ def _check_relation_window(xt, yt, rel: ThreeTermRelation, anchors) -> None:
     for s in anchors:
         if xt(s) != f1 * xt(s - a) + f2 * yt(s - b):
             raise PreconditionError(
-                f"relation X(n) = {f1}*X(n-{a}) + {f2}*Y(n-{b}) fails at n={s}"
+                f"relation X(n) = {f1}*X({_minus(a)}) + {f2}*Y({_minus(b)}) fails at n={s}"
             )
 
 
@@ -334,10 +335,12 @@ IDENTITIES = {
     "lemma3:2": _lemma(lambda x, y, rel: _lemma3_2_outcome(x, rel)),
     "lemma3:3": _lemma(lambda x, y, rel: _lemma3_2_outcome(x, _swap(rel))),
     **{
-        f"sum-{kind}:{v}": IdentitySpec(_SUM_VARS, _SUM_GRID, False, partial(build, roles))
-        for kind, build, table in (
-            ("ordinary", _sum_ordinary_outcome, _ORDINARY_ROLES),
-            ("binomial", _sum_binomial_outcome, _BINOMIAL_ROLES),
+        f"sum-{kind}:{v}": IdentitySpec(
+            _SUM_VARS, _SUM_GRID, False, partial(_sum_outcome, evaluate, z_at, roles)
+        )
+        for kind, evaluate, z_at, table in (
+            ("ordinary", _ordinary_sum, 2, _ORDINARY_ROLES),
+            ("binomial", _binomial_sum, 1, _BINOMIAL_ROLES),
         )
         for v, roles in table.items()
     },

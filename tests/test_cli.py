@@ -140,6 +140,18 @@ class TestVerify:
         assert code == 0
         assert json.loads(out)["counterexamples"] == []
 
+    @pytest.mark.parametrize(
+        "shifts, shown", [(("-1", "0"), "2*X(n+1) + 1*Y(n)"), (("1", "2"), "2*X(n-1) + 1*Y(n-2)")]
+    )
+    def test_failed_relation_names_its_shifts(self, capsys, shifts, shown):
+        code, out, err = run(
+            capsys, "verify", "--identity", "lemma1", "--seq", "fibonacci", "--h", "lucas",
+            "--f1", "2", "--f2", "1", "--rel-a", shifts[0], "--rel-b", shifts[1],
+            "--grid", "n=0,k=1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: relation X(n) = {shown} fails at n=0 (case k=1;n=0)\n"
+
     def test_negative_fractions_as_separate_words(self, capsys):
         # F(n) = -1/3*F(n+3) - 3/2*H(n+1) with H = -4/9*L
         grid = ["--rel-a", "-3", "--rel-b", "-1", "--grid", "k=0..4,n=-3..3"]

@@ -6,6 +6,7 @@ arithmetic), so the kernel's own term engine and caches are never the only
 route to an expected value.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -29,6 +30,7 @@ from horadam import (
     term_iterative_oracle,
     verify_identity_grid,
 )
+from horadam import kernel
 from horadam.kernel import IDENTITY_NAMES, identity_outcome
 from conftest import random_pair
 
@@ -350,6 +352,8 @@ class TestSumOrdinary:
                                 A ** (k + 1) / B ** k * ht(n)
                                 - B * ht(n - (m - c) * (k + 1)),
                             )
+                            # the kernel states the sum multiplied through by Z^k = B^k
+                            expected = tuple(B ** k * side for side in expected)
                         assert got == expected, case
                         if expected is not None:
                             checked += 1
@@ -407,7 +411,50 @@ class TestSumBinomial:
                                 ),
                                 (-C / B) ** k * ht(n),
                             )
+                            # the kernel states the sum multiplied through by Z^k = B^k
+                            expected = tuple(B ** k * side for side in expected)
                         assert got == expected, case
+
+
+class TestSkippedCasesBalance:
+    """The kernel skips the sum cases with k >= 1 and Z = 0, because the
+    paper's statements divide by Z; the division-free statements it evaluates
+    must balance there too, so a route that never skips can check them."""
+
+    @pytest.mark.parametrize("pair", ["fibonacci/lucas", "jacobsthal/jacobsthal-lucas", "random"])
+    def test_division_free_sums_hold_where_z_vanishes(self, pair, rng):
+        if pair == "random":
+            g, h = random_pair(rng)
+        else:
+            g, h = (get_named(name) for name in pair.split("/"))
+        gt, ht = _oracle(g), _oracle(h)
+        statements = [
+            (f"sum-{kind}:{v}", evaluate, z_at, roles)
+            for kind, evaluate, z_at, table in (
+                ("ordinary", kernel._ordinary_sum, 2, kernel._ORDINARY_ROLES),
+                ("binomial", kernel._binomial_sum, 1, kernel._BINOMIAL_ROLES),
+            )
+            for v, roles in table.items()
+        ]
+        outcomes = {name: identity_outcome(name, g, h) for name, *_ in statements}
+        balanced = dict.fromkeys(outcomes, 0)
+        for a, b, c, d, m in itertools.product(range(-1, 3), repeat=5):
+            kernel_values = (
+                _fg_literal(gt, d, c, b, a), _fg_literal(gt, d, m, b, a),
+                _fg_literal(gt, c, m, a, b), m, c, d,
+            )
+            for name, evaluate, z_at, roles in statements:
+                values = roles(*kernel_values)
+                if values[z_at] != 0:
+                    continue
+                for k in (1, 2, 3):
+                    for n in (-1, 0, 1):
+                        case = dict(n=n, m=m, a=a, b=b, c=c, d=d, k=k)
+                        assert outcomes[name](case) is None, (name, case)
+                        lhs, rhs = evaluate(ht, n, k, *values)
+                        assert lhs == rhs, (name, case)
+                        balanced[name] += 1
+        assert min(balanced.values()) > 0, balanced
 
 
 class TestIdentityDispatch:
