@@ -102,7 +102,7 @@ def _t_sum(evaluate, roles):
             n, k = case["n"], _bound(case)
             a, b, m = case["a"], case["b"], case["m"]
             values = roles(gt(a - b), gt(m - a), gt(m - b), qp(a - b), m1(a + b), a, b, m)
-            return evaluate(ht, n, k, *values)
+            return evaluate(ht, ht, n, k, *values)
 
         return oc
 

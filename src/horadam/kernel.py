@@ -2,20 +2,20 @@
 
 The antisymmetric kernel over a sequence G is
     f_g(u, v; s, t) = G(u-s)*G(v-t) - G(u-t)*G(v-s).
-Theorem 1 relates H(n+m), H(n+c) and H(n+d) through the three kernel values
+Every three-term relation is read as w0*X(n) = w1*X(n-a) + w2*Y(n-b). A
+lemma's relation is (1, f1, f2, a, b); Theorem 1 gives H the relation
+T = (A, B, C, m-c, m-d) through the three kernel values
     A = f_g(d, c; b, a),  B = f_g(d, m; b, a),  C = f_g(c, m; a, b),
-and every summation theorem is the same telescoping or binomial formula
-with A, B and C in permuted roles. IDENTITIES holds one entry per identity
-(grid variables, CLI default grid, whether it takes a ThreeTermRelation,
-the function that builds its outcome, whether it reads the companion);
-each formula below is stated once.
+and the corollary is Theorem 1 at (c, d) = (a, b), negated. The paper's
+four lemma statements are the rows of one table; each lemma and each
+summation theorem is one row at the user's relation, at T, or at either
+with its two terms swapped. IDENTITIES holds one entry per identity.
 
-Every outcome evaluates both sides of its identity exactly; nothing is
-rounded. The summation theorems are evaluated multiplied through by Z^k,
-where Z is the kernel value the paper divides by, so no sum divides; one
-ordinary and one binomial evaluator serve both these identities and the
-catalog's sum entries. The kernel still skips (rather than fails) a case
-with k >= 1 and Z = 0, since the statements hypothesize Z nonzero.
+Every outcome evaluates both sides exactly and nothing divides: each row is
+stated multiplied through by Z^k, where Z is the weight the paper divides
+by, and one ordinary and one binomial evaluator serve the rows and the
+catalog's sum entries. A summation case with k >= 1 and Z = 0 is skipped
+(rather than failed), since the theorems hypothesize Z nonzero.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ThreeTermRelation:
-    """Relation X(n) = f1*X(n-a) + f2*X(n-b) with f1, f2 nonzero and a != b."""
+    """Relation X(n) = f1*X(n-a) + f2*Y(n-b), f1 and f2 nonzero, a != b; Y = X but in lemma1."""
 
     f1: Rational
     f2: Rational
@@ -57,11 +57,6 @@ class ThreeTermRelation:
             raise UsageError("relation shifts a and b must differ")
 
 
-def _swap(rel: ThreeTermRelation) -> ThreeTermRelation:
-    # The same relation with the roles of (f1, a) and (f2, b) exchanged.
-    return ThreeTermRelation(rel.f2, rel.f1, rel.b, rel.a)
-
-
 def _fg(gt: Callable[[int], object], u: int, v: int, s: int, t: int):
     return gt(u - s) * gt(v - t) - gt(u - t) * gt(v - s)
 
@@ -71,11 +66,6 @@ def f_g(g: Sequence, args: tuple) -> Rational:
     u, v, s, t = args
     value = _fg(lambda i: term(g, i), u, v, s, t)
     return value if isinstance(value, Fraction) else Fraction(value)
-
-
-def _div(a, b) -> Fraction:
-    # Exact quotient; int/int would fall back to float division.
-    return Fraction(a) / b
 
 
 def _require_same_params(g: Sequence, h: Sequence) -> None:
@@ -110,8 +100,9 @@ def basis_coefficients(
             f"basis system is singular: f_g(d={d}, c={c}; b={b}, a={a}) = 0"
         )
     hc, hd = ht(n + c), ht(n + d)
-    l1 = _div(hc * gt(d - b) - hd * gt(c - b), det)
-    l2 = _div(gt(c - a) * hd - gt(d - a) * hc, det)
+    # Fraction first: int / int would give a float.
+    l1 = Fraction(hc * gt(d - b) - hd * gt(c - b)) / det
+    l2 = Fraction(gt(c - a) * hd - gt(d - a) * hc) / det
     if verify_window is not None:
         lo, hi = verify_window
         for m in range(lo, hi + 1):
@@ -124,7 +115,8 @@ def basis_coefficients(
 
 # ---------------------------------------------------------------------------
 # Outcome builders. Each returns a function binding -> None | (lhs, rhs);
-# identity_outcome binds them through the IDENTITIES table.
+# identity_outcome binds them through the IDENTITIES table. A relation
+# w0*X(n) = w1*X(n-a) + w2*Y(n-b) is the tuple w = (w0, w1, w2, a, b).
 
 
 def _bound(case: dict) -> int:
@@ -134,90 +126,95 @@ def _bound(case: dict) -> int:
     return k
 
 
+def _swap(w: tuple) -> tuple:
+    # The same relation with the roles of (w1, a) and (w2, b) exchanged.
+    w0, w1, w2, a, b = w
+    return w0, w2, w1, b, a
+
+
+def _theorem1(gt, m: int, a: int, b: int, c: int, d: int) -> tuple:
+    # The relation T = (A, B, C, m-c, m-d); Theorem 1 is T at the index n+m.
+    return _fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m - c, m - d
+
+
 def _theorem1_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
     gt, ht = term_fn(g), term_fn(h)
 
     def outcome(case: dict):
-        n, m = case["n"], case["m"]
-        a, b, c, d = case["a"], case["b"], case["c"], case["d"]
-        lhs = _fg(gt, d, c, b, a) * ht(n + m)
-        rhs = _fg(gt, d, m, b, a) * ht(n + c) + _fg(gt, c, m, a, b) * ht(n + d)
-        return lhs, rhs
+        nm = case["n"] + case["m"]
+        w0, w1, w2, a, b = _theorem1(gt, case["m"], case["a"], case["b"], case["c"], case["d"])
+        return w0 * ht(nm), w1 * ht(nm - a) + w2 * ht(nm - b)
 
     return outcome
 
 
 def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
-    gt, ht = term_fn(g), term_fn(h)
+    # Theorem 1 at (c, d) = (a, b), negated.
+    theorem1 = _theorem1_outcome(g, h)
 
     def outcome(case: dict):
-        n, m, a, b = case["n"], case["m"], case["a"], case["b"]
-        g0 = gt(0)
-        lhs = (gt(a - b) * gt(b - a) - g0 * g0) * ht(n + m)
-        rhs = (gt(b - a) * gt(m - b) - g0 * gt(m - a)) * ht(n + a) + (
-            gt(a - b) * gt(m - a) - g0 * gt(m - b)
-        ) * ht(n + b)
-        return lhs, rhs
+        lhs, rhs = theorem1({**case, "c": case["a"], "d": case["b"]})
+        return -lhs, -rhs
 
     return outcome
 
 
-# The summation theorems multiplied through by Z^k. The ordinary sums state
-#   X * sum_{j=0..k} Z^(k-j) Y^j H(n - s*k + t + s*j)
-#     = sign * (Y^(k+1) H(n) - Z^(k+1) H(n - s*(k+1))),
+# The two summation statements, without division. st is the summed sequence
+# and rt the other side. The ordinary sums state
+#   X * sum_{j=0..k} Z^(k-j) Y^j st(n - s*k + t + s*j)
+#     = sign * (Y^(k+1) rt(n) - Z^(k+1) rt(n - s*(k+1))),
 # the binomial sums
-#   sum_{j=0..k} binom(k, j) Z^(k-j) Y^j H(n + s*k + t*j) = W^k H(n).
+#   sum_{j=0..k} binom(k, j) Z^(k-j) Y^j st(n + s*k + t*j) = W^k rt(n).
 # Both sums are accumulated in Horner form over Z. The catalog's sum entries
 # call these two evaluators with their own role tables.
 
 
-def _ordinary_sum(ht, n: int, k: int, X, Y, Z, s: int, t: int, sign: int) -> tuple:
+def _ordinary_sum(st, rt, n: int, k: int, X, Y, Z, s: int, t: int, sign: int) -> tuple:
     base = n - s * k + t
     tot, y = 0, 1
     for j in range(k + 1):
-        tot = tot * Z + y * ht(base + s * j)
+        tot = tot * Z + y * st(base + s * j)
         y = y * Y
-    rhs = y * ht(n) - Z ** (k + 1) * ht(n - s * (k + 1))
+    rhs = y * rt(n) - Z ** (k + 1) * rt(n - s * (k + 1))
     return X * tot, (rhs if sign == 1 else -rhs)
 
 
-def _binomial_sum(ht, n: int, k: int, Y, Z, W, s: int, t: int) -> tuple:
+def _binomial_sum(st, rt, n: int, k: int, Y, Z, W, s: int, t: int) -> tuple:
     base = n + s * k
     tot, y = 0, 1
     for j in range(k + 1):
-        tot = tot * Z + math.comb(k, j) * y * ht(base + t * j)
+        tot = tot * Z + math.comb(k, j) * y * st(base + t * j)
         y = y * Y
-    return tot, W ** k * ht(n)
+    return tot, W ** k * rt(n)
 
 
-# The kernel's roles map (A, B, C, m, c, d) to (X, Y, Z, s, t, sign) for the
-# ordinary sums and to (Y, Z, W, s, t) for the binomial sums.
-_ORDINARY_ROLES = {
-    1: lambda A, B, C, m, c, d: (C, A, B, m - c, d - m, 1),
-    2: lambda A, B, C, m, c, d: (B, A, C, m - d, c - m, 1),
-    3: lambda A, B, C, m, c, d: (A, -B, C, c - d, m - c, -1),
+class _Lemma(NamedTuple):
+    # roles(*w) are the evaluator's arguments at the relation w, Z is the one at
+    # z_at, and anchors(n, k, a, b) are the indices where the sum applies w.
+    evaluate: Callable
+    z_at: int
+    roles: Callable
+    anchors: Callable
+
+
+_LEMMAS = {
+    "telescope": _Lemma(
+        _ordinary_sum, 2, lambda w0, w1, w2, a, b: (w2, w0, w1, a, -b, 1),
+        lambda n, k, a, b: (n - j * a for j in range(k + 1)),
+    ),
+    "mixed": _Lemma(
+        _ordinary_sum, 2, lambda w0, w1, w2, a, b: (w0, -w2, w1, a - b, b, -1),
+        lambda n, k, a, b: (n - j * (a - b) + b for j in range(k + 1)),
+    ),
+    "binomial": _Lemma(
+        _binomial_sum, 1, lambda w0, w1, w2, a, b: (w1, w2, w0, -b, b - a),
+        lambda n, k, a, b: (n - j * a - l * b for j in range(k) for l in range(k - j)),
+    ),
+    "backward": _Lemma(
+        _binomial_sum, 1, lambda w0, w1, w2, a, b: (-w0, w2, -w1, a - b, b),
+        lambda n, k, a, b: (n + (a - b) * j + l * a + a for j in range(k) for l in range(k - j)),
+    ),
 }
-
-_BINOMIAL_ROLES = {
-    1: lambda A, B, C, m, c, d: (B, C, A, d - m, c - d),
-    2: lambda A, B, C, m, c, d: (-A, C, -B, d - c, m - d),
-    3: lambda A, B, C, m, c, d: (-A, B, -C, c - d, m - c),
-}
-
-
-def _sum_outcome(evaluate, z_at: int, roles, g: Sequence, h: Sequence, rel=None) -> Callable:
-    # The theorems hypothesize Z != 0 (roles[z_at]); k = 0 needs no hypothesis.
-    gt, ht = term_fn(g), term_fn(h)
-
-    def outcome(case: dict):
-        n, m, k = case["n"], case["m"], _bound(case)
-        a, b, c, d = case["a"], case["b"], case["c"], case["d"]
-        values = roles(_fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m, c, d)
-        if k and values[z_at] == 0:
-            return None
-        return evaluate(ht, n, k, *values)
-
-    return outcome
 
 
 def _minus(shift: int) -> str:
@@ -225,73 +222,48 @@ def _minus(shift: int) -> str:
     return f"n-{shift}" if shift > 0 else f"n+{-shift}" if shift else "n"
 
 
-def _check_relation_window(xt, yt, rel: ThreeTermRelation, anchors) -> None:
+def _check_relation_window(xt, yt, w: tuple, anchors, y_name: str) -> None:
     """Every summand rewrite uses X(s) = f1*X(s-a) + f2*Y(s-b) at some anchor s;
     verify those instances up front so a wrong relation surfaces as a clear error."""
-    f1, f2, a, b = rel.f1, rel.f2, rel.a, rel.b
+    _, f1, f2, a, b = w
     for s in anchors:
         if xt(s) != f1 * xt(s - a) + f2 * yt(s - b):
             raise PreconditionError(
-                f"relation X(n) = {f1}*X({_minus(a)}) + {f2}*Y({_minus(b)}) fails at n={s}"
+                f"relation X(n) = {f1}*X({_minus(a)}) + {f2}*{y_name}({_minus(b)}) fails at n={s}"
             )
 
 
-def _lemma1_outcome(x: Sequence, y: Sequence, rel: ThreeTermRelation) -> Callable[[dict], tuple]:
-    # Telescoping sum for X(n) = f1*X(n-a) + f2*Y(n-b).
-    xt, yt = term_fn(x), term_fn(y)
-    f1, f2, a, b = rel.f1, rel.f2, rel.a, rel.b
+def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
+                   rel: ThreeTermRelation) -> Callable[[dict], tuple]:
+    # The lemma at the relation X(n) = f1*X(n-a) + f2*Y(n-b), or at its swap;
+    # it sums Y and puts X on the other side.
+    xt = term_fn(x)
+    yt, y_name = (xt, "X") if y is x else (term_fn(y), "Y")
+    w = (1, rel.f1, rel.f2, rel.a, rel.b)
+    w = _swap(w) if swapped else w
+    values = lemma.roles(*w)
 
     def outcome(case: dict):
         n, k = case["n"], _bound(case)
-        _check_relation_window(xt, yt, rel, (n - j * a for j in range(k + 1)))
-        lhs = f2 * sum(yt(n - k * a - b + a * j) / f1 ** j for j in range(k + 1))
-        rhs = xt(n) / f1 ** k - f1 * xt(n - (k + 1) * a)
-        return lhs, rhs
+        _check_relation_window(xt, yt, w, lemma.anchors(n, k, *w[3:]), y_name)
+        return lemma.evaluate(yt, xt, n, k, *values)
 
     return outcome
 
 
-def _lemma2_3_outcome(x: Sequence, rel: ThreeTermRelation) -> Callable[[dict], tuple]:
-    xt = term_fn(x)
-    f1, f2, a, b = rel.f1, rel.f2, rel.a, rel.b
-    r = -f1 / f2
+def _sum_outcome(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None) -> Callable:
+    # The lemma at T or swap(T). The theorems hypothesize Z != 0; k = 0 needs
+    # no hypothesis.
+    gt, ht = term_fn(g), term_fn(h)
+    evaluate, z_at, roles, _ = lemma
 
     def outcome(case: dict):
         n, k = case["n"], _bound(case)
-        _check_relation_window(xt, xt, rel, (n - j * (a - b) + b for j in range(k + 1)))
-        lhs = sum(xt(n - (a - b) * k + b + (a - b) * j) / r ** j for j in range(k + 1))
-        rhs = f2 * xt(n) / r ** k + f1 * xt(n - (k + 1) * (a - b))
-        return lhs, rhs
-
-    return outcome
-
-
-def _lemma3_1_outcome(x: Sequence, rel: ThreeTermRelation) -> Callable[[dict], tuple]:
-    xt = term_fn(x)
-    f1, f2, a, b = rel.f1, rel.f2, rel.a, rel.b
-    r = f1 / f2
-
-    def outcome(case: dict):
-        n, k = case["n"], _bound(case)
-        # Indices where the relation gets substituted while expanding k times.
-        anchors = (n - j * a - l * b for j in range(k) for l in range(k - j))
-        _check_relation_window(xt, xt, rel, anchors)
-        lhs = sum(math.comb(k, j) * r ** j * xt(n - b * k + (b - a) * j) for j in range(k + 1))
-        return lhs, xt(n) / f2 ** k
-
-    return outcome
-
-
-def _lemma3_2_outcome(x: Sequence, rel: ThreeTermRelation) -> Callable[[dict], tuple]:
-    xt = term_fn(x)
-    f1, f2, a, b = rel.f1, rel.f2, rel.a, rel.b
-
-    def outcome(case: dict):
-        n, k = case["n"], _bound(case)
-        anchors = (n + (a - b) * j + l * a + a for j in range(k) for l in range(k - j))
-        _check_relation_window(xt, xt, rel, anchors)
-        lhs = sum(math.comb(k, j) * xt(n + (a - b) * k + b * j) / (-f2) ** j for j in range(k + 1))
-        return lhs, (-f1 / f2) ** k * xt(n)
+        w = _theorem1(gt, case["m"], case["a"], case["b"], case["c"], case["d"])
+        values = roles(*(_swap(w) if swapped else w))
+        if k and values[z_at] == 0:
+            return None
+        return evaluate(ht, ht, n, k, *values)
 
     return outcome
 
@@ -316,8 +288,15 @@ _SUM_VARS = ("a", "b", "c", "d", "k", "m", "n")
 _SUM_GRID = "a=-1..2,b=-1..2,c=-1..2,d=-1..2,k=0..5,m=-2..2,n=-2..2"
 
 
-def _lemma(build: Callable, takes_companion: bool = False) -> IdentitySpec:
+def _lemma(row: str, swapped: bool = False, takes_companion: bool = False) -> IdentitySpec:
+    def build(x, y, rel):
+        return _lemma_outcome(_LEMMAS[row], swapped, x, y if takes_companion else x, rel)
+
     return IdentitySpec(("k", "n"), "k=0..6,n=-5..5", True, build, takes_companion)
+
+
+def _sum(row: str, swapped: bool = False) -> IdentitySpec:
+    return IdentitySpec(_SUM_VARS, _SUM_GRID, False, partial(_sum_outcome, _LEMMAS[row], swapped))
 
 
 IDENTITIES = {
@@ -327,23 +306,19 @@ IDENTITIES = {
     "corollary": IdentitySpec(
         ("a", "b", "m", "n"), "a=-3..3,b=-3..3,m=-4..4,n=-4..4", False, _corollary_outcome
     ),
-    "lemma1": _lemma(_lemma1_outcome, takes_companion=True),
-    "lemma2:1": _lemma(lambda x, y, rel: _lemma1_outcome(x, x, rel)),
-    "lemma2:2": _lemma(lambda x, y, rel: _lemma1_outcome(x, x, _swap(rel))),
-    "lemma2:3": _lemma(lambda x, y, rel: _lemma2_3_outcome(x, rel)),
-    "lemma3:1": _lemma(lambda x, y, rel: _lemma3_1_outcome(x, rel)),
-    "lemma3:2": _lemma(lambda x, y, rel: _lemma3_2_outcome(x, rel)),
-    "lemma3:3": _lemma(lambda x, y, rel: _lemma3_2_outcome(x, _swap(rel))),
-    **{
-        f"sum-{kind}:{v}": IdentitySpec(
-            _SUM_VARS, _SUM_GRID, False, partial(_sum_outcome, evaluate, z_at, roles)
-        )
-        for kind, evaluate, z_at, table in (
-            ("ordinary", _ordinary_sum, 2, _ORDINARY_ROLES),
-            ("binomial", _binomial_sum, 1, _BINOMIAL_ROLES),
-        )
-        for v, roles in table.items()
-    },
+    "lemma1": _lemma("telescope", takes_companion=True),
+    "lemma2:1": _lemma("telescope"),
+    "lemma2:2": _lemma("telescope", swapped=True),
+    "lemma2:3": _lemma("mixed"),
+    "lemma3:1": _lemma("binomial"),
+    "lemma3:2": _lemma("backward"),
+    "lemma3:3": _lemma("backward", swapped=True),
+    "sum-ordinary:1": _sum("telescope"),
+    "sum-ordinary:2": _sum("telescope", swapped=True),
+    "sum-ordinary:3": _sum("mixed", swapped=True),
+    "sum-binomial:1": _sum("binomial"),
+    "sum-binomial:2": _sum("backward"),
+    "sum-binomial:3": _sum("backward", swapped=True),
 }
 
 IDENTITY_NAMES = tuple(sorted(IDENTITIES))

@@ -152,6 +152,17 @@ class TestVerify:
         assert (code, out) == (2, "")
         assert err == f"error: relation X(n) = {shown} fails at n=0 (case k=1;n=0)\n"
 
+    @pytest.mark.parametrize(
+        "identity, shown", [("lemma2:3", "2*X(n-1) + 1*X(n-2)"), ("lemma3:3", "1*X(n-2) + 2*X(n-1)")]
+    )
+    def test_failed_single_sequence_relation_names_only_x(self, capsys, identity, shown):
+        code, out, err = run(
+            capsys, "verify", "--identity", identity, "--seq", "fibonacci", "--f1", "2",
+            "--grid", "n=0,k=1",
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: relation X(n) = {shown} fails at n=2 (case k=1;n=0)\n"
+
     def test_negative_fractions_as_separate_words(self, capsys):
         # F(n) = -1/3*F(n+3) - 3/2*H(n+1) with H = -4/9*L
         grid = ["--rel-a", "-3", "--rel-b", "-1", "--grid", "k=0..4,n=-3..3"]

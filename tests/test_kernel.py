@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horadam import (
@@ -157,8 +157,23 @@ class TestTheorem1:
 
 
 class TestCorollary:
+    @pytest.mark.parametrize("pair", ["fibonacci/lucas", "random"])
+    def test_matches_literal_transcription(self, pair, rng):
+        # the corollary's own statement, on oracle values
+        g, h = random_pair(rng) if pair == "random" else (F, L)
+        gt, ht = _oracle(g), _oracle(h)
+        corollary = identity_outcome("corollary", g, h)
+        g0 = gt(0)
+        for n, m, a, b in itertools.product(range(-2, 3), repeat=4):
+            literal_lhs = (gt(a - b) * gt(b - a) - g0 * g0) * ht(n + m)
+            literal_rhs = (gt(b - a) * gt(m - b) - g0 * gt(m - a)) * ht(n + a) + (
+                gt(a - b) * gt(m - a) - g0 * gt(m - b)
+            ) * ht(n + b)
+            assert corollary({"n": n, "m": m, "a": a, "b": b}) == (literal_lhs, literal_rhs)
+
     def test_equals_negated_theorem1_at_collapsed_shifts(self, rng):
-        # second route: the corollary is -1 times the general relation at (c,d)=(a,b)
+        # the kernel evaluates the corollary this way, so this restates the
+        # code; the literal transcription above is the independent check
         g, h = random_pair(rng)
         theorem = identity_outcome("theorem1", g, h)
         corollary = identity_outcome("corollary", g, h)
@@ -201,7 +216,8 @@ class TestLemma1:
                     yt(n - k * a - b + a * j) / f1 ** j for j in range(k + 1)
                 )
                 literal_rhs = xt(n) / f1 ** k - f1 * xt(n - (k + 1) * a)
-                assert (lhs, rhs) == (literal_lhs, literal_rhs)
+                # the kernel states the lemma multiplied through by f1^k
+                assert (lhs, rhs) == (literal_lhs * f1 ** k, literal_rhs * f1 ** k)
                 assert lhs == rhs
 
     def test_two_sequence_form(self):
@@ -258,7 +274,7 @@ class TestLemma2:
                     xt(n - step * k + b + step * j) / r ** j for j in range(k + 1)
                 )
                 literal_rhs = f2 * xt(n) / r ** k + f1 * xt(n - (k + 1) * step)
-                assert (lhs, rhs) == (literal_lhs, literal_rhs)
+                assert (lhs, rhs) == (literal_lhs * f1 ** k, literal_rhs * f1 ** k)
 
 
 class TestLemma3:
@@ -286,11 +302,42 @@ class TestLemma3:
                     for j in range(k + 1)
                 )
                 literal_rhs = xt(n) / Fraction(f2) ** k
-                assert (lhs, rhs) == (literal_lhs, literal_rhs)
+                assert (lhs, rhs) == (literal_lhs * f2 ** k, literal_rhs * f2 ** k)
 
     def test_wrong_relation_rejected(self):
         with pytest.raises(PreconditionError):
             check_identity("lemma3:1", F, F, {"n": 0, "k": 2}, ThreeTermRelation(1, 3, 1, 2))
+
+
+_LEMMA_NAMES = ("lemma1", "lemma2:1", "lemma2:2", "lemma2:3", "lemma3:1", "lemma3:2", "lemma3:3")
+small_rational = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+class TestLemmasAtPowerRelations:
+    """Every sequence X of the recurrence (p, q) satisfies
+    X(n) = V(a)*X(n-a) - (-q)^a*X(n-2a), where V is the Lucas-type sequence
+    with V(0) = 2, V(1) = p; each lemma must hold at that relation for every a
+    and must reject the relation once one weight is perturbed."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        p=small_rational, q=small_rational.filter(bool), a=st.integers(1, 3),
+        x0=small_rational, x1=small_rational,
+    )
+    def test_lemmas_hold_and_reject_a_perturbed_weight(self, p, q, a, x0, x1):
+        assume(x0 or x1)
+        v = term_iterative_oracle(make_sequence(p, q, 2, p), a)
+        assume(v != 0)
+        x = make_sequence(p, q, x0, x1)
+        y = make_sequence(p, q, x0, x1)  # a second object, which lemma1 reads as Y
+        grid = make_grid({"k": (0, 3), "n": (-2, 2)})
+        rel = ThreeTermRelation(v, -((-q) ** a), a, 2 * a)
+        perturbed = ThreeTermRelation(v, 2 * rel.f2, a, 2 * a)
+        for name in _LEMMA_NAMES:
+            report = verify_identity_grid(name, x, y, grid, rel)
+            assert report.holds and report.cases_checked == 20, name
+            with pytest.raises(PreconditionError):
+                verify_identity_grid(name, x, y, grid, perturbed)
 
 
 class TestSumOrdinary:
@@ -421,6 +468,14 @@ class TestSkippedCasesBalance:
     paper's statements divide by Z; the division-free statements it evaluates
     must balance there too, so a route that never skips can check them."""
 
+    # Each sum is a lemma row at Theorem 1's relation T = (A, B, C, m-c, m-d)
+    # or at swap(T) = (A, C, B, m-d, m-c).
+    SUMS = {
+        "sum-ordinary:1": ("telescope", False), "sum-ordinary:2": ("telescope", True),
+        "sum-ordinary:3": ("mixed", True), "sum-binomial:1": ("binomial", False),
+        "sum-binomial:2": ("backward", False), "sum-binomial:3": ("backward", True),
+    }
+
     @pytest.mark.parametrize("pair", ["fibonacci/lucas", "jacobsthal/jacobsthal-lucas", "random"])
     def test_division_free_sums_hold_where_z_vanishes(self, pair, rng):
         if pair == "random":
@@ -428,30 +483,23 @@ class TestSkippedCasesBalance:
         else:
             g, h = (get_named(name) for name in pair.split("/"))
         gt, ht = _oracle(g), _oracle(h)
-        statements = [
-            (f"sum-{kind}:{v}", evaluate, z_at, roles)
-            for kind, evaluate, z_at, table in (
-                ("ordinary", kernel._ordinary_sum, 2, kernel._ORDINARY_ROLES),
-                ("binomial", kernel._binomial_sum, 1, kernel._BINOMIAL_ROLES),
-            )
-            for v, roles in table.items()
-        ]
-        outcomes = {name: identity_outcome(name, g, h) for name, *_ in statements}
+        outcomes = {name: identity_outcome(name, g, h) for name in self.SUMS}
         balanced = dict.fromkeys(outcomes, 0)
         for a, b, c, d, m in itertools.product(range(-1, 3), repeat=5):
-            kernel_values = (
+            A, B, C = (
                 _fg_literal(gt, d, c, b, a), _fg_literal(gt, d, m, b, a),
-                _fg_literal(gt, c, m, a, b), m, c, d,
+                _fg_literal(gt, c, m, a, b),
             )
-            for name, evaluate, z_at, roles in statements:
-                values = roles(*kernel_values)
-                if values[z_at] != 0:
+            for name, (row, swapped) in self.SUMS.items():
+                lemma = kernel._LEMMAS[row]
+                values = lemma.roles(*((A, C, B, m - d, m - c) if swapped else (A, B, C, m - c, m - d)))
+                if values[lemma.z_at] != 0:
                     continue
                 for k in (1, 2, 3):
                     for n in (-1, 0, 1):
                         case = dict(n=n, m=m, a=a, b=b, c=c, d=d, k=k)
                         assert outcomes[name](case) is None, (name, case)
-                        lhs, rhs = evaluate(ht, n, k, *values)
+                        lhs, rhs = lemma.evaluate(ht, ht, n, k, *values)
                         assert lhs == rhs, (name, case)
                         balanced[name] += 1
         assert min(balanced.values()) > 0, balanced
