@@ -20,11 +20,12 @@ from __future__ import annotations
 import difflib
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple, Optional
 
 from .errors import UsageError
 from .grid import parse_grid
-from .kernel import _binomial_sum, _bound, _ordinary_sum
+from .kernel import _MEMO_SIZE, _binomial_sum, _bound, _ordinary_sum, _scaled_row, _whole
 from .report import VerificationReport, run_grid
 from .scalar import m1
 from .sequences import get_named, make_sequence, term_fn
@@ -45,9 +46,8 @@ def _pow_of(x: Fraction):
 
 
 # ---------------------------------------------------------------------------
-# Native checkers. Each builder takes the term accessors for the base (gt)
-# and companion (ht) sequences plus the family q, and returns a function
-# binding -> (lhs, rhs).
+# Native checkers. Each builder takes the base sequence g and the companion
+# h, and returns a function binding -> (lhs, rhs).
 
 
 def _t_master(*substitutions):
@@ -56,8 +56,9 @@ def _t_master(*substitutions):
     at each (n, m, a, b) that a substitution maps the binding to; the first
     unbalanced pair is returned, or else the first pair."""
 
-    def build(gt, ht, q):
-        sp = _pow_of(-q)
+    def build(g, h):
+        gt, sp = term_fn(g), _pow_of(-g.params.q)
+        ht = gt if h is g else term_fn(h)
 
         def oc(case):
             first = None
@@ -95,14 +96,17 @@ _BINOMIAL_ROLES = {
 
 
 def _t_sum(evaluate, roles):
-    def build(gt, ht, q):
-        qp = _pow_of(q)
+    def build(g, h):
+        gt, ht, qp, whole = term_fn(g), term_fn(h), _pow_of(g.params.q), _whole(h)
+
+        @lru_cache(maxsize=_MEMO_SIZE)
+        def row(a: int, b: int, m: int) -> tuple:
+            values = roles(gt(a - b), gt(m - a), gt(m - b), qp(a - b), m1(a + b), a, b, m)
+            return _scaled_row(values, whole)
 
         def oc(case):
             n, k = case["n"], _bound(case)
-            a, b, m = case["a"], case["b"], case["m"]
-            values = roles(gt(a - b), gt(m - a), gt(m - b), qp(a - b), m1(a + b), a, b, m)
-            return evaluate(ht, ht, n, k, *values)
+            return evaluate(ht, ht, n, k, *row(case["a"], case["b"], case["m"]))
 
         return oc
 
@@ -250,17 +254,12 @@ class CatalogEntry:
     def make_outcome(self, h0=None, h1=None) -> Callable[[dict], tuple]:
         """Bind the checker to concrete sequences (fresh term caches)."""
         base = get_named(self.family)
-        gt = term_fn(base)
+        companion = base if self.companion is None else get_named(self.companion)
         if self.generalized:
             companion = make_sequence(
                 base.params.p, base.params.q, 0 if h0 is None else h0, 1 if h1 is None else h1
             )
-            ht = term_fn(companion)
-        elif self.companion is not None:
-            ht = term_fn(get_named(self.companion))
-        else:
-            ht = gt
-        return self.builder(gt, ht, base.params.q)
+        return self.builder(base, companion)
 
 
 _FAMILIES = {

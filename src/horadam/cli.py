@@ -265,14 +265,21 @@ def cmd_verify(args) -> int:
         raise UsageError(f"--h/--h0/--h1 do not apply to {args.identity}, which reads one sequence")
     h = _resolve_companion(args, g)
     rel = None
+    flags = (args.f1, args.f2, args.rel_a, args.rel_b)
     if spec.takes_relation:
+        if (h.params, h.g0, h.g1) != (g.params, g.g0, g.g1) and all(v is None for v in flags):
+            raise UsageError(
+                f"{args.identity} with a companion Y needs its relation from --f1, --f2,"
+                " --rel-a and --rel-b: the default X(n) = p*X(n-1) + q*Y(n-2) holds only"
+                " when Y is X"
+            )
         rel = ThreeTermRelation(
             g.params.p if args.f1 is None else args.f1,
             g.params.q if args.f2 is None else args.f2,
             1 if args.rel_a is None else args.rel_a,
             2 if args.rel_b is None else args.rel_b,
         )
-    elif any(v is not None for v in (args.f1, args.f2, args.rel_a, args.rel_b)):
+    elif any(v is not None for v in flags):
         raise UsageError("--f1/--f2/--rel-a/--rel-b apply only to lemma identities")
     grid = parse_grid(args.grid if args.grid is not None else spec.default_grid)
     report = verify_identity_grid(args.identity, g, h, grid, rel=rel)

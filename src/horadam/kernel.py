@@ -11,11 +11,12 @@ four lemma statements are the rows of one table; each lemma and each
 summation theorem is one row at the user's relation, at T, or at either
 with its two terms swapped. IDENTITIES holds one entry per identity.
 
-Every outcome evaluates both sides exactly and nothing divides: each row is
-stated multiplied through by Z^k, where Z is the weight the paper divides
-by, and one ordinary and one binomial evaluator serve the rows and the
-catalog's sum entries. A summation case with k >= 1 and Z = 0 is skipped
-(rather than failed), since the theorems hypothesize Z nonzero.
+Every outcome evaluates both sides exactly and no statement divides: each
+row is stated multiplied through by Z^k, where Z is the weight the paper
+divides by. One ordinary and one binomial evaluator, over the integers with
+one division per side, serve the rows and the catalog's sums. A summation
+case with k >= 1 and Z = 0 is skipped (rather than failed), since the
+theorems hypothesize Z nonzero.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
@@ -132,6 +133,10 @@ def _swap(w: tuple) -> tuple:
     return w0, w2, w1, b, a
 
 
+# Outcomes memoize each relation (a sweep meets it once per n and k) in this much space.
+_MEMO_SIZE = 256
+
+
 def _theorem1(gt, m: int, a: int, b: int, c: int, d: int) -> tuple:
     # The relation T = (A, B, C, m-c, m-d); Theorem 1 is T at the index n+m.
     return _fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m - c, m - d
@@ -139,10 +144,11 @@ def _theorem1(gt, m: int, a: int, b: int, c: int, d: int) -> tuple:
 
 def _theorem1_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
     gt, ht = term_fn(g), term_fn(h)
+    relation = lru_cache(maxsize=_MEMO_SIZE)(partial(_theorem1, gt))
 
     def outcome(case: dict):
         nm = case["n"] + case["m"]
-        w0, w1, w2, a, b = _theorem1(gt, case["m"], case["a"], case["b"], case["c"], case["d"])
+        w0, w1, w2, a, b = relation(case["m"], case["a"], case["b"], case["c"], case["d"])
         return w0 * ht(nm), w1 * ht(nm - a) + w2 * ht(nm - b)
 
     return outcome
@@ -165,27 +171,57 @@ def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], t
 #     = sign * (Y^(k+1) rt(n) - Z^(k+1) rt(n - s*(k+1))),
 # the binomial sums
 #   sum_{j=0..k} binom(k, j) Z^(k-j) Y^j st(n + s*k + t*j) = W^k rt(n).
-# Both sums are accumulated in Horner form over Z. The catalog's sum entries
-# call these two evaluators with their own role tables.
+# Both are homogeneous in the weights and linear in the terms, so they run on integers
+# over the weights' lcm denominator c and the terms' d (1 if whole): one division a side.
 
 
-def _ordinary_sum(st, rt, n: int, k: int, X, Y, Z, s: int, t: int, sign: int) -> tuple:
-    base = n - s * k + t
+def _whole(s: Sequence) -> bool:
+    """Every term is an integer: q = +-1 and p, G(0) and G(1) are integers."""
+    return abs(s.params.q) == 1 == s.params.p.denominator == s.g0.denominator == s.g1.denominator
+
+
+def _over(values) -> tuple:
+    """(d, ints): d is the lcm of the values' denominators, ints the values times d."""
+    if {*map(type, values)} == {int}:
+        return 1, values
+    d = math.lcm(*[v.denominator for v in values])
+    return d, [v.numerator * (d // v.denominator) for v in values]
+
+
+def _scaled_row(values: tuple, whole: bool) -> tuple:
+    """Evaluator arguments (three weights, shifts) as integer weights, shifts, c, whole."""
+    c, weights = _over(values[:3])
+    return (*weights, *values[3:], c, whole)
+
+
+def _sides(lhs: int, rhs: int, scale: int) -> tuple:
+    return Fraction(lhs, scale), Fraction(rhs, scale)
+
+
+def _ordinary_sum(st, rt, n: int, k: int, X, Y, Z, s: int, t: int, sign: int, c: int,
+                  whole: bool) -> tuple:
+    base, ends, d = n - s * k + t, (rt(n), rt(n - s * (k + 1))), 1
+    if not whole:
+        d, h = _over([st(base + s * j) for j in range(k + 1)] + [*ends])
+        st, base, s, ends = h.__getitem__, 0, 1, h[-2:]  # the cleared terms, by position
     tot, y = 0, 1
     for j in range(k + 1):
         tot = tot * Z + y * st(base + s * j)
         y = y * Y
-    rhs = y * rt(n) - Z ** (k + 1) * rt(n - s * (k + 1))
-    return X * tot, (rhs if sign == 1 else -rhs)
+    lhs, rhs = X * tot, sign * (y * ends[0] - Z ** (k + 1) * ends[1])
+    return (lhs, rhs) if c == d == 1 else _sides(lhs, rhs, c ** (k + 1) * d)
 
 
-def _binomial_sum(st, rt, n: int, k: int, Y, Z, W, s: int, t: int) -> tuple:
-    base = n + s * k
+def _binomial_sum(st, rt, n: int, k: int, Y, Z, W, s: int, t: int, c: int, whole: bool) -> tuple:
+    base, end, d = n + s * k, rt(n), 1
+    if not whole:
+        d, h = _over([st(base + t * j) for j in range(k + 1)] + [end])
+        st, base, t, end = h.__getitem__, 0, 1, h[-1]  # the cleared terms, by position
     tot, y = 0, 1
     for j in range(k + 1):
         tot = tot * Z + math.comb(k, j) * y * st(base + t * j)
         y = y * Y
-    return tot, W ** k * rt(n)
+    return (tot, W ** k * end) if c == d == 1 else _sides(tot, W ** k * end, c ** k * d)
 
 
 class _Lemma(NamedTuple):
@@ -241,7 +277,7 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
     yt, y_name = (xt, "X") if y is x else (term_fn(y), "Y")
     w = (1, rel.f1, rel.f2, rel.a, rel.b)
     w = _swap(w) if swapped else w
-    values = lemma.roles(*w)
+    values = _scaled_row(lemma.roles(*w), _whole(x) and _whole(y))
 
     def outcome(case: dict):
         n, k = case["n"], _bound(case)
@@ -254,13 +290,17 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
 def _sum_outcome(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None) -> Callable:
     # The lemma at T or swap(T). The theorems hypothesize Z != 0; k = 0 needs
     # no hypothesis.
-    gt, ht = term_fn(g), term_fn(h)
+    gt, ht, whole = term_fn(g), term_fn(h), _whole(h)
     evaluate, z_at, roles, _ = lemma
+
+    @lru_cache(maxsize=_MEMO_SIZE)
+    def row(m: int, a: int, b: int, c: int, d: int) -> tuple:
+        w = _theorem1(gt, m, a, b, c, d)
+        return _scaled_row(roles(*(_swap(w) if swapped else w)), whole)
 
     def outcome(case: dict):
         n, k = case["n"], _bound(case)
-        w = _theorem1(gt, case["m"], case["a"], case["b"], case["c"], case["d"])
-        values = roles(*(_swap(w) if swapped else w))
+        values = row(case["m"], case["a"], case["b"], case["c"], case["d"])
         if k and values[z_at] == 0:
             return None
         return evaluate(ht, ht, n, k, *values)

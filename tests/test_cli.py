@@ -177,6 +177,21 @@ class TestVerify:
         assert split == joined and split[0] == 0
         assert json.loads(split[1])["counterexamples"] == []
 
+    @pytest.mark.parametrize("companion", [("--h", "lucas"), ("--h0", "2", "--h1", "1")])
+    def test_companion_without_relation_refused_up_front(self, capsys, companion):
+        code, out, err = run(
+            capsys, "verify", "--identity", "lemma1", "--seq", "fibonacci", *companion,
+        )
+        assert (code, out) == (2, "")
+        assert "fails at" not in err
+        assert all(flag in err for flag in ("--f1", "--f2", "--rel-a", "--rel-b"))
+
+    def test_companion_equal_to_base_keeps_default_relation(self, capsys):
+        code, out, _ = run(
+            capsys, "verify", "--identity", "lemma1", "--seq", "fibonacci", "--h", "fibonacci",
+        )
+        assert code == 0 and json.loads(out)["counterexamples"] == []
+
     def test_relation_flags_on_non_lemma_fail(self, capsys):
         code, _, err = run(
             capsys, "verify", "--identity", "theorem1", "--seq", "fibonacci",

@@ -27,6 +27,8 @@ from horadam import (
     identity_variables,
     make_grid,
     make_sequence,
+    run_grid,
+    term_fn,
     term_iterative_oracle,
     verify_identity_grid,
 )
@@ -499,10 +501,117 @@ class TestSkippedCasesBalance:
                     for n in (-1, 0, 1):
                         case = dict(n=n, m=m, a=a, b=b, c=c, d=d, k=k)
                         assert outcomes[name](case) is None, (name, case)
-                        lhs, rhs = lemma.evaluate(ht, ht, n, k, *values)
+                        row = kernel._scaled_row(values, False)
+                        lhs, rhs = lemma.evaluate(ht, ht, n, k, *row)
                         assert lhs == rhs, (name, case)
                         balanced[name] += 1
         assert min(balanced.values()) > 0, balanced
+
+
+# The Fraction Horner evaluators the integer ones replaced, kept as references:
+# the same statements, with every product normalized as it is formed.
+
+
+def _ordinary_sum_reference(st, rt, n, k, X, Y, Z, s, t, sign):
+    base = n - s * k + t
+    tot, y = 0, 1
+    for j in range(k + 1):
+        tot = tot * Z + y * st(base + s * j)
+        y = y * Y
+    rhs = y * rt(n) - Z ** (k + 1) * rt(n - s * (k + 1))
+    return X * tot, (rhs if sign == 1 else -rhs)
+
+
+def _binomial_sum_reference(st, rt, n, k, Y, Z, W, s, t):
+    base = n + s * k
+    tot, y = 0, 1
+    for j in range(k + 1):
+        tot = tot * Z + math.comb(k, j) * y * st(base + t * j)
+        y = y * Y
+    return tot, W ** k * rt(n)
+
+
+small_rational = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+nonzero_rational = small_rational.filter(lambda x: x != 0)
+weight = st.one_of(st.integers(-6, 6), small_rational)
+
+
+@st.composite
+def term_accessors(draw):
+    """(accessor, integral): term_fn of an integer sequence (integer p, g0, g1
+    and q = +-1) or of a random rational one."""
+    if draw(st.booleans()):
+        p, q = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1)))
+        g0, g1 = draw(st.integers(-5, 5)), draw(st.integers(1, 5))
+        return term_fn(make_sequence(p, q, g0, g1)), True
+    p, q = draw(small_rational), draw(nonzero_rational)
+    g0, g1 = draw(small_rational), draw(nonzero_rational)
+    return term_fn(make_sequence(p, q, g0, g1)), False
+
+
+class TestIntegerSumEvaluators:
+    """The integer evaluators against the Fraction references: equal pairs, and
+    ints whenever the weights are ints and the sequences whole. Whole
+    sequences are also run through the clearing path (whole=False)."""
+
+    @given(
+        st_=term_accessors(), rt_=term_accessors(), weights=st.tuples(weight, weight, weight),
+        k=st.integers(0, 6), n=idx, s=st.integers(-3, 3), t=st.integers(-3, 3),
+        sign=st.sampled_from((1, -1)), clear=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_ordinary(self, st_, rt_, weights, k, n, s, t, sign, clear):
+        (sf, s_int), (rf, r_int) = st_, rt_
+        row = kernel._scaled_row((*weights, s, t, sign), s_int and r_int and not clear)
+        got = kernel._ordinary_sum(sf, rf, n, k, *row)
+        assert got == _ordinary_sum_reference(sf, rf, n, k, *weights, s, t, sign)
+        if s_int and r_int and all(type(w) is int for w in weights):
+            assert all(type(side) is int for side in got)
+
+    @given(
+        st_=term_accessors(), rt_=term_accessors(), weights=st.tuples(weight, weight, weight),
+        k=st.integers(0, 6), n=idx, s=st.integers(-3, 3), t=st.integers(-3, 3),
+        clear=st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_binomial(self, st_, rt_, weights, k, n, s, t, clear):
+        (sf, s_int), (rf, r_int) = st_, rt_
+        row = kernel._scaled_row((*weights, s, t), s_int and r_int and not clear)
+        got = kernel._binomial_sum(sf, rf, n, k, *row)
+        assert got == _binomial_sum_reference(sf, rf, n, k, *weights, s, t)
+        if s_int and r_int and all(type(w) is int for w in weights):
+            assert all(type(side) is int for side in got)
+
+
+class TestRelationMemo:
+    """Outcomes memoize Theorem 1's relation per (a, b, c, d, m) in a bounded
+    cache; reusing one closure must give what a fresh closure gives."""
+
+    NAMES = ("theorem1",) + tuple(name for name in IDENTITY_NAMES if name.startswith("sum-"))
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_reused_closure_in_shuffled_order_matches_fresh_ones(self, name, rng):
+        g, h = random_pair(rng)
+        ranges = {v: (-1, 1) for v in identity_variables(name)}
+        if "k" in ranges:
+            ranges.update(k=(0, 2), n=(0, 0))
+        cases = list(make_grid(ranges).cases())
+        rng.shuffle(cases)
+        reused = identity_outcome(name, g, h)
+        for case in cases:
+            assert reused(case) == identity_outcome(name, g, h)(case), case
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_grid_wider_than_the_memo(self, name):
+        # 7^4 distinct (a, b, c, d, m), more than the memo holds.
+        ranges = {v: (-3, 3) for v in "abcd"}
+        ranges.update(m=(0, 0), n=(0, 0))
+        if name != "theorem1":
+            ranges.update(k=(0, 1))
+        assert 7 ** 4 > kernel._MEMO_SIZE
+        grid = make_grid(ranges)
+        fresh = run_grid(name, grid, lambda case: identity_outcome(name, F, L)(case))
+        assert verify_identity_grid(name, F, L, grid) == fresh
 
 
 class TestIdentityDispatch:
