@@ -15,8 +15,8 @@ Grammar (whitespace insensitive; '#' is not a comment character):
 
 INT is a non-negative digit run; IDENT is a letter/underscore word. An IDENT
 directly followed by "[" is a sequence name, resolved against the registry
-when the identity is compiled, before any case runs; otherwise it is a free
-integer variable. "binom" and "sum" are reserved. Exponents and index
+when the compiled identity is bound to it, before any case runs; otherwise it
+is a free integer variable. "binom" and "sum" are reserved. Exponents and index
 expressions always evaluate to integers; exponents may be negative when the
 base is nonzero. There is no division operator, so evaluation is total apart
 from 0^(negative).
@@ -30,7 +30,9 @@ is long) are capped at MAX_DEPTH, below the interpreter's recursion limit.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, Optional
 
@@ -465,9 +467,18 @@ def pretty_print(node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation.
+# Evaluation. A pair of sides compiles once, into the text of one Python
+# function of the binding dict; the code object is cached per syntax tree.
+# The text holds only int literals, repr'd variable names and the emitter's
+# own slot names: a sequence is a slot _tK filled when the code is bound to a
+# registry, a sum's variable is the parameter _vK of its body's lambda.
+# Python's left-to-right evaluation keeps left operands before right ones and
+# a base before its exponent, so the first error raised is the same as a
+# tree walk's.
 
-_MISSING = object()
+_CODE_CACHE_SIZE = 256
+_WHAT = ("sequence index", "exponent", "sum lower bound", "sum upper bound", "binom argument")
+_MINUS_ONE = Neg(IntLit(1))
 
 
 def default_registry() -> dict:
@@ -475,110 +486,114 @@ def default_registry() -> dict:
     return {alias: get_named(alias) for alias in NAME_ALIASES}
 
 
-def _as_int(value, what: str) -> int:
+def _index(value, what: int) -> int:
+    """value as an int; what indexes _WHAT, naming the value in the error."""
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
-    raise EvalError(f"{what} did not evaluate to an integer: {value}")
+    raise EvalError(f"{_WHAT[what]} did not evaluate to an integer: {value}")
 
 
-def _compile(node, registry: Mapping[str, Sequence], terms: dict):
-    """Turn a validated syntax tree into one function of the binding dict,
-    evaluating left operands first. terms maps each sequence name to its
-    term_fn for one sweep; an unknown name fails here, before any case runs."""
-    t = type(node)
-    if t is IntLit:
-        value = node.value
-        return lambda b: value
-    if t is Var:
-        name = node.name
+def _power(x, e):
+    if type(e) is not int:
+        e = _index(e, 1)
+    if e >= 0:
+        return x ** e
+    if x == 0:
+        raise EvalError("zero raised to a negative power")
+    if x == 1 or x == -1:
+        return x if e % 2 else 1
+    return Fraction(x) ** e
 
-        def var(b):
-            try:
-                return b[name]
-            except KeyError:
-                raise EvalError(f"unbound variable {name!r}") from None
 
-        return var
-    if t is Neg:
-        operand = _compile(node.operand, registry, terms)
-        return lambda b: -operand(b)
-    if t is Add or t is Sub or t is Mul:
-        # a literal operand is closed over as a constant, not called
-        f = _compile(node.left, registry, terms)
-        g = _compile(node.right, registry, terms)
-        if type(node.right) is IntLit:
-            c = node.right.value
-            return {Add: lambda b: f(b) + c, Sub: lambda b: f(b) - c, Mul: lambda b: f(b) * c}[t]
-        if type(node.left) is IntLit:
-            c = node.left.value
-            return {Add: lambda b: c + g(b), Sub: lambda b: c - g(b), Mul: lambda b: c * g(b)}[t]
-        return {Add: lambda b: f(b) + g(b), Sub: lambda b: f(b) - g(b), Mul: lambda b: f(b) * g(b)}[t]
-    if t is SeqTerm:
-        fn = terms.get(node.seq)
-        if fn is None:
-            seq = registry.get(node.seq)
-            if seq is None:
-                raise EvalError(f"unknown sequence name {node.seq!r}")
-            fn = terms[node.seq] = term_fn(seq)
-        index = _compile(node.index, registry, terms)
+def _sum(body, lo: int, hi: int):
+    return sum(map(body, range(lo, hi + 1)), 0)
 
-        def seq_term(b):
-            i = index(b)
-            return fn(i if type(i) is int else _as_int(i, "sequence index"))
 
-        return seq_term
-    if t is Pow:
-        base = _compile(node.base, registry, terms)
-        exponent = _compile(node.exponent, registry, terms)
+def _unbound(exc: KeyError) -> EvalError:
+    return EvalError(f"unbound variable {exc.args[0]!r}")
 
-        def power(b):
-            x, e = base(b), exponent(b)
-            if type(e) is not int:
-                e = _as_int(e, "exponent")
-            if e >= 0:
-                return x ** e
-            if x == 0:
-                raise EvalError("zero raised to a negative power")
-            if x == 1 or x == -1:
-                return x if e % 2 else 1
-            return Fraction(x) ** e
 
-        return power
-    if t is Sum:
-        var_name = node.var
-        lo_fn, hi_fn = _compile(node.lo, registry, terms), _compile(node.hi, registry, terms)
-        body = _compile(node.body, registry, terms)
+_HELPERS = {
+    "__builtins__": {}, "KeyError": KeyError, "type": type, "int": int,
+    "_index": _index, "_power": _power, "_sum": _sum, "_binom": binom, "_unbound": _unbound,
+}
 
-        def total(b):
-            lo = _as_int(lo_fn(b), "sum lower bound")
-            hi = _as_int(hi_fn(b), "sum upper bound")
-            acc, saved = 0, b.get(var_name, _MISSING)
-            try:
-                for value in range(lo, hi + 1):
-                    b[var_name] = value
-                    acc = acc + body(b)
-            finally:
-                if saved is _MISSING:
-                    b.pop(var_name, None)
-                else:
-                    b[var_name] = saved
-            return acc
 
-        return total
-    if t is Binom:
-        first = _compile(node.first, registry, terms)
-        second = _compile(node.second, registry, terms)
-        return lambda b: binom(
-            _as_int(first(b), "binom argument"), _as_int(second(b), "binom argument")
-        )
-    raise TypeError(f"not a DSL node: {node!r}")
+@lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _compiled(sides: tuple):
+    """Code defining _f(b), which returns the tuple of the sides' values, and
+    the sequence name of each slot _tK in order of first use. Every construct
+    adds at most two parentheses, so MAX_DEPTH stays within the compiler's
+    nesting limit."""
+    seqs: dict = {}
+    sums: list = []
+
+    def emit(node, scope: dict) -> str:
+        t = type(node)
+        if t is IntLit:
+            return repr(operator.index(node.value))
+        if t is Var:
+            return scope.get(node.name) or f"b[{str.__repr__(node.name)}]"
+        if t is Neg:
+            return "-" + emit(node.operand, scope)
+        if t is Add or t is Sub or t is Mul:
+            op = "+" if t is Add else "-" if t is Sub else "*"
+            return f"({emit(node.left, scope)} {op} {emit(node.right, scope)})"
+        if t is SeqTerm:
+            slot = seqs.setdefault(node.seq, f"_t{len(seqs)}")
+            return f"{slot}({integer(node.index, scope, 0)})"
+        if t is Pow:
+            base, exponent = emit(node.base, scope), emit(node.exponent, scope)
+            if node.base == _MINUS_ONE:
+                # the parity sign; _power checks and converts a non-int exponent
+                sign = "(-1 if _i % 2 else 1)"
+                return f"({sign} if type(_i := {exponent}) is int else _power(-1, _i))"
+            return f"_power({base}, {exponent})"
+        if t is Sum:
+            lo, hi = integer(node.lo, scope, 2), integer(node.hi, scope, 3)
+            var = f"_v{len(sums)}"
+            sums.append(var)
+            body = emit(node.body, {**scope, node.var: var})
+            return f"_sum(lambda {var}: {body}, {lo}, {hi})"
+        if t is Binom:
+            return f"_binom({integer(node.first, scope, 4)}, {integer(node.second, scope, 4)})"
+        raise TypeError(f"not a DSL node: {node!r}")
+
+    def integer(node, scope: dict, what: int) -> str:
+        """node's text as an int, converted by _index unless it is a literal or
+        a sum variable; _i holds the value between the test and its use."""
+        text = emit(node, scope)
+        if type(node) is IntLit or type(node) is Var and node.name in scope:
+            return text
+        return f"_i if type(_i := {text}) is int else _index(_i, {what})"
+
+    values = "".join(emit(side, {}) + ", " for side in sides)
+    source = (
+        f"def _f(b):\n try:\n  return {values}\n"
+        " except KeyError as exc:\n  raise _unbound(exc) from None\n"
+    )
+    return compile(source, "<horadam.dsl>", "exec"), tuple(seqs)
+
+
+def _bind(sides: tuple, registry: Mapping[str, Sequence]):
+    """The function of the binding dict for sides, with one term_fn per
+    sequence name; an unknown name fails here, before any case runs."""
+    code, names = _compiled(sides)
+    namespace = dict(_HELPERS)
+    for slot, name in enumerate(names):
+        seq = registry.get(name)
+        if seq is None:
+            raise EvalError(f"unknown sequence name {name!r}")
+        namespace[f"_t{slot}"] = term_fn(seq)
+    exec(code, namespace)
+    return namespace.pop("_f")  # so that the function and its globals form no cycle
 
 
 def eval_expr(node, bindings: Mapping[str, int], registry: Mapping[str, Sequence]) -> Rational:
     """Evaluate one expression tree exactly under integer bindings."""
-    value = _compile(node, registry, {})(dict(bindings))
+    value = _bind((node,), registry)(dict(bindings))[0]
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -602,8 +617,6 @@ def verify_over_grid(
         if extra:
             parts.append(f"unused {', '.join(extra)}")
         raise UsageError(f"grid variables do not match identity: {'; '.join(parts)}")
-    terms: dict = {}
-    lhs = _compile(ast.lhs, registry, terms)
-    rhs = _compile(ast.rhs, registry, terms)
+    outcome = _bind((ast.lhs, ast.rhs), registry)
     label = identity_label if identity_label is not None else pretty_print(ast)
-    return run_grid(label, grid, lambda case: (lhs(case), rhs(case)))
+    return run_grid(label, grid, outcome)

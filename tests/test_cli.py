@@ -320,6 +320,22 @@ class TestCheck:
         )
         assert code == 0 and json.loads(out)["counterexamples"] == []
 
+    @pytest.mark.parametrize("name", ["b", "_t0", "_power", "KeyError", "__import__", "sum"])
+    def test_declared_names_like_generated_code_are_plain(self, capsys, name):
+        def check(seq):
+            return run(
+                capsys, "check", "--declare", f"{seq}=1,1,3,-5",
+                "--expr", f"{seq}[n+m] = F[m]*{seq}[n+1] + F[m]*{seq}[n]", "--grid", "n=-2..2,m=-2..2",
+            )
+
+        code, out, err = check(name)
+        if name == "sum":  # reserved: the parser rejects it before the sweep
+            assert code == 2 and "expected '(' after 'sum'" in err
+            return
+        plain_code, plain_out, _ = check("X")
+        assert code == plain_code == 1
+        assert json.loads(out)["counterexamples"] == json.loads(plain_out)["counterexamples"]
+
     def test_bad_declaration_fails(self, capsys):
         code, _, _ = run(capsys, "check", "--declare", "X=1,1", "--expr", "X[0]=1")
         assert code == 2

@@ -24,7 +24,10 @@ from horadam import (
     term,
     verify_over_grid,
 )
-from horadam.dsl import MAX_DEPTH, Add, Binom, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var
+from horadam import dsl
+from horadam.dsl import (
+    MAX_DEPTH, Add, Binom, IdentityAst, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var,
+)
 
 REG = default_registry()
 
@@ -59,6 +62,20 @@ class TestParsing:
         a = parse_identity("F[n+1]=F[n]+F[n-1]")
         b = parse_identity("  F[ n + 1 ]\t=\nF[n] + F[ n - 1 ]")
         assert a.lhs == b.lhs and a.rhs == b.rhs
+
+
+def _nested_sums(depth: int, leaf: str) -> str:
+    """depth one-term sums, each over its own variable, around leaf."""
+    for i in range(depth):
+        leaf = f"sum(i{i},1,1,{leaf})"
+    return leaf
+
+
+def _nested_powers(depth: int) -> str:
+    text = "n"
+    for _ in range(depth):
+        text = f"({text})^(1)"
+    return text
 
 
 class TestParseErrors:
@@ -115,11 +132,29 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_identity(text)
 
-    def test_nesting_at_the_cap_parses(self):
-        deep = "(" * (MAX_DEPTH - 1) + "n" + ")" * (MAX_DEPTH - 1)
-        ast = parse_identity(deep + " = " + "+".join(["n"] * MAX_DEPTH))
+    @pytest.mark.parametrize(
+        "build, depth",
+        [
+            (lambda d: "(" * d + "n" + ")" * d + " = n", MAX_DEPTH - 1),
+            (lambda d: "+".join(["n"] * d) + f" = {d}*n", MAX_DEPTH),
+            (lambda d: _nested_sums(d, "n") + " = n", MAX_DEPTH - 1),
+            (lambda d: _nested_sums(d, "F[n]") + " = F[n]", MAX_DEPTH - 2),
+            (lambda d: _nested_powers(d) + " = n", MAX_DEPTH - 1),
+            (lambda d: "F[" + "(" * d + "n" + ")" * d + "] = F[n]", MAX_DEPTH - 2),
+        ],
+        ids=["brackets", "flat-chain", "sums", "sums-of-terms", "powers", "index-brackets"],
+    )
+    def test_nesting_at_the_cap_parses(self, build, depth):
+        # the deepest tree of each shape parses and evaluates; one level more does not parse
+        with pytest.raises(ParseError, match="nested too deeply"):
+            parse_identity(build(depth + 1))
+        text = build(depth)
+        ast = parse_identity(text)
         assert ast.free_vars == ("n",)
-        assert parse_expression(deep) == Var("n")
+        assert parse_expression(text.split(" = ")[0]) == ast.lhs
+        report = verify_over_grid(ast, make_grid({"n": (-2, 2)}), REG)
+        assert report.holds and report.cases_checked == 5
+        assert eval_expr(ast.lhs, {"n": -3}, REG) == eval_expr(ast.rhs, {"n": -3}, REG)
 
 
 class TestPrettyPrint:
@@ -244,6 +279,17 @@ class TestEval:
         node = parse_expression("sum(i, 0, 2, sum(j, 0, i, 1))")
         assert eval_expr(node, {}, REG) == 6
 
+    def test_inner_sum_body_reads_the_outer_variable(self):
+        node = parse_expression("sum(i, 0, 2, sum(j, 0, 1, 10*i + j))")
+        assert eval_expr(node, {}, REG) == 63
+
+    def test_shadowing_sum_restores_the_outer_binding(self):
+        # hand-built (the parser refuses shadowing): after the inner sum over j
+        # ends, j is the outer sum's value again
+        inner = Sum("j", IntLit(0), IntLit(3), Var("j"))
+        node = Sum("j", IntLit(1), IntLit(2), Add(inner, Var("j")))
+        assert eval_expr(node, {"j": 100}, REG) == (6 + 1) + (6 + 2)
+
     def test_negative_exponent_gives_exact_rational(self):
         assert eval_expr(parse_expression("2^(-3)"), {}, REG) == Fraction(1, 8)
         assert eval_expr(parse_expression("2^(n)"), {"n": -2}, REG) == Fraction(1, 4)
@@ -291,6 +337,30 @@ class TestEval:
         with pytest.raises(EvalError) as err:
             eval_expr(parse_expression("F[n]"), {"n": Fraction(1, 2)}, REG)
         assert str(err.value) == "sequence index did not evaluate to an integer: 1/2"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("sum(j, n, m, 1)", "sum lower bound did not evaluate to an integer: 1/2"),
+            ("binom(n, m)", "binom argument did not evaluate to an integer: 1/2"),
+            ("F[n]^(m)", "sequence index did not evaluate to an integer: 1/2"),
+            ("(-1)^(n) + m", "exponent did not evaluate to an integer: 1/2"),
+        ],
+    )
+    def test_leftmost_error_wins(self, text, message):
+        # n is not an integer and m is unbound: the error about n comes first
+        with pytest.raises(EvalError) as err:
+            eval_expr(parse_expression(text), {"n": Fraction(1, 2)}, REG)
+        assert str(err.value) == message
+
+    def test_equal_trees_compile_once(self):
+        # a fresh parse of the same text is an equal tree, so it reuses the code
+        fib = get_named("F")
+        misses = dsl._compiled.cache_info().misses
+        for n in range(-3, 4):
+            node = parse_expression("F[n]*F[n+1] + 7919*n")
+            assert eval_expr(node, {"n": n}, REG) == term(fib, n) * term(fib, n + 1) + 7919 * n
+        assert dsl._compiled.cache_info().misses == misses + 1
 
     def test_parity_power_at_negative_exponent(self):
         node = parse_expression("(-1)^(n)")
@@ -395,6 +465,93 @@ class TestCompilerAgainstWalker:
         bindings = {"n": n, "m": m}
         expected = _outcome(lambda: _walk(node, bindings, _WALK_REG))
         assert _outcome(lambda: eval_expr(node, bindings, _WALK_REG)) == expected
+
+    @given(lhs=_walk_exprs, rhs=_walk_exprs, n=st.integers(-3, 3), m=st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_one_point_sweep_matches_walker(self, lhs, rhs, n, m):
+        # a sweep runs the generated two-sided function, which eval_expr does not
+        bindings = {"m": m, "n": n}
+        try:
+            pair = (_walk(lhs, bindings, _WALK_REG), _walk(rhs, bindings, _WALK_REG))
+            expected = () if pair[0] == pair[1] else (pair,)
+        except (DomainError, EvalError) as exc:
+            expected = type(exc), f"{exc} (case m={m};n={n})"
+        grid = make_grid({"m": (m, m), "n": (n, n)})
+        try:
+            report = verify_over_grid(IdentityAst(lhs, rhs, ("m", "n")), grid, _WALK_REG)
+            actual = tuple((left, right) for _, left, right in report.counterexamples)
+        except (DomainError, EvalError) as exc:
+            actual = type(exc), str(exc)
+        assert actual == expected
+
+
+# Names spelled like the generated code's own identifiers and helpers. The
+# template holds a free variable x, a sum variable s and a sequence name t;
+# each role in turn takes one of these names and must behave like a plain one.
+_HOSTILE = (
+    "b", "_t0", "_t1", "_v0", "_i", "_f", "_power", "_span", "_sum", "_index", "_binom",
+    "_unbound", "KeyError", "exc", "type", "int", "lambda", "None", "__import__", "__builtins__",
+)
+_TEMPLATE = "{t}[{x}+1]*{x} + sum({s},0,{x},binom({x},{s})*{t}[{s}]) = {t}[{x}+1]*{x} + {t}[2*{x}]"
+
+
+def _roles(role, name):
+    return {"t": "T", "x": "x", "s": "s", role: name}
+
+
+def _shape(report):
+    """A report without its names: counts and counterexample values in order."""
+    rows = [(tuple(b.values()), lhs, rhs) for b, lhs, rhs in report.counterexamples]
+    return report.cases_total, report.cases_checked, report.cases_skipped_precondition, rows
+
+
+class TestHostileNames:
+    @pytest.mark.parametrize("role", ["x", "s", "t"])
+    @pytest.mark.parametrize("name", _HOSTILE)
+    def test_evaluates_like_a_plain_name(self, role, name):
+        names = _roles(role, name)
+        fib = get_named("fibonacci")
+        plain = parse_identity(_TEMPLATE.format(t="T", x="x", s="s"))
+        ast = parse_identity(_TEMPLATE.format(**names))
+        registry = {**REG, "T": fib, names["t"]: fib}
+        x = names["x"]
+        for value in range(-3, 4):
+            for side in ("lhs", "rhs"):
+                assert eval_expr(getattr(ast, side), {x: value}, registry) == eval_expr(
+                    getattr(plain, side), {"x": value}, registry
+                )
+        expected = verify_over_grid(plain, make_grid({"x": (-3, 3)}), registry)
+        if x.startswith("_"):
+            # grid variables start with a letter, so such a name is never swept
+            with pytest.raises(ParseError, match="bad grid range"):
+                make_grid({x: (-3, 3)})
+        else:
+            report = verify_over_grid(ast, make_grid({x: (-3, 3)}), registry)
+            # the sums vanish at x < 0 while T[2*x] does not: three counterexamples
+            assert _shape(report) == _shape(expected)
+            assert [list(b) for b, _, _ in report.counterexamples] == [[x]] * 3
+        for bindings, reg, message in (
+            ({}, registry, f"unbound variable {x!r}"),
+            ({x: 1}, REG, f"unknown sequence name {names['t']!r}"),
+            ({x: Fraction(1, 2)}, registry, "sequence index did not evaluate to an integer: 3/2"),
+        ):
+            with pytest.raises(EvalError) as err:
+                eval_expr(ast.lhs, bindings, reg)
+            assert str(err.value) == message
+
+    @pytest.mark.parametrize("role", ["x", "s", "t"])
+    @pytest.mark.parametrize("name", ["sum", "binom"])
+    def test_reserved_names_are_rejected(self, role, name):
+        with pytest.raises(ParseError, match="reserved|expected"):
+            parse_identity(_TEMPLATE.format(**_roles(role, name)))
+
+    def test_variable_name_is_data_not_code(self):
+        name = "x'] + __import__('os').getpid() + b['x"
+        node = Add(Var(name), IntLit(1))
+        assert eval_expr(node, {name: 2}, REG) == 3
+        with pytest.raises(EvalError) as err:
+            eval_expr(node, {}, REG)
+        assert str(err.value) == f"unbound variable {name!r}"
 
 
 class TestVerifyOverGrid:
