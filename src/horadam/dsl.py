@@ -469,16 +469,14 @@ def pretty_print(node) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation. A pair of sides compiles once, into the text of one Python
 # function of the binding dict; the code object is cached per syntax tree.
-# The text holds only int literals, repr'd variable names and the emitter's
-# own slot names: a sequence is a slot _tK filled when the code is bound to a
-# registry, a sum's variable is the parameter _vK of its body's lambda.
-# Python's left-to-right evaluation keeps left operands before right ones and
-# a base before its exponent, so the first error raised is the same as a
-# tree walk's.
+# The text holds only int literals, repr'd variable names, the emitter's own
+# error labels and slot names: a sequence is a slot _tK filled when the code
+# is bound to a registry, a sum's variable is the parameter _vK of its body's
+# lambda. Python's left-to-right evaluation keeps left operands before right
+# ones and a base before its exponent, so the first error raised is the same
+# as a tree walk's.
 
 _CODE_CACHE_SIZE = 256
-_WHAT = ("sequence index", "exponent", "sum lower bound", "sum upper bound", "binom argument")
-_MINUS_ONE = Neg(IntLit(1))
 
 
 def default_registry() -> dict:
@@ -486,18 +484,17 @@ def default_registry() -> dict:
     return {alias: get_named(alias) for alias in NAME_ALIASES}
 
 
-def _index(value, what: int) -> int:
-    """value as an int; what indexes _WHAT, naming the value in the error."""
+def _index(value, what: str) -> int:
     if isinstance(value, int):
         return value
     if isinstance(value, Fraction) and value.denominator == 1:
         return value.numerator
-    raise EvalError(f"{_WHAT[what]} did not evaluate to an integer: {value}")
+    raise EvalError(f"{what} did not evaluate to an integer: {value}")
 
 
 def _power(x, e):
     if type(e) is not int:
-        e = _index(e, 1)
+        e = _index(e, "exponent")
     if e >= 0:
         return x ** e
     if x == 0:
@@ -524,50 +521,52 @@ _HELPERS = {
 @lru_cache(maxsize=_CODE_CACHE_SIZE)
 def _compiled(sides: tuple):
     """Code defining _f(b), which returns the tuple of the sides' values, and
-    the sequence name of each slot _tK in order of first use. Every construct
-    adds at most two parentheses, so MAX_DEPTH stays within the compiler's
-    nesting limit."""
+    the sequence name of each slot _tK in order of first use. Each tree level
+    adds at most two parentheses, and a tree deeper than MAX_DEPTH, which only
+    a hand-built tree can be, is refused, so the text stays within the
+    compiler's limit of 200 nested parentheses."""
     seqs: dict = {}
     sums: list = []
 
-    def emit(node, scope: dict) -> str:
+    def emit(node, scope: dict, depth: int = 1) -> str:
+        if depth > MAX_DEPTH:
+            raise EvalError(_TOO_DEEP)
+        depth += 1
         t = type(node)
         if t is IntLit:
             return repr(operator.index(node.value))
         if t is Var:
             return scope.get(node.name) or f"b[{str.__repr__(node.name)}]"
         if t is Neg:
-            return "-" + emit(node.operand, scope)
+            return "-" + emit(node.operand, scope, depth)
         if t is Add or t is Sub or t is Mul:
             op = "+" if t is Add else "-" if t is Sub else "*"
-            return f"({emit(node.left, scope)} {op} {emit(node.right, scope)})"
+            return f"({emit(node.left, scope, depth)} {op} {emit(node.right, scope, depth)})"
         if t is SeqTerm:
             slot = seqs.setdefault(node.seq, f"_t{len(seqs)}")
-            return f"{slot}({integer(node.index, scope, 0)})"
+            return f"{slot}({integer(node.index, scope, depth, 'sequence index')})"
         if t is Pow:
-            base, exponent = emit(node.base, scope), emit(node.exponent, scope)
-            if node.base == _MINUS_ONE:
-                # the parity sign; _power checks and converts a non-int exponent
-                sign = "(-1 if _i % 2 else 1)"
-                return f"({sign} if type(_i := {exponent}) is int else _power(-1, _i))"
-            return f"_power({base}, {exponent})"
+            return f"_power({emit(node.base, scope, depth)}, {emit(node.exponent, scope, depth)})"
         if t is Sum:
-            lo, hi = integer(node.lo, scope, 2), integer(node.hi, scope, 3)
+            lo = integer(node.lo, scope, depth, "sum lower bound")
+            hi = integer(node.hi, scope, depth, "sum upper bound")
             var = f"_v{len(sums)}"
             sums.append(var)
-            body = emit(node.body, {**scope, node.var: var})
+            body = emit(node.body, {**scope, node.var: var}, depth)
             return f"_sum(lambda {var}: {body}, {lo}, {hi})"
         if t is Binom:
-            return f"_binom({integer(node.first, scope, 4)}, {integer(node.second, scope, 4)})"
+            first = integer(node.first, scope, depth, "binom argument")
+            second = integer(node.second, scope, depth, "binom argument")
+            return f"_binom({first}, {second})"
         raise TypeError(f"not a DSL node: {node!r}")
 
-    def integer(node, scope: dict, what: int) -> str:
+    def integer(node, scope: dict, depth: int, what: str) -> str:
         """node's text as an int, converted by _index unless it is a literal or
         a sum variable; _i holds the value between the test and its use."""
-        text = emit(node, scope)
+        text = emit(node, scope, depth)
         if type(node) is IntLit or type(node) is Var and node.name in scope:
             return text
-        return f"_i if type(_i := {text}) is int else _index(_i, {what})"
+        return f"_i if type(_i := {text}) is int else _index(_i, {what!r})"
 
     values = "".join(emit(side, {}) + ", " for side in sides)
     source = (

@@ -78,6 +78,18 @@ def _nested_powers(depth: int) -> str:
     return text
 
 
+def _nest(depth: int, wrap, leaf):
+    """leaf wrapped depth times; wrap takes the inner node and its count."""
+    for i in range(depth):
+        leaf = wrap(leaf, i)
+    return leaf
+
+
+def _tree_depth(node) -> int:
+    children = [v for v in vars(node).values() if not isinstance(v, (int, str, tuple))]
+    return 1 + max(map(_tree_depth, children), default=0)
+
+
 class TestParseErrors:
     def test_unclosed_bracket_reports_column(self):
         with pytest.raises(ParseError) as info:
@@ -133,25 +145,49 @@ class TestParseErrors:
             parse_identity(text)
 
     @pytest.mark.parametrize(
-        "build, depth",
+        "build, depth, tree",
         [
-            (lambda d: "(" * d + "n" + ")" * d + " = n", MAX_DEPTH - 1),
-            (lambda d: "+".join(["n"] * d) + f" = {d}*n", MAX_DEPTH),
-            (lambda d: _nested_sums(d, "n") + " = n", MAX_DEPTH - 1),
-            (lambda d: _nested_sums(d, "F[n]") + " = F[n]", MAX_DEPTH - 2),
-            (lambda d: _nested_powers(d) + " = n", MAX_DEPTH - 1),
-            (lambda d: "F[" + "(" * d + "n" + ")" * d + "] = F[n]", MAX_DEPTH - 2),
+            (lambda d: "(" * d + "n" + ")" * d + " = n", MAX_DEPTH - 1, lambda d: Var("n")),
+            (
+                lambda d: "+".join(["n"] * d) + f" = {d}*n",
+                MAX_DEPTH,
+                lambda d: _nest(d - 1, lambda t, _: Add(t, Var("n")), Var("n")),
+            ),
+            (
+                lambda d: _nested_sums(d, "n") + " = n",
+                MAX_DEPTH - 1,
+                lambda d: _nest(d, lambda t, i: Sum(f"i{i}", IntLit(1), IntLit(1), t), Var("n")),
+            ),
+            (
+                lambda d: _nested_sums(d, "F[n]") + " = F[n]",
+                MAX_DEPTH - 2,
+                lambda d: _nest(
+                    d, lambda t, i: Sum(f"i{i}", IntLit(1), IntLit(1), t), SeqTerm("F", Var("n"))
+                ),
+            ),
+            (
+                lambda d: _nested_powers(d) + " = n",
+                MAX_DEPTH - 1,
+                lambda d: _nest(d, lambda t, _: Pow(t, IntLit(1)), Var("n")),
+            ),
+            (
+                lambda d: "F[" + "(" * d + "n" + ")" * d + "] = F[n]",
+                MAX_DEPTH - 2,
+                lambda d: SeqTerm("F", Var("n")),
+            ),
         ],
         ids=["brackets", "flat-chain", "sums", "sums-of-terms", "powers", "index-brackets"],
     )
-    def test_nesting_at_the_cap_parses(self, build, depth):
-        # the deepest tree of each shape parses and evaluates; one level more does not parse
+    def test_nesting_at_the_cap_parses(self, build, depth, tree):
+        # the deepest tree of each shape parses to the expected tree and
+        # evaluates; one level more does not parse
         with pytest.raises(ParseError, match="nested too deeply"):
             parse_identity(build(depth + 1))
         text = build(depth)
         ast = parse_identity(text)
         assert ast.free_vars == ("n",)
-        assert parse_expression(text.split(" = ")[0]) == ast.lhs
+        assert ast.lhs == tree(depth)
+        assert parse_expression(text.split(" = ")[0]) == tree(depth)
         report = verify_over_grid(ast, make_grid({"n": (-2, 2)}), REG)
         assert report.holds and report.cases_checked == 5
         assert eval_expr(ast.lhs, {"n": -3}, REG) == eval_expr(ast.rhs, {"n": -3}, REG)
@@ -483,6 +519,37 @@ class TestCompilerAgainstWalker:
         except (DomainError, EvalError) as exc:
             actual = type(exc), str(exc)
         assert actual == expected
+
+
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda t: SeqTerm("F", t),
+            lambda t: Pow(Neg(IntLit(1)), t),
+            lambda t: Binom(t, IntLit(1)),
+            lambda t: Sum("j", t, IntLit(1), IntLit(2)),
+            lambda t: Sum("j", IntLit(-1), t, Var("j")),
+        ],
+        ids=["terms", "parity", "binoms", "sum-lower-bounds", "sum-upper-bounds"],
+    )
+    def test_hand_built_tree_at_the_cap(self, wrap):
+        # only hand-built trees nest these shapes, whose generated code holds
+        # two parentheses per tree level: the deepest still evaluates, one
+        # level more is refused like a parsed tree
+        node = Var("n")
+        while _tree_depth(wrap(node)) <= MAX_DEPTH:
+            node = wrap(node)
+        assert _tree_depth(node) == MAX_DEPTH
+        for n in (-2, 2):
+            expected = _outcome(lambda: _walk(node, {"n": n}, REG))
+            assert _outcome(lambda: eval_expr(node, {"n": n}, REG)) == expected
+        report = verify_over_grid(IdentityAst(node, node, ("n",)), make_grid({"n": (2, 2)}), REG)
+        assert report.holds and report.cases_checked == 1
+        deeper = wrap(node)
+        with pytest.raises(EvalError, match="nested too deeply"):
+            eval_expr(deeper, {"n": 2}, REG)
+        with pytest.raises(EvalError, match="nested too deeply"):
+            verify_over_grid(IdentityAst(deeper, IntLit(0), ("n",)), make_grid({"n": (2, 2)}), REG)
 
 
 # Names spelled like the generated code's own identifiers and helpers. The
