@@ -16,9 +16,10 @@ from typing import Iterator, Optional
 
 from .errors import ParseError
 
-_RANGE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_]*)\s*=\s*(-?\d+)(?:\s*\.\.\s*(-?\d+))?\s*$")
+# Variable names follow the DSL's identifiers, which may start with "_".
+_RANGE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(-?\d+)(?:\s*\.\.\s*(-?\d+))?\s*$")
 _CONSTRAINT = re.compile(
-    r"^\s*([A-Za-z][A-Za-z0-9_]*|-?\d+)\s*(<=|>=|!=|==|<|>|=)\s*([A-Za-z][A-Za-z0-9_]*|-?\d+)\s*$"
+    r"^\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+)\s*(<=|>=|!=|==|<|>|=)\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+)\s*$"
 )
 
 _OPS = {
@@ -91,9 +92,7 @@ def parse_grid(text: str) -> GridSpec:
         match = _CONSTRAINT.match(section)
         if match is None:
             raise ParseError(f"bad grid constraint {section.strip()!r}")
-        left, op, right = match.groups()
-        left = left if left[0].isalpha() else int(left)
-        right = right if isinstance(right, str) and right[0].isalpha() else int(right)
+        left, op, right = (int(x) if x.lstrip("-").isdigit() else x for x in match.groups())
         for operand in (left, right):
             if isinstance(operand, str) and operand not in ranges:
                 raise ParseError(f"constraint uses unknown variable {operand!r}")

@@ -32,6 +32,10 @@ __all__ = [
 ]
 
 
+# Trial division bound; a cofactor of the step left above it is one strip factor.
+_TRIAL_BOUND = 1 << 10
+
+
 @dataclass(frozen=True)
 class RecurrenceParams:
     """The coefficient pair (p, q); q must be nonzero.
@@ -48,6 +52,39 @@ class RecurrenceParams:
         object.__setattr__(self, "q", Fraction(self.q))
         if self.q == 0:
             raise ParameterError("recurrence coefficient q must be nonzero")
+
+    @functools.cached_property
+    def _engine(self) -> tuple:
+        """Integer constants (s, P, qs, Q) of the scaled fundamental sequence, then
+        (|step|, rest, strip) for n > 0 and for n <= 0; kept on the instance,
+        since a cache keyed by the params would hash two Fractions per term().
+
+        With s = lcm of the coefficient denominators, P = p*s, qs = q*s and
+        Q = qs*s are integers. The integer sequence W(k) = P*W(k-1) + Q*W(k-2),
+        W(0) = 0, W(1) = 1, is the (0, 1)-seeded sequence U of (p, q) scaled:
+        U(k) = W(k) / s**(k-1). Integer-only products avoid per-step gcd
+        normalization. G(n) has denominator d0*d1*step**k with step = s for n > 0
+        and -qs for n <= 0. Consecutive W terms share only primes of gcd(P, Q);
+        strip lists those of step as (r, v), r**v exactly dividing step = rest*prod(r**v).
+        """
+        p, q = self.p, self.q
+        s = math.lcm(p.denominator, q.denominator)
+        qs = int(q * s)
+        P, Q = int(p * s), qs * s
+        signs = []
+        for step in (s, -qs):
+            g, rest, strip, r = math.gcd(step, P, Q), step, [], 2
+            while g > 1:
+                r = r if r <= _TRIAL_BOUND and r * r <= g else g
+                if g % r == 0:
+                    v = 0
+                    while rest % r == 0:
+                        rest, v = rest // r, v + 1
+                    strip.append((r, v))
+                    g //= math.gcd(g, r**v)
+                r += 1
+            signs.append((abs(step), rest, tuple(strip)))
+        return s, P, qs, Q, *signs
 
 
 @dataclass(frozen=True)
@@ -70,35 +107,39 @@ def make_sequence(p, q, g0, g1, name: Optional[str] = None) -> Sequence:
     return Sequence(RecurrenceParams(Fraction(p), Fraction(q)), Fraction(g0), Fraction(g1), name)
 
 
-@functools.lru_cache(maxsize=None)
-def _build_engine(params: RecurrenceParams):
-    """Integer constants (s, P, qs, Q) of the scaled fundamental sequence.
-
-    With s = lcm of the coefficient denominators, P = p*s, qs = q*s and
-    Q = qs*s are integers. The integer sequence W(k) = P*W(k-1) + Q*W(k-2),
-    W(0) = 0, W(1) = 1, is the (0, 1)-seeded sequence U of (p, q) scaled:
-    U(k) = W(k) / s**(k-1). Integer-only products avoid per-step gcd
-    normalization.
-    """
-    p, q = params.p, params.q
-    s = math.lcm(p.denominator, q.denominator)
-    qs = int(q * s)
-    return s, int(p * s), qs, qs * s
-
-
-def _lucas_pair(P: int, Q: int, m: int) -> tuple:
-    """(W(m), W(m+1)) for m >= 0, walking the bits of m from the top.
+def _lucas_pair(P: int, Q: int, m: int, strip: tuple) -> tuple:
+    """(a, b, exps) with (W(m), W(m+1)) = (a, b) * prod(r**e) over strip's r
+    and exps, for m >= 0, walking the bits of m from the top.
 
     Doubling W(2k) = W(k)*(2*W(k+1) - P*W(k)), W(2k+1) = W(k+1)**2 + Q*W(k)**2
     costs three big products per bit (Joye and Quisquater, "Efficient
     computation of full Lucas sequences", Electronics Letters 32, 1996).
+    Each r is divided out while it divides both members; the doubling is
+    homogeneous of degree 2 and the step linear, so a count doubles per bit.
     """
     a, b = 0, 1
+    exps = [0] * len(strip) if strip else ()
     for bit in bin(m)[2:]:
         a, b = a * (2 * b - P * a), b * b + Q * (a * a)
         if bit == "1":
             a, b = b, P * b + Q * a
-    return a, b
+        if strip:
+            for i, (r, _) in enumerate(strip):
+                e = 2 * exps[i]
+                while a % r == 0 == b % r:
+                    a, b, e = a // r, b // r, e + 1
+                exps[i] = e
+    return a, b, exps
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime num and den > 0, without the gcd."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
+
+
+_coprime_fraction = getattr(Fraction, "_from_coprime_ints", _coprime_fraction)
 
 
 def term(s: Sequence, n: int) -> Rational:
@@ -106,20 +147,35 @@ def term(s: Sequence, n: int) -> Rational:
 
     G(n) = g1*U(n) + q*g0*U(n-1) with U the (0, 1)-seeded sequence of (p, q);
     for n <= 0, U(-m) = -U(m) / (-q)**m gives G(-m) = (g0*U(m+1) - g1*U(m)) / (-q)**m.
-    The numerator and denominator are built as integers and reduced once.
+    The numerator and denominator d0*d1*step**k are built as integers and
+    reduced without a gcd of the two: the walk strips the primes of step that
+    divide gcd(P, Q), their counts cancel against step**k, and every common
+    factor left divides R = d0*d1*|step|, so gcd(num % R, R, den) finds it.
     """
-    scale, P, qs, Q = _build_engine(s.params)
+    scale, P, qs, Q, pos, neg = s.params._engine
     a0, d0 = s.g0.numerator, s.g0.denominator
     a1, d1 = s.g1.numerator, s.g1.denominator
+    (step, rest, strip), k = (pos, n - 1) if n > 0 else (neg, -n)
+    w0, w1, exps = _lucas_pair(P, Q, k, strip)
     if n > 0:
-        w0, w1 = _lucas_pair(P, Q, n - 1)
         num = a1 * d0 * w1 + qs * a0 * d1 * w0
-        den = d0 * d1 * scale ** (n - 1)
     else:
-        w0, w1 = _lucas_pair(P, Q, -n)
         num = a0 * d1 * w1 - scale * a1 * d0 * w0
-        den = d0 * d1 * (-qs) ** -n
-    return Fraction(num) if den == 1 else Fraction(num, den)
+    den = d0 * d1 * rest**k
+    if strip:
+        # e <= k*v, from Cassini's W(k)**2 - W(k+1)*W(k-1) = (-Q)**(k-1)
+        for (r, v), e in zip(strip, exps):
+            den *= r ** (k * v - e)
+    if den < 0:
+        num, den = -num, -den
+    if den == 1:
+        return Fraction(num)
+    R = d0 * d1 * step
+    while (g := math.gcd(num % R, R, den)) > 1:
+        # divide by g, g**2, g**4, ... while both allow: O(log) steps per factor
+        while not (qr := divmod(num, g))[1] and not (dr := divmod(den, g))[1]:
+            num, den, g = qr[0], dr[0], g * g
+    return _coprime_fraction(num, den)
 
 
 def term_range(s: Sequence, lo: int, hi: int) -> list:

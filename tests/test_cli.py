@@ -288,6 +288,10 @@ class TestCheck:
         first = json.loads(out)["counterexamples"][0]
         assert first == {"bindings": {"n": 0}, "lhs": "1", "rhs": "0"}
 
+    def test_underscore_variable_is_swept(self, capsys):
+        code, out, _ = run(capsys, "check", "--expr", "_a + 1 = 1 + _a", "--grid", "_a=0..2;_a>=1")
+        assert code == 0 and json.loads(out)["cases_checked"] == 2
+
     def test_parse_error_exit_two(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "F[n", "--grid", "n=0..3")
         assert code == 2 and "column 4" in err

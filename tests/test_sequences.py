@@ -1,5 +1,6 @@
 """Sequence construction, the term engine, and the iterative oracle."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -25,6 +26,19 @@ from conftest import EXPECTED_TABLE, TABLE_COLUMNS, random_pair, random_sequence
 rationals = st.fractions(
     min_value=-6, max_value=6, max_denominator=3
 )
+# Denominators built from 2 and 3, so the initial terms' denominators share
+# primes with the coefficients' and p*s, q*s*s often share a prime as well.
+shared_prime_rationals = st.builds(
+    Fraction, st.integers(-12, 12), st.sampled_from((1, 2, 3, 4, 6, 9, 12))
+)
+
+
+def _in_lowest_terms(value) -> bool:
+    return (
+        type(value) is Fraction
+        and value.denominator > 0
+        and math.gcd(value.numerator, value.denominator) == 1
+    )
 
 
 class TestConstruction:
@@ -127,13 +141,55 @@ class TestTerm:
             (make_sequence(1, -1, 0, 1), ()),  # q = -1
             (make_sequence(2, -1, 1, 3), ()),  # repeated root x = 1
             (make_sequence(3, 2, Fraction(-2, 3), Fraction(5, 7)), ()),
-            (make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3), (1500, -1500)),
+            (make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3), (1500, -1500, 2000, -2000)),
+            (make_sequence(Fraction(-3, 2), Fraction(2, 3), 3, -2), (2000, -2000)),
+            # g0 and g1 denominators share the primes 2 and 3 with s = 12
+            (make_sequence(Fraction(5, 6), Fraction(1, 4), Fraction(1, 2), Fraction(5, 12)), ()),
+            # G(n) = 2**-n: the roots are 1/2 and 1/3, and the power of 3 in
+            # s**(n-1) cancels only against the whole numerator
+            (make_sequence(Fraction(5, 6), Fraction(-1, 6), 1, Fraction(1, 2)), ()),
         )
         for seq, extra in cases:
             for n in sorted(near_powers | {0, 1, -1} | set(extra)):
                 value = term(seq, n)
-                assert type(value) is Fraction, (seq, n)
+                assert _in_lowest_terms(value), (seq, n)
                 assert value == term_iterative_oracle(seq, n), (seq, n)
+
+    @given(
+        p=shared_prime_rationals,
+        q=shared_prime_rationals.filter(lambda v: v != 0),
+        g0=shared_prime_rationals,
+        g1=shared_prime_rationals,
+        n=st.integers(-300, 300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_rational_terms_in_lowest_terms(self, p, q, g0, g1, n):
+        if g0 == 0 and g1 == 0:
+            g1 = Fraction(1)
+        seq = make_sequence(p, q, g0, g1)
+        value = term(seq, n)
+        assert _in_lowest_terms(value)
+        assert value == term_iterative_oracle(seq, n)
+
+    @pytest.mark.parametrize(
+        "p, q, g0, g1, indices",
+        [
+            # the prime 2**61 - 1 of the step, above the trial-division bound,
+            # divides gcd(P, Q): q's denominator for n > 0, p and q for n <= 0
+            (1, Fraction(1, 2**61 - 1), 1, 2, (300, 257, -300)),
+            (2**61 - 1, 2**61 - 1, Fraction(1, 2), 1, (-300, -257, 300)),
+            # an unfactored cofactor 1031*1033 of the step -q; P and Q hold
+            # its two primes to different powers, so stripping it leaves a
+            # large common power of 1033
+            (1031**2 * 1033, 1031 * 1033**2, 1, 2, (-2000, 2000, -1)),
+        ],
+    )
+    def test_step_primes_above_the_trial_bound(self, p, q, g0, g1, indices):
+        seq = make_sequence(p, q, g0, g1)
+        for n in indices:
+            value = term(seq, n)
+            assert _in_lowest_terms(value), n
+            assert value == term_iterative_oracle(seq, n), n
 
 
 class TestNegativeIndexLaws:
