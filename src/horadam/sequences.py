@@ -139,9 +139,6 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
     return f
 
 
-_coprime_fraction = getattr(Fraction, "_from_coprime_ints", _coprime_fraction)
-
-
 def term(s: Sequence, n: int) -> Rational:
     """Exact G(n) for any integer n in O(log |n|) big-integer multiplications.
 
