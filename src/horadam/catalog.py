@@ -3,114 +3,50 @@
 Entry ids are "<family>.<identity>" with families fib, pell, jac. Entries
 marked generalized take a companion sequence H sharing the family recurrence
 but with caller-chosen initial terms; the base sequence supplies the
-coefficient terms. All checkers here are polynomial in sequence terms
-(division-free), so no case is ever skipped.
+coefficient terms.
 
-Natively, every non-sum entry is the master identity at a substitution of
-its indices, and the six sums are role tables over the kernel's ordinary
-and binomial sum evaluators, the same two that check the kernel's sum-*
-identities. Every entry also carries its classical statement
-rendered literally in the DSL (field dsl_texts), which the test suite
-verifies against the native checker case by case; the two routes share no
-evaluation code.
+Natively, each entry is a kernel identity (Theorem 1 or a sum row) at a
+substitution of its indices, up to a sign, evaluated by the kernel's
+positional cores, which skip nothing: every statement is division-free.
+Every entry also carries its classical statement rendered literally in the
+DSL (field dsl_texts), which the test suite verifies against the native
+route case by case; the two routes share no evaluation code.
 """
 
 from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from fractions import Fraction
-from functools import lru_cache
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import UsageError
 from .grid import parse_grid
-from .kernel import _MEMO_SIZE, _binomial_sum, _bound, _ordinary_sum, _scaled_row, _whole
+from .kernel import IDENTITIES
 from .report import VerificationReport, run_grid
-from .scalar import m1
-from .sequences import get_named, make_sequence, term_fn
+from .sequences import get_named, make_sequence
 
 __all__ = ["CatalogEntry", "catalog_list", "catalog_run", "catalog_entry"]
 
 
-def _pow_of(x: Fraction):
-    """Evaluator for x**e, exact for any integer e; an int where the value is one."""
-    if x == 1:
-        return lambda e: 1
-    if x == -1:
-        return m1
-    if x.denominator == 1:
-        xi = x.numerator
-        return lambda e: xi ** e if e >= 0 else x ** e
-    return lambda e: x ** e
+# Every base sequence has G(0) = 0 and G(1) = 1, so Theorem 1 at (a, b, c, d)
+# = (b, b-1, a, b) has A = G(a-b), B = G(m-b) and, by d'Ocagne's identity,
+# C = -(-q)^(a-b) G(m-a). That is the master identity at (n, m, a, b):
+#     G(a-b) H(n+m) = G(m-b) H(n+a) - (-q)^(a-b) G(m-a) H(n+b).
 
 
-# ---------------------------------------------------------------------------
-# Native checkers. Each builder takes the base sequence g and the companion
-# h, and returns a function binding -> (lhs, rhs).
+def _master(n: int, m: int, a: int, b: int) -> tuple:
+    return b, b - 1, a, b, m, n
 
 
-def _t_master(*substitutions):
-    """The master identity
-        G(a-b) H(n+m) = G(m-b) H(n+a) - (-q)^(a-b) G(m-a) H(n+b)
-    at each (n, m, a, b) that a substitution maps the binding to; the first
-    unbalanced pair is returned, or else the first pair."""
-
-    def build(g, h):
-        gt, sp = term_fn(g), _pow_of(-g.params.q)
-        ht = gt if h is g else term_fn(h)
-
-        def oc(case):
-            first = None
-            for sub in substitutions:
-                n, m, a, b = sub(**case)
-                lhs = gt(a - b) * ht(n + m)
-                rhs = gt(m - b) * ht(n + a) - sp(a - b) * gt(m - a) * ht(n + b)
-                if lhs != rhs:
-                    return lhs, rhs
-                if first is None:
-                    first = lhs, rhs
-            return first
-
-        return oc
-
-    return build
+def _sum_map(a: int, b: int, k: int, m: int, n: int) -> tuple:  # the same map for the sum rows
+    return b, b - 1, a, b, k, m, n
 
 
-# The summation entries feed kernel._ordinary_sum and kernel._binomial_sum,
-# which state both theorems multiplied through by Z^k. With gab, gma, gmb =
-# G(a-b), G(m-a), G(m-b), w = q^(a-b) and s0 = (-1)^(a+b), each ordinary
-# variant maps (gab, gma, gmb, w, s0, a, b, m) to (X, Y, Z, s, t, sign).
-_ORDINARY_ROLES = {
-    1: lambda gab, gma, gmb, w, s0, a, b, m: (-s0 * w * gma, gab, gmb, m - a, b - m, 1),
-    2: lambda gab, gma, gmb, w, s0, a, b, m: (gmb, gab, -s0 * w * gma, m - b, a - m, 1),
-    3: lambda gab, gma, gmb, w, s0, a, b, m: (gab, s0 * gmb, w * gma, a - b, m - a, s0),
-}
-
-# Each binomial variant maps the same values to (Y, Z, W, s, t).
-_BINOMIAL_ROLES = {
-    1: lambda gab, gma, gmb, w, s0, a, b, m: (gmb, -s0 * w * gma, gab, b - m, a - b),
-    2: lambda gab, gma, gmb, w, s0, a, b, m: (s0 * gab, w * gma, s0 * gmb, b - a, m - b),
-    3: lambda gab, gma, gmb, w, s0, a, b, m: (-gab, gmb, s0 * w * gma, a - b, m - a),
-}
-
-
-def _t_sum(evaluate, roles):
-    def build(g, h):
-        gt, ht, qp, whole = term_fn(g), term_fn(h), _pow_of(g.params.q), _whole(h)
-
-        @lru_cache(maxsize=_MEMO_SIZE)
-        def row(a: int, b: int, m: int) -> tuple:
-            values = roles(gt(a - b), gt(m - a), gt(m - b), qp(a - b), m1(a + b), a, b, m)
-            return _scaled_row(values, whole)
-
-        def oc(case):
-            n, k = case["n"], _bound(case)
-            return evaluate(ht, ht, n, k, *row(case["a"], case["b"], case["m"]))
-
-        return oc
-
-    return build
+def _alternating(a: int, b: int, k: int, m: int, n: int) -> int:
+    # The kernel's rows for sum-ordinary:3 and sum-binomial:2 carry -(-1)^(a+b) on
+    # every weight where the classical statements do not: a factor of its k-th power.
+    return -1 if (a + b + 1) * k % 2 else 1
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +172,10 @@ def _d_halton_lucas(B, q):
 
 @dataclass(frozen=True)
 class CatalogEntry:
-    """One registered identity: metadata plus its native checker and DSL form."""
+    """One registered identity: metadata, the kernel identity it instantiates, and its DSL form.
+
+    Each substitution, and the sign if any, takes the binding's values in free_vars
+    order; a substitution returns the kernel identity's variables in its order."""
 
     id: str
     description: str
@@ -246,20 +185,38 @@ class CatalogEntry:
     citation: str
     default_grid: str
     dsl_texts: tuple
-    builder: Callable = field(repr=False, compare=False)
+    identity: str = field(repr=False, compare=False)
+    substitutions: tuple = field(repr=False, compare=False)
+    sign: Optional[Callable] = field(default=None, repr=False, compare=False)
     # Named sequence in the companion slot of a non-generalized entry;
     # None means the base sequence itself.
     companion: Optional[str] = field(default=None, repr=False, compare=False)
 
     def make_outcome(self, h0=None, h1=None) -> Callable[[dict], tuple]:
-        """Bind the checker to concrete sequences (fresh term caches)."""
+        """Bind the entry to concrete sequences (fresh term caches)."""
         base = get_named(self.family)
         companion = base if self.companion is None else get_named(self.companion)
         if self.generalized:
             companion = make_sequence(
                 base.params.p, base.params.q, 0 if h0 is None else h0, 1 if h1 is None else h1
             )
-        return self.builder(base, companion)
+        pair = IDENTITIES[self.identity].core(base, companion)
+        values, (head, *rest), sign = itemgetter(*self.free_vars), self.substitutions, self.sign
+
+        def outcome(case: dict) -> tuple:
+            args = values(case)
+            result = pair(*head(*args))
+            for sub in rest:  # the first unbalanced pair, or else the first
+                if result[0] != result[1]:
+                    break
+                other = pair(*sub(*args))
+                if other[0] != other[1]:
+                    result = other
+            if sign is not None and sign(*args) < 0:
+                return -result[0], -result[1]
+            return result
+
+        return outcome
 
 
 _FAMILIES = {
@@ -275,28 +232,30 @@ class _Template(NamedTuple):
     suffix: str
     free_vars: tuple
     generalized: bool
-    builder: Callable
+    substitutions: tuple
     renderer: Callable
     description: str
     citation: str = ""
     companion: Optional[str] = None
     families: tuple = tuple(_FAMILIES)
+    identity: str = "theorem1"
+    sign: Optional[Callable] = None
 
 
 _MASTER_VARS = ("a", "b", "m", "n")
 _SUM_VARS = ("a", "b", "k", "m", "n")
-_catalan = _t_master(lambda n, m: (0, n + m, n, m))
-_double_shift = _t_master(lambda n, m, a: (n, m, a, -a))
-_halton = _t_master(lambda n, m: (n, m, 1, -1))
+_catalan = (lambda m, n: _master(0, n + m, n, m),)
+_double_shift = (lambda a, m, n: _master(n, m, a, -a),)
+_halton = (lambda m, n: _master(n, m, 1, -1),)
 
 _TEMPLATES = (
     _Template(
-        "master", _MASTER_VARS, True, _t_master(lambda n, m, a, b: (n, m, a, b)), _d_master,
+        "master", _MASTER_VARS, True, (lambda a, b, m, n: _master(n, m, a, b),), _d_master,
         "Three-term expansion of H(n+m) by {base} multipliers at shifts a and b",
     ),
     _Template(
         "master-dual", _MASTER_VARS, True,
-        _t_master(lambda n, m, a, b: (m - a - b, n + a + b, a, b)), _d_master_dual,
+        (lambda a, b, m, n: _master(m - a - b, n + a + b, a, b),), _d_master_dual,
         "Mirror of the master expansion with base and companion roles swapped",
     ),
     _Template(
@@ -320,32 +279,31 @@ _TEMPLATES = (
     ),
     _Template(
         "odd-even-split", ("k", "m", "n"), True,
-        _t_master(lambda n, m, k: (n, m, 2 * k, 1), lambda n, m, k: (n, m, 2 * k, 0)),
+        (lambda k, m, n: _master(n, m, 2 * k, 1), lambda k, m, n: _master(n, m, 2 * k, 0)),
         _d_odd_even_split,
         "Splits H(n+m) with an odd (2k-1) and an even (2k) {base} shift",
     ),
     _Template(
         # G(1) = 1 in every family, so the lhs G(1) H(n+m) is H(n+m).
-        "vajda8", ("m", "n"), True, _t_master(lambda n, m: (n, m, 1, 0)), _d_vajda8,
+        "vajda8", ("m", "n"), True, (lambda m, n: _master(n, m, 1, 0),), _d_vajda8,
         "Addition rule: H(n+m) from H(n) and H(n+1) with {base} coefficients",
         "Vajda's formula (8)",
     ),
     _Template(
-        "double-index", ("m", "n"), True, _t_master(lambda n, m: (n, n, m, -m)), _d_double_index,
+        "double-index", ("m", "n"), True, (lambda m, n: _master(n, n, m, -m),), _d_double_index,
         "Index doubling: H(2n) against {base} terms at n+m and n-m",
     ),
     *(
         _Template(
-            f"sum.{kind}.{v}", _SUM_VARS, True, _t_sum(evaluate, roles), render(v),
+            f"sum.{kind}.{v}", _SUM_VARS, True, (_sum_map,), render(v),
             f"{title} over H, variant {v}, {{base}} weights",
+            identity=f"sum-{kind}:{v}", sign=_alternating if v == flipped else None,
         )
-        for kind, title, evaluate, render, table in (
-            ("ordinary", "Power-weighted ordinary sum", _ordinary_sum, _d_sum_ordinary,
-             _ORDINARY_ROLES),
-            ("binomial", "Binomial-weighted sum", _binomial_sum, _d_sum_binomial,
-             _BINOMIAL_ROLES),
+        for kind, title, render, flipped in (
+            ("ordinary", "Power-weighted ordinary sum", _d_sum_ordinary, 3),
+            ("binomial", "Binomial-weighted sum", _d_sum_binomial, 2),
         )
-        for v, roles in table.items()
+        for v in (1, 2, 3)
     ),
     _Template(
         "double-shift-lucas", ("a", "m", "n"), False, _double_shift, _d_double_shift_lucas,
@@ -382,7 +340,9 @@ def _build_entries() -> dict:
                 citation=t.citation,
                 default_grid=_default_grid(t.free_vars),
                 dsl_texts=t.renderer(letter, q),
-                builder=t.builder,
+                identity=t.identity,
+                substitutions=t.substitutions,
+                sign=t.sign,
                 companion=t.companion,
             )
     return entries

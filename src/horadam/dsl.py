@@ -165,17 +165,18 @@ def _tokenize(text: str) -> list:
             i += 1
             col += 1
             continue
-        if c.isdigit():
+        # Literals and identifiers are ASCII, as grid variables are.
+        if c.isascii() and c.isdigit():
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j].isascii() and text[j].isdigit():
                 j += 1
             tokens.append(_Token("int", text[i:j], line, col))
             col += j - i
             i = j
             continue
-        if c.isalpha() or c == "_":
+        if c.isascii() and (c.isalpha() or c == "_"):
             j = i
-            while j < n and (text[j].isalnum() or text[j] == "_"):
+            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
                 j += 1
             tokens.append(_Token("ident", text[i:j], line, col))
             col += j - i

@@ -14,9 +14,9 @@ with its two terms swapped. IDENTITIES holds one entry per identity.
 Every outcome evaluates both sides exactly and no statement divides: each
 row is stated multiplied through by Z^k, where Z is the weight the paper
 divides by. One ordinary and one binomial evaluator, over the integers with
-one division per side, serve the rows and the catalog's sums. A summation
-case with k >= 1 and Z = 0 is skipped (rather than failed), since the
-theorems hypothesize Z nonzero.
+one division per side, serve the rows. A summation case with k >= 1 and
+Z = 0 is skipped (rather than failed), since the theorems hypothesize Z
+nonzero; the positional cores, through which the catalog checks, skip nothing.
 """
 
 from __future__ import annotations
@@ -120,13 +120,6 @@ def basis_coefficients(
 # w0*X(n) = w1*X(n-a) + w2*Y(n-b) is the tuple w = (w0, w1, w2, a, b).
 
 
-def _bound(case: dict) -> int:
-    k = case["k"]
-    if k < 0:
-        raise DomainError(f"summation bound k must be non-negative, got {k}")
-    return k
-
-
 def _swap(w: tuple) -> tuple:
     # The same relation with the roles of (w1, a) and (w2, b) exchanged.
     w0, w1, w2, a, b = w
@@ -137,29 +130,35 @@ def _swap(w: tuple) -> tuple:
 _MEMO_SIZE = 256
 
 
-def _theorem1(gt, m: int, a: int, b: int, c: int, d: int) -> tuple:
+def _theorem1(gt, a: int, b: int, c: int, d: int, m: int) -> tuple:
     # The relation T = (A, B, C, m-c, m-d); Theorem 1 is T at the index n+m.
     return _fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m - c, m - d
 
 
-def _theorem1_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
+def _theorem1_pair(g: Sequence, h: Sequence) -> Callable:
     gt, ht = term_fn(g), term_fn(h)
     relation = lru_cache(maxsize=_MEMO_SIZE)(partial(_theorem1, gt))
 
-    def outcome(case: dict):
-        nm = case["n"] + case["m"]
-        w0, w1, w2, a, b = relation(case["m"], case["a"], case["b"], case["c"], case["d"])
-        return w0 * ht(nm), w1 * ht(nm - a) + w2 * ht(nm - b)
+    def pair(a: int, b: int, c: int, d: int, m: int, n: int) -> tuple:
+        w0, w1, w2, s, t = relation(a, b, c, d, m)
+        nm = n + m
+        return w0 * ht(nm), w1 * ht(nm - s) + w2 * ht(nm - t)
 
-    return outcome
+    return pair
+
+
+def _theorem1_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
+    pair = _theorem1_pair(g, h)
+    return lambda case: pair(case["a"], case["b"], case["c"], case["d"], case["m"], case["n"])
 
 
 def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
     # Theorem 1 at (c, d) = (a, b), negated.
-    theorem1 = _theorem1_outcome(g, h)
+    pair = _theorem1_pair(g, h)
 
     def outcome(case: dict):
-        lhs, rhs = theorem1({**case, "c": case["a"], "d": case["b"]})
+        a, b = case["a"], case["b"]
+        lhs, rhs = pair(a, b, a, b, case["m"], case["n"])
         return -lhs, -rhs
 
     return outcome
@@ -200,6 +199,8 @@ def _sides(lhs: int, rhs: int, scale: int) -> tuple:
 
 def _ordinary_sum(st, rt, n: int, k: int, X, Y, Z, s: int, t: int, sign: int, c: int,
                   whole: bool) -> tuple:
+    if k < 0:
+        raise DomainError(f"summation bound k must be non-negative, got {k}")
     base, ends, d = n - s * k + t, (rt(n), rt(n - s * (k + 1))), 1
     if not whole:
         d, h = _over([st(base + s * j) for j in range(k + 1)] + [*ends])
@@ -213,6 +214,8 @@ def _ordinary_sum(st, rt, n: int, k: int, X, Y, Z, s: int, t: int, sign: int, c:
 
 
 def _binomial_sum(st, rt, n: int, k: int, Y, Z, W, s: int, t: int, c: int, whole: bool) -> tuple:
+    if k < 0:
+        raise DomainError(f"summation bound k must be non-negative, got {k}")
     base, end, d = n + s * k, rt(n), 1
     if not whole:
         d, h = _over([st(base + t * j) for j in range(k + 1)] + [end])
@@ -280,32 +283,40 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
     values = _scaled_row(lemma.roles(*w), _whole(x) and _whole(y))
 
     def outcome(case: dict):
-        n, k = case["n"], _bound(case)
+        n, k = case["n"], case["k"]
         _check_relation_window(xt, yt, w, lemma.anchors(n, k, *w[3:]), y_name)
         return lemma.evaluate(yt, xt, n, k, *values)
 
     return outcome
 
 
-def _sum_outcome(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None) -> Callable:
-    # The lemma at T or swap(T). The theorems hypothesize Z != 0; k = 0 needs
-    # no hypothesis.
+def _sum_core(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence) -> tuple:
+    # The lemma at T or swap(T), skipping nothing: row(a, b, c, d, m) memoizes
+    # the evaluator's arguments, and at(n, k, *row) gives the two sides there.
     gt, ht, whole = term_fn(g), term_fn(h), _whole(h)
-    evaluate, z_at, roles, _ = lemma
 
     @lru_cache(maxsize=_MEMO_SIZE)
-    def row(m: int, a: int, b: int, c: int, d: int) -> tuple:
-        w = _theorem1(gt, m, a, b, c, d)
-        return _scaled_row(roles(*(_swap(w) if swapped else w)), whole)
+    def row(a: int, b: int, c: int, d: int, m: int) -> tuple:
+        w = _theorem1(gt, a, b, c, d, m)
+        return _scaled_row(lemma.roles(*(_swap(w) if swapped else w)), whole)
+
+    return row, partial(lemma.evaluate, ht, ht)
+
+
+def _sum_outcome(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None) -> Callable:
+    # The theorems hypothesize Z != 0; k = 0 needs no hypothesis.
+    row, at = _sum_core(lemma, swapped, g, h)
 
     def outcome(case: dict):
-        n, k = case["n"], _bound(case)
-        values = row(case["m"], case["a"], case["b"], case["c"], case["d"])
-        if k and values[z_at] == 0:
-            return None
-        return evaluate(ht, ht, n, k, *values)
+        k, values = case["k"], row(case["a"], case["b"], case["c"], case["d"], case["m"])
+        return None if k > 0 and values[lemma.z_at] == 0 else at(case["n"], k, *values)
 
     return outcome
+
+
+def _sum_pair(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence) -> Callable:
+    row, at = _sum_core(lemma, swapped, g, h)
+    return lambda a, b, c, d, k, m, n: at(n, k, *row(a, b, c, d, m))
 
 
 # ---------------------------------------------------------------------------
@@ -313,14 +324,15 @@ def _sum_outcome(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=Non
 
 
 class IdentitySpec(NamedTuple):
-    """One identity; build(g, h, rel) returns its outcome, rel used iff takes_relation
-    and h used iff takes_companion."""
+    """One identity; build(g, h, rel) returns its outcome (rel used iff takes_relation, h
+    iff takes_companion), and core(g, h), if any, its two sides from the variables in order."""
 
     variables: tuple
     default_grid: str
     takes_relation: bool
     build: Callable
     takes_companion: bool = True
+    core: Optional[Callable] = None
 
 
 _KERNEL_VARS = ("a", "b", "c", "d", "m", "n")
@@ -336,12 +348,15 @@ def _lemma(row: str, swapped: bool = False, takes_companion: bool = False) -> Id
 
 
 def _sum(row: str, swapped: bool = False) -> IdentitySpec:
-    return IdentitySpec(_SUM_VARS, _SUM_GRID, False, partial(_sum_outcome, _LEMMAS[row], swapped))
+    lemma = _LEMMAS[row]
+    return IdentitySpec(_SUM_VARS, _SUM_GRID, False, partial(_sum_outcome, lemma, swapped),
+                        core=partial(_sum_pair, lemma, swapped))
 
 
 IDENTITIES = {
     "theorem1": IdentitySpec(
-        _KERNEL_VARS, "a=-2..2,b=-2..2,c=-2..2,d=-2..2,m=-3..3,n=-3..3", False, _theorem1_outcome
+        _KERNEL_VARS, "a=-2..2,b=-2..2,c=-2..2,d=-2..2,m=-3..3,n=-3..3", False,
+        _theorem1_outcome, core=_theorem1_pair,
     ),
     "corollary": IdentitySpec(
         ("a", "b", "m", "n"), "a=-3..3,b=-3..3,m=-4..4,n=-4..4", False, _corollary_outcome

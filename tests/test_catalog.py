@@ -1,5 +1,6 @@
 """Catalog registry: metadata integrity, native checkers, and literal spot checks."""
 
+import inspect
 from fractions import Fraction
 
 import pytest
@@ -18,6 +19,7 @@ from horadam import (
     parse_identity,
     term_iterative_oracle,
 )
+from horadam.kernel import IDENTITIES
 
 ALL_ENTRIES = catalog_list()
 ALL_IDS = [entry.id for entry in ALL_ENTRIES]
@@ -62,6 +64,13 @@ class TestRegistry:
         assert "pell.double-shift-lucas" in ALL_IDS
         assert "pell.halton-lucas" in ALL_IDS
 
+    def test_substitutions_take_the_free_variables_in_order(self):
+        # Substitutions and signs are called with the binding's values by position.
+        for entry in ALL_ENTRIES:
+            for fn in entry.substitutions + ((entry.sign,) if entry.sign else ()):
+                assert tuple(inspect.signature(fn).parameters) == entry.free_vars, entry.id
+            assert entry.identity in IDENTITIES, entry.id
+
     def test_lookup_unknown_id_suggests(self):
         with pytest.raises(UsageError, match="did you mean 'fib.catalan'"):
             catalog_entry("fib.catalann")
@@ -78,11 +87,16 @@ class TestRun:
         assert report.holds, report.counterexamples[:1]
         assert report.cases_checked == report.cases_total  # never skips
 
-    def test_generalized_initials_accepted(self):
-        grid = make_grid({"m": (-2, 2), "n": (-2, 2)})
+    @pytest.mark.parametrize("entry_id", [e.id for e in ALL_ENTRIES if e.generalized])
+    def test_generalized_initials_accepted(self, entry_id):
+        # The non-integer companion sends the sums through the clearing path
+        # of the kernel's sum rows.
+        entry = catalog_entry(entry_id)
+        grid = make_grid({v: (0, 2) if v == "k" else (-1, 1) for v in entry.free_vars})
         for initials in ((2, 1), (3, -5), (Fraction(1, 2), Fraction(-3, 7))):
-            report = catalog_run("fib.vajda8", grid, initials)
+            report = catalog_run(entry_id, grid, initials)
             assert report.holds, initials
+            assert report.cases_checked == report.cases_total
 
     def test_initials_rejected_for_fixed_entries(self):
         with pytest.raises(UsageError):

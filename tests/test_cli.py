@@ -434,6 +434,16 @@ class TestExitContract:
                            "--grid", "k=-3..-1,m=-2..2,n=-2..2")
         assert code == 0 and json.loads(out)["cases_checked"] == 75
 
+    @pytest.mark.parametrize(
+        "text, bad, col",
+        [("F[²] = 1", "²", 3), ("F[٣] = 3", "٣", 3), ("α + 1 = 1 + α", "α", 1)],
+        ids=["superscript-digit", "arabic-indic-digit", "greek-letter"],
+    )
+    def test_non_ascii_literal_or_name_is_a_parse_error(self, capsys, text, bad, col):
+        code, out, err = run(capsys, "check", "--expr", text, "--grid", "n=0..1")
+        assert (code, out) == (2, "")
+        assert err == f"error: unexpected character {bad!r} (line 1, column {col})\n"
+
     def test_mid_sweep_error_names_binding(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "F[n]^(-1)*F[n] = 1", "--grid", "n=-2..2")
         assert code == 2
@@ -451,6 +461,9 @@ _CHECK_TEXTS = (
     "F[n]^(-1)*F[n] = 1",
     "binom(k,n) = binom(k,k-n)",
     "F[n",
+    "F[²] = 1",
+    "F[٣] = 3",
+    "α + 1 = 1 + α",
 )
 
 

@@ -240,6 +240,12 @@ class TestLemma1:
     def test_negative_k_rejected(self):
         with pytest.raises(DomainError):
             check_identity("lemma1", F, F, {"n": 0, "k": -1}, _default_rel(F))
+        # Every summation identity, since the two sum evaluators check k themselves.
+        for name in IDENTITY_NAMES:
+            if "k" in identity_variables(name):
+                case = dict.fromkeys(identity_variables(name), 0) | {"k": -1}
+                with pytest.raises(DomainError, match="non-negative, got -1"):
+                    check_identity(name, F, F if name.startswith("lemma") else L, case)
 
     def test_zero_weight_rejected(self):
         with pytest.raises(UsageError):
