@@ -213,7 +213,8 @@ class CatalogEntry:
                 if other[0] != other[1]:
                     result = other
             if sign is not None and sign(*args) < 0:
-                return -result[0], -result[1]
+                lhs, rhs = result
+                return (-lhs,) * 2 if lhs is rhs else (-lhs, -rhs)  # one Fraction for equal sides
             return result
 
         return outcome

@@ -1,5 +1,7 @@
 """Exception taxonomy shared across the package."""
 
+from typing import Optional
+
 
 class HoradamError(Exception):
     """Base class for all errors raised by this package."""
@@ -30,10 +32,10 @@ class UsageError(HoradamError):
 
 
 class ParseError(HoradamError):
-    """Text input rejected; carries a 1-based line and column."""
+    """Text input rejected; DSL errors carry a 1-based line and column, grid errors none."""
 
-    def __init__(self, message: str, line: int = 1, column: int = 1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    def __init__(self, message: str, line: Optional[int] = None, column: Optional[int] = None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.message = message
         self.line = line
         self.column = column

@@ -13,10 +13,14 @@ with its two terms swapped. IDENTITIES holds one entry per identity.
 
 Every outcome evaluates both sides exactly and no statement divides: each
 row is stated multiplied through by Z^k, where Z is the weight the paper
-divides by. One ordinary and one binomial evaluator, over the integers with
-one division per side, serve the rows. A summation case with k >= 1 and
-Z = 0 is skipped (rather than failed), since the theorems hypothesize Z
-nonzero; the positional cores, through which the catalog checks, skip nothing.
+divides by. Every statement is homogeneous in its weights and linear in its
+terms, so it runs on integers: a sequence whose terms are not all integers is
+read as (numerator, denominator) pairs, each case clears its own terms by
+their lcm, Theorem 1's relation comes from G's cleared terms as integers over
+a square, and each side is divided once at the end. One ordinary and one
+binomial evaluator serve the rows. A summation case with k >= 1 and Z = 0 is
+skipped (rather than failed), since the theorems hypothesize Z nonzero; the
+positional cores, through which the catalog checks, skip nothing.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import cache, lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
@@ -130,19 +134,36 @@ def _swap(w: tuple) -> tuple:
 _MEMO_SIZE = 256
 
 
-def _theorem1(gt, a: int, b: int, c: int, d: int, m: int) -> tuple:
-    # The relation T = (A, B, C, m-c, m-d); Theorem 1 is T at the index n+m.
-    return _fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m - c, m - d
+def _theorem1(gt, whole: bool, a: int, b: int, c: int, d: int, m: int) -> tuple:
+    # The relation T = (A, B, C, m-c, m-d), then D^2; Theorem 1 is T at the index n+m.
+    # A, B, C are integers times D^2, where D clears G's six terms (1 when G is whole).
+    scale = 1
+    if not whole:
+        at = (d - b, c - a, d - a, c - b, m - a, m - b)
+        scale, ints = _clear([gt(i) for i in at])
+        gt = dict(zip(at, ints)).__getitem__
+    return (_fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m - c, m - d,
+            scale * scale)
+
+
+def _relation(g: Sequence) -> Callable:
+    """Theorem 1's relation over g as a function of (a, b, c, d, m)."""
+    whole = _whole(g)
+    return partial(_theorem1, _terms(g, whole), whole)
 
 
 def _theorem1_pair(g: Sequence, h: Sequence) -> Callable:
-    gt, ht = term_fn(g), term_fn(h)
-    relation = lru_cache(maxsize=_MEMO_SIZE)(partial(_theorem1, gt))
+    relation, whole = lru_cache(maxsize=_MEMO_SIZE)(_relation(g)), _whole(h)
+    ht = _terms(h, whole)
 
     def pair(a: int, b: int, c: int, d: int, m: int, n: int) -> tuple:
-        w0, w1, w2, s, t = relation(a, b, c, d, m)
-        nm = n + m
-        return w0 * ht(nm), w1 * ht(nm - s) + w2 * ht(nm - t)
+        w0, w1, w2, s, t, scale = relation(a, b, c, d, m)
+        nm, dh = n + m, 1
+        x, y, z = ht(nm), ht(nm - s), ht(nm - t)
+        if not whole:
+            dh, (x, y, z) = _clear([x, y, z])
+        lhs, rhs = w0 * x, w1 * y + w2 * z
+        return (lhs, rhs) if scale == dh == 1 else _sides(lhs, rhs, scale * dh)
 
     return pair
 
@@ -153,15 +174,10 @@ def _theorem1_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tu
 
 
 def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
-    # Theorem 1 at (c, d) = (a, b), negated.
+    # Theorem 1 at (c, d) = (a, b), negated, is Theorem 1 at (a, b, c, d) = (b, a, a, b):
+    # f_g changes sign when either index pair is swapped, so all three weights do.
     pair = _theorem1_pair(g, h)
-
-    def outcome(case: dict):
-        a, b = case["a"], case["b"]
-        lhs, rhs = pair(a, b, a, b, case["m"], case["n"])
-        return -lhs, -rhs
-
-    return outcome
+    return lambda case: pair(case["b"], case["a"], case["a"], case["b"], case["m"], case["n"])
 
 
 # The two summation statements, without division. st is the summed sequence
@@ -170,31 +186,40 @@ def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], t
 #     = sign * (Y^(k+1) rt(n) - Z^(k+1) rt(n - s*(k+1))),
 # the binomial sums
 #   sum_{j=0..k} binom(k, j) Z^(k-j) Y^j st(n + s*k + t*j) = W^k rt(n).
-# Both are homogeneous in the weights and linear in the terms, so they run on integers
-# over the weights' lcm denominator c and the terms' d (1 if whole): one division a side.
+# Both are homogeneous in the weights and linear in the terms, so they run on integers:
+# integer weights over c (a row's own scale), and terms over d, the lcm that clears
+# the case's terms (1 if whole, when the terms are ints): one division a side.
 
 
 def _whole(s: Sequence) -> bool:
-    """Every term is an integer: q = +-1 and p, G(0) and G(1) are integers."""
+    """Every term is an integer: q = +-1 and p, G(0) and G(1) are integers. A whole
+    sequence is read through term_fn's ints; any other as (numerator, denominator)."""
     return abs(s.params.q) == 1 == s.params.p.denominator == s.g0.denominator == s.g1.denominator
 
 
-def _over(values) -> tuple:
-    """(d, ints): d is the lcm of the values' denominators, ints the values times d."""
-    if {*map(type, values)} == {int}:
-        return 1, values
-    d = math.lcm(*[v.denominator for v in values])
-    return d, [v.numerator * (d // v.denominator) for v in values]
+def _terms(s: Sequence, whole: bool) -> Callable:
+    """i -> G(i): term_fn's int if whole, else a cached (numerator, denominator)."""
+    return term_fn(s) if whole else cache(lambda i: term(s, i).as_integer_ratio())
+
+
+def _clear(parts: list) -> tuple:
+    """(d, ints): d is the lcm of the (numerator, denominator) pairs' denominators,
+    ints the values times d."""
+    nums, dens = zip(*parts)
+    d = math.lcm(*dens)
+    return d, nums if d == 1 else [num * (d // den) for num, den in parts]
 
 
 def _scaled_row(values: tuple, whole: bool) -> tuple:
     """Evaluator arguments (three weights, shifts) as integer weights, shifts, c, whole."""
-    c, weights = _over(values[:3])
+    c, weights = _clear([v.as_integer_ratio() for v in values[:3]])
     return (*weights, *values[3:], c, whole)
 
 
 def _sides(lhs: int, rhs: int, scale: int) -> tuple:
-    return Fraction(lhs, scale), Fraction(rhs, scale)
+    """The two sides over scale > 0; equal sides share one Fraction."""
+    value = Fraction(lhs, scale)
+    return (value, value) if lhs == rhs else (value, Fraction(rhs, scale))
 
 
 def _ordinary_sum(st, rt, n: int, k: int, X, Y, Z, s: int, t: int, sign: int, c: int,
@@ -203,7 +228,7 @@ def _ordinary_sum(st, rt, n: int, k: int, X, Y, Z, s: int, t: int, sign: int, c:
         raise DomainError(f"summation bound k must be non-negative, got {k}")
     base, ends, d = n - s * k + t, (rt(n), rt(n - s * (k + 1))), 1
     if not whole:
-        d, h = _over([st(base + s * j) for j in range(k + 1)] + [*ends])
+        d, h = _clear([st(base + s * j) for j in range(k + 1)] + [*ends])
         st, base, s, ends = h.__getitem__, 0, 1, h[-2:]  # the cleared terms, by position
     tot, y = 0, 1
     for j in range(k + 1):
@@ -218,7 +243,7 @@ def _binomial_sum(st, rt, n: int, k: int, Y, Z, W, s: int, t: int, c: int, whole
         raise DomainError(f"summation bound k must be non-negative, got {k}")
     base, end, d = n + s * k, rt(n), 1
     if not whole:
-        d, h = _over([st(base + t * j) for j in range(k + 1)] + [end])
+        d, h = _clear([st(base + t * j) for j in range(k + 1)] + [end])
         st, base, t, end = h.__getitem__, 0, 1, h[-1]  # the cleared terms, by position
     tot, y = 0, 1
     for j in range(k + 1):
@@ -280,12 +305,15 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
     yt, y_name = (xt, "X") if y is x else (term_fn(y), "Y")
     w = (1, rel.f1, rel.f2, rel.a, rel.b)
     w = _swap(w) if swapped else w
-    values = _scaled_row(lemma.roles(*w), _whole(x) and _whole(y))
+    whole = _whole(x) and _whole(y)
+    values = _scaled_row(lemma.roles(*w), whole)
+    xs = _terms(x, whole)
+    ys = xs if y is x else _terms(y, whole)
 
     def outcome(case: dict):
         n, k = case["n"], case["k"]
         _check_relation_window(xt, yt, w, lemma.anchors(n, k, *w[3:]), y_name)
-        return lemma.evaluate(yt, xt, n, k, *values)
+        return lemma.evaluate(ys, xs, n, k, *values)
 
     return outcome
 
@@ -293,12 +321,13 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
 def _sum_core(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence) -> tuple:
     # The lemma at T or swap(T), skipping nothing: row(a, b, c, d, m) memoizes
     # the evaluator's arguments, and at(n, k, *row) gives the two sides there.
-    gt, ht, whole = term_fn(g), term_fn(h), _whole(h)
+    relation, whole = _relation(g), _whole(h)
+    ht = _terms(h, whole)
 
     @lru_cache(maxsize=_MEMO_SIZE)
     def row(a: int, b: int, c: int, d: int, m: int) -> tuple:
-        w = _theorem1(gt, a, b, c, d, m)
-        return _scaled_row(lemma.roles(*(_swap(w) if swapped else w)), whole)
+        *w, scale = relation(a, b, c, d, m)
+        return (*lemma.roles(*(_swap(w) if swapped else w)), scale, whole)
 
     return row, partial(lemma.evaluate, ht, ht)
 

@@ -149,6 +149,6 @@ def run_grid(identity: str, grid: GridSpec, outcome: Callable[[dict], CaseOutcom
             continue
         checked += 1
         lhs, rhs = result
-        if lhs != rhs:
+        if lhs is not rhs and lhs != rhs:  # kernel outcomes share one Fraction when equal
             counterexamples.append((dict(binding), lhs, rhs))
     return VerificationReport(identity, grid.text, total, checked, skipped, tuple(counterexamples))

@@ -444,6 +444,21 @@ class TestExitContract:
         assert (code, out) == (2, "")
         assert err == f"error: unexpected character {bad!r} (line 1, column {col})\n"
 
+    @pytest.mark.parametrize(
+        "grid, message",
+        [
+            ("n=0..3;n<q", "constraint uses unknown variable 'q'"),
+            ("n=0..3,n=1", "duplicate grid variable 'n'"),
+            ("n=0..x", "bad grid range 'n=0..x', expected var=lo..hi"),
+            ("n=0..3;", "empty grid constraint"),
+            ("n=0..3;n<<2", "bad grid constraint 'n<<2'"),
+        ],
+        ids=["unknown-variable", "duplicate", "bad-range", "empty-constraint", "bad-constraint"],
+    )
+    def test_grid_error_carries_no_location(self, capsys, grid, message):
+        code, out, err = run(capsys, "check", "--expr", "F[n]=F[n]", "--grid", grid)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_mid_sweep_error_names_binding(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "F[n]^(-1)*F[n] = 1", "--grid", "n=-2..2")
         assert code == 2

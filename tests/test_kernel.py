@@ -11,7 +11,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from horadam import (
@@ -33,7 +33,7 @@ from horadam import (
     verify_identity_grid,
 )
 from horadam import kernel
-from horadam.kernel import IDENTITY_NAMES, identity_outcome
+from horadam.kernel import IDENTITIES, IDENTITY_NAMES, identity_outcome
 from conftest import random_pair
 
 F = get_named("fibonacci")
@@ -58,6 +58,14 @@ def _oracle(seq):
 
 def _fg_literal(t, u, v, s, tt) -> Fraction:
     return t(u - s) * t(v - tt) - t(u - tt) * t(v - s)
+
+
+def _read(whole: bool, *accessors) -> tuple:
+    """The accessors as the integer evaluators read terms: unchanged (ints) when
+    whole, else as (numerator, denominator) pairs."""
+    if whole:
+        return accessors
+    return tuple(lambda i, t=t: Fraction(t(i)).as_integer_ratio() for t in accessors)
 
 
 class TestKernelForm:
@@ -508,7 +516,7 @@ class TestSkippedCasesBalance:
                         case = dict(n=n, m=m, a=a, b=b, c=c, d=d, k=k)
                         assert outcomes[name](case) is None, (name, case)
                         row = kernel._scaled_row(values, False)
-                        lhs, rhs = lemma.evaluate(ht, ht, n, k, *row)
+                        lhs, rhs = lemma.evaluate(*_read(False, ht, ht), n, k, *row)
                         assert lhs == rhs, (name, case)
                         balanced[name] += 1
         assert min(balanced.values()) > 0, balanced
@@ -545,31 +553,44 @@ weight = st.one_of(st.integers(-6, 6), small_rational)
 @st.composite
 def term_accessors(draw):
     """(accessor, integral): term_fn of an integer sequence (integer p, g0, g1
-    and q = +-1) or of a random rational one."""
-    if draw(st.booleans()):
-        p, q = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1)))
-        g0, g1 = draw(st.integers(-5, 5)), draw(st.integers(1, 5))
-        return term_fn(make_sequence(p, q, g0, g1)), True
-    p, q = draw(small_rational), draw(nonzero_rational)
-    g0, g1 = draw(small_rational), draw(nonzero_rational)
-    return term_fn(make_sequence(p, q, g0, g1)), False
+    and q = +-1), of one with integer p, g0, g1 and |q| > 1 (a different power
+    of q under each negative index), or of a random rational one."""
+    kind = draw(st.sampled_from(("whole", "q-power", "rational")))
+    if kind == "rational":
+        p, q = draw(small_rational), draw(nonzero_rational)
+        g0, g1 = draw(small_rational), draw(nonzero_rational)
+        return term_fn(make_sequence(p, q, g0, g1)), False
+    p, q = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1) if kind == "whole" else (2, -3)))
+    g0, g1 = draw(st.integers(-5, 5)), draw(st.integers(1, 5))
+    return term_fn(make_sequence(p, q, g0, g1)), kind == "whole"
+
+
+# With (s, t) = (1, 0) in the ordinary sum and (-1, 1) in the binomial one, the
+# summed terms are J(-4), ..., J(-1), with the denominators 16, 8, 4 and 2.
+_MIXED_DENOMINATORS = dict(
+    st_=(term_fn(J), False), rt_=(term_fn(J), False), weights=(1, Fraction(1, 3), -2),
+    k=3, n=-1,
+)
 
 
 class TestIntegerSumEvaluators:
     """The integer evaluators against the Fraction references: equal pairs, and
     ints whenever the weights are ints and the sequences whole. Whole
-    sequences are also run through the clearing path (whole=False)."""
+    sequences are also run through the clearing path (whole=False), which reads
+    terms as (numerator, denominator) pairs."""
 
     @given(
         st_=term_accessors(), rt_=term_accessors(), weights=st.tuples(weight, weight, weight),
         k=st.integers(0, 6), n=idx, s=st.integers(-3, 3), t=st.integers(-3, 3),
         sign=st.sampled_from((1, -1)), clear=st.booleans(),
     )
+    @example(**_MIXED_DENOMINATORS, s=1, t=0, sign=-1, clear=False)
     @settings(max_examples=300, deadline=None)
     def test_ordinary(self, st_, rt_, weights, k, n, s, t, sign, clear):
         (sf, s_int), (rf, r_int) = st_, rt_
-        row = kernel._scaled_row((*weights, s, t, sign), s_int and r_int and not clear)
-        got = kernel._ordinary_sum(sf, rf, n, k, *row)
+        whole = s_int and r_int and not clear
+        row = kernel._scaled_row((*weights, s, t, sign), whole)
+        got = kernel._ordinary_sum(*_read(whole, sf, rf), n, k, *row)
         assert got == _ordinary_sum_reference(sf, rf, n, k, *weights, s, t, sign)
         if s_int and r_int and all(type(w) is int for w in weights):
             assert all(type(side) is int for side in got)
@@ -579,14 +600,61 @@ class TestIntegerSumEvaluators:
         k=st.integers(0, 6), n=idx, s=st.integers(-3, 3), t=st.integers(-3, 3),
         clear=st.booleans(),
     )
+    @example(**_MIXED_DENOMINATORS, s=-1, t=1, clear=False)
     @settings(max_examples=300, deadline=None)
     def test_binomial(self, st_, rt_, weights, k, n, s, t, clear):
         (sf, s_int), (rf, r_int) = st_, rt_
-        row = kernel._scaled_row((*weights, s, t), s_int and r_int and not clear)
-        got = kernel._binomial_sum(sf, rf, n, k, *row)
+        whole = s_int and r_int and not clear
+        row = kernel._scaled_row((*weights, s, t), whole)
+        got = kernel._binomial_sum(*_read(whole, sf, rf), n, k, *row)
         assert got == _binomial_sum_reference(sf, rf, n, k, *weights, s, t)
         if s_int and r_int and all(type(w) is int for w in weights):
             assert all(type(side) is int for side in got)
+
+
+@st.composite
+def sequence_pairs(draw):
+    """(g, h, whole): two sequences on one recurrence, either both whole (integer
+    p and initial terms, q = +-1) or on a random rational (p, q)."""
+    whole = draw(st.booleans())
+    if whole:
+        p, q = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1)))
+        inits, nonzero = st.integers(-5, 5), st.integers(1, 5)
+    else:
+        p, q = draw(small_rational), draw(nonzero_rational)
+        inits, nonzero = small_rational, nonzero_rational
+    g = make_sequence(p, q, draw(inits), draw(nonzero))
+    h = make_sequence(p, q, draw(inits), draw(nonzero))
+    return g, h, whole
+
+
+class TestTheorem1OnIntegers:
+    """Theorem 1's core and the corollary clear G's and H's terms to integers;
+    both must equal the literal Fraction statements over oracle terms, and be
+    ints on whole pairs."""
+
+    @given(
+        pair=sequence_pairs(), a=st.integers(-3, 3), b=st.integers(-3, 3),
+        c=st.integers(-3, 3), d=st.integers(-3, 3), m=idx, n=idx,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_core_and_corollary_match_literal_statements(self, pair, a, b, c, d, m, n):
+        g, h, whole = pair
+        gt, ht = _oracle(g), _oracle(h)
+        theorem = IDENTITIES["theorem1"].core(g, h)(a, b, c, d, m, n)
+        assert theorem == (
+            _fg_literal(gt, d, c, b, a) * ht(n + m),
+            _fg_literal(gt, d, m, b, a) * ht(n + c) + _fg_literal(gt, c, m, a, b) * ht(n + d),
+        )
+        corollary = identity_outcome("corollary", g, h)({"a": a, "b": b, "m": m, "n": n})
+        g0 = gt(0)
+        assert corollary == (
+            (gt(a - b) * gt(b - a) - g0 * g0) * ht(n + m),
+            (gt(b - a) * gt(m - b) - g0 * gt(m - a)) * ht(n + a)
+            + (gt(a - b) * gt(m - a) - g0 * gt(m - b)) * ht(n + b),
+        )
+        if whole:
+            assert all(type(side) is int for side in (*theorem, *corollary))
 
 
 class TestRelationMemo:
