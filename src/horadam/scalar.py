@@ -1,9 +1,17 @@
-"""Exact rational scalars, rational text, binomial coefficients and parity signs."""
+"""Exact rational scalars, rational text, binomial coefficients and parity signs.
+
+``rat_text`` prints an integer of ``_DECIMAL_BITS`` bits or more through exact
+``Decimal`` halves (the divide and conquer of ``str(int)`` on CPython 3.12+,
+gh-90716): subquadratic where ``str(int)`` is quadratic. Smaller ones use ``str()``.
+"""
 
 from __future__ import annotations
 
+import decimal
+import functools
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import DomainError, ParameterError
@@ -14,6 +22,12 @@ from .errors import DomainError, ParameterError
 Rational = Fraction
 
 _RATIONAL_TEXT = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+
+# Measured on CPython 3.11: the decimal route takes x1.0-1.2 the time of str()
+# at 2**14 bits and x0.73-0.87 at 2**15; the halving stops at _LEAF_BITS.
+_DECIMAL_BITS, _LEAF_BITS = 1 << 15, 1 << 10
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX,
+                         Emin=decimal.MIN_EMIN, traps=[decimal.Inexact])
 
 
 def rat(num: int, den: int = 1) -> Rational:
@@ -35,8 +49,32 @@ def rat_from_text(text: str) -> Rational:
 
 
 def rat_text(value) -> str:
-    """Canonical text form: lowest terms, 'n' when integral, sign on the numerator."""
-    return str(Fraction(value))
+    """Text of an int or Fraction: lowest terms, 'n' when integral, sign on the numerator."""
+    num, den = value.as_integer_ratio()
+    text = _int_text(num)
+    return text if den == 1 else f"{text}/{_int_text(den)}"
+
+
+def _int_text(n: int) -> str:
+    """str(n), with the divide-and-conquer conversion at _DECIMAL_BITS bits and up."""
+    if n.bit_length() < _DECIMAL_BITS:
+        return str(n)
+
+    @functools.cache
+    def power(w: int) -> decimal.Decimal:  # 2**w; every level reuses a few widths
+        return decimal.Decimal(1 << w) if w <= _LEAF_BITS else power(w >> 1) * power(w - (w >> 1))
+
+    def exact(m: int, w: int) -> decimal.Decimal:  # m < 2**w
+        if w <= _LEAF_BITS:
+            return decimal.Decimal(m)
+        h = w >> 1
+        return exact(m >> h, w - h) * power(h) + exact(m & ((1 << h) - 1), h)
+
+    with decimal.localcontext(_EXACT):
+        text = str(exact(abs(n), n.bit_length()))
+    if 0 < getattr(sys, "get_int_max_str_digits", int)() < len(text):
+        return str(n)  # over the int-string digit limit: raises str()'s own ValueError
+    return "-" + text if n < 0 else text
 
 
 def binom(k: int, j: int) -> int:

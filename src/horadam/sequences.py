@@ -176,15 +176,22 @@ def term(s: Sequence, n: int) -> Rational:
 
 
 def term_range(s: Sequence, lo: int, hi: int) -> list:
-    """[G(lo), ..., G(hi)] by one seeded iteration; requires lo <= hi."""
+    """[G(lo), ..., G(hi)] by one seeded iteration on integers; requires lo <= hi.
+
+    With the engine's scale, P and Q, G(i-1) = x*scale/den and G(i) = y/den give
+    G(i+1) = (P*y + Q*x) / (den*scale), reduced by one gcd.
+    """
     if lo > hi:
         raise RangeError(f"term_range needs lo <= hi, got {lo}..{hi}")
-    p, q = s.params.p, s.params.q
+    scale, P, _, Q, *_ = s.params._engine
     a, b = term(s, lo), term(s, lo + 1)
-    out = [a]
-    for _ in range(hi - lo):
-        out.append(b)
-        a, b = b, p * b + q * a
+    den = math.lcm(a.denominator * scale, b.denominator)
+    x, y = a.numerator * (den // (a.denominator * scale)), b.numerator * (den // b.denominator)
+    out = [a, b][: hi - lo + 1]
+    for _ in range(hi - lo - 1):
+        x, y, den = y, P * y + Q * x, den * scale
+        g = math.gcd(y, den)
+        out.append(_coprime_fraction(y // g, den // g))
     return out
 
 

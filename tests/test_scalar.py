@@ -1,10 +1,11 @@
 """Exact scalar building blocks."""
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from horadam import (
@@ -16,9 +17,32 @@ from horadam import (
     rat_from_text,
     rat_text,
 )
+from horadam.scalar import _DECIMAL_BITS
 
 small_ints = st.integers(min_value=-30, max_value=30)
 nonzero_small = small_ints.filter(lambda v: v != 0)
+# Integers whose bit length lies within 64 of the decimal-rendering threshold.
+near_threshold = st.builds(
+    lambda bits, rnd: rnd.getrandbits(bits) | 1 << (bits - 1),
+    st.integers(_DECIMAL_BITS - 64, _DECIMAL_BITS + 64),
+    st.randoms(use_true_random=False),
+)
+signs = st.sampled_from((1, -1))
+
+
+def _signed(num: int, den: int, sign: int) -> Fraction:
+    return Fraction(sign * num, den)
+
+
+@pytest.fixture
+def digit_limit_4300():
+    """The interpreter's default int-string digit limit, restored afterwards."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this interpreter has no int-string digit limit")
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(old)
 
 
 class TestRational:
@@ -60,6 +84,44 @@ class TestRational:
     def test_text_round_trips(self, num, den):
         value = rat(num, den)
         assert rat_from_text(rat_text(value)) == value
+
+
+class TestRationalTextAtScale:
+    """rat_text against str(Fraction) around the decimal-rendering threshold."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        value=st.one_of(
+            st.builds(lambda n, sign: sign * n, near_threshold, signs),
+            st.builds(_signed, near_threshold, st.integers(1, 10**6), signs),
+            st.builds(_signed, st.integers(0, 10**6), near_threshold, signs),
+            st.builds(_signed, near_threshold, near_threshold, signs),
+        )
+    )
+    @example(value=1 << _DECIMAL_BITS)
+    @example(value=-(1 << (_DECIMAL_BITS - 1)))
+    @example(value=Fraction(1, 1 << (_DECIMAL_BITS + 1)))
+    @example(value=(1 << _DECIMAL_BITS) - 1)
+    @example(value=Fraction(-((1 << (_DECIMAL_BITS + 1)) - 1), (1 << _DECIMAL_BITS) - 1))
+    @example(value=Fraction(3**189_000 + 1, 1 << 300_000))
+    def test_matches_str_of_fraction(self, value):
+        assert rat_text(value) == str(Fraction(value))
+
+    @pytest.mark.parametrize(
+        "value",
+        [1 << (_DECIMAL_BITS + 1), -(3**30_000), Fraction(1, 7**20_000), Fraction(-(5**20_000), 3)],
+    )
+    def test_keeps_the_int_string_digit_limit(self, digit_limit_4300, value):
+        value = Fraction(value)
+        big = max(value.numerator, value.denominator, key=abs)
+        with pytest.raises(ValueError) as expected:
+            str(big)
+        with pytest.raises(ValueError) as got:
+            rat_text(value)
+        assert str(got.value) == str(expected.value)
+
+    def test_renders_under_the_digit_limit(self, digit_limit_4300):
+        assert rat_text(Fraction(-(10**4299), 3)) == "-1" + "0" * 4299 + "/3"
 
 
 class TestBinom:

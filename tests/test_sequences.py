@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from horadam import (
@@ -224,6 +224,25 @@ class TestTermRange:
 
     def test_single_point(self):
         assert term_range(get_named("lucas"), 0, 0) == [2]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=shared_prime_rationals,
+        q=shared_prime_rationals.filter(lambda v: v != 0),
+        g0=shared_prime_rationals,
+        g1=shared_prime_rationals,
+        lo=st.integers(-20, 3),
+        length=st.integers(0, 30),
+    )
+    def test_rational_sequences_match_the_oracle(self, p, q, g0, g1, lo, length):
+        assume(g0 != 0 or g1 != 0)
+        assume(p.denominator != 1 or q.denominator != 1)  # scale != 1
+        s = make_sequence(p, q, g0, g1)
+        values = term_range(s, lo, lo + length)
+        assert len(values) == length + 1
+        for n, value in zip(range(lo, lo + length + 1), values):
+            assert _in_lowest_terms(value), (n, value)
+            assert value == term_iterative_oracle(s, n), n
 
 
 class TestTermFn:
