@@ -8,9 +8,10 @@ coefficient terms.
 Natively, each entry is a kernel identity (Theorem 1 or a sum row) at a
 substitution of its indices, up to a sign, evaluated by the kernel's
 positional cores, which skip nothing: every statement is division-free.
-Every entry also carries its classical statement rendered literally in the
-DSL (field dsl_texts), which the test suite verifies against the native
-route case by case; the two routes share no evaluation code.
+Every entry also carries its classical statement literally in the DSL (field
+dsl_texts), which the test suite verifies against the native route case by
+case; the two routes share no evaluation code. Each identity's statements are
+written once, as templates that one str.format call per family fills in.
 """
 
 from __future__ import annotations
@@ -47,123 +48,6 @@ def _alternating(a: int, b: int, k: int, m: int, n: int) -> int:
     # The kernel's rows for sum-ordinary:3 and sum-binomial:2 carry -(-1)^(a+b) on
     # every weight where the classical statements do not: a factor of its k-th power.
     return -1 if (a + b + 1) * k % 2 else 1
-
-
-# ---------------------------------------------------------------------------
-# The same identities rendered as DSL text. B is the base-sequence letter;
-# q distinguishes the unit-q families (fib, pell) from jac (q = 2).
-
-
-def _neg_base(q: int) -> str:
-    return "(-1)" if q == 1 else "(-2)"
-
-
-def _qf(q: int, e: str) -> str:
-    """Multiplicative factor q^(e), omitted entirely when q = 1."""
-    return "" if q == 1 else f"2^({e})*"
-
-
-def _d_master(B, q):
-    return (f"{B}[a-b]*H[n+m] = {B}[m-b]*H[n+a] - {_neg_base(q)}^(a-b)*{B}[m-a]*H[n+b]",)
-
-
-def _d_master_dual(B, q):
-    return (f"{B}[a-b]*H[n+m] = H[m-b]*{B}[n+a] - {_neg_base(q)}^(a-b)*H[m-a]*{B}[n+b]",)
-
-
-def _d_catalan_general(B, q):
-    return (f"{B}[n-m]*H[n+m] = {B}[n]*H[n] - {_neg_base(q)}^(n-m)*{B}[m]*H[m]",)
-
-
-def _d_catalan(B, q):
-    return (
-        f"{B}[n-m]*{B}[n+m] = {B}[n]^(2) + (-1)^(n+m+1)*{_qf(q, 'n-m')}{B}[m]^(2)",
-    )
-
-
-def _d_double_shift(B, q):
-    return (
-        f"{B}[2*a]*H[n+m] = {B}[m+a]*H[n+a] - {_qf(q, '2*a')}{B}[m-a]*H[n-a]",
-    )
-
-
-def _d_halton(B, q):
-    factor = "" if q == 1 else "4*"
-    return (f"{B}[2]*H[n+m] = {B}[m+1]*H[n+1] - {factor}{B}[m-1]*H[n-1]",)
-
-
-def _d_odd_even_split(B, q):
-    return (
-        f"{B}[2*k-1]*H[n+m] = {_qf(q, '2*k-1')}{B}[m-2*k]*H[n+1] + {B}[m-1]*H[n+2*k]",
-        f"{B}[2*k]*H[n+m] = {B}[m]*H[n+2*k] - {_qf(q, '2*k')}{B}[m-2*k]*H[n]",
-    )
-
-
-def _d_vajda8(B, q):
-    factor = "" if q == 1 else "2*"
-    return (f"H[n+m] = {B}[m]*H[n+1] + {factor}{B}[m-1]*H[n]",)
-
-
-def _d_double_index(B, q):
-    return (
-        f"{B}[2*m]*H[2*n] = {B}[n+m]*H[n+m] - {_qf(q, '2*m')}{B}[n-m]*H[n-m]",
-    )
-
-
-def _d_sum_ordinary(variant):
-    def render(B, q):
-        if variant == 1:
-            return (
-                f"(-1)^(a-b+1)*{_qf(q, 'a-b')}{B}[m-a]"
-                f"*sum(j,0,k,{B}[m-b]^(k-j)*{B}[a-b]^(j)*H[n-(m-a)*k-(m-b)+(m-a)*j])"
-                f" = {B}[a-b]^(k+1)*H[n] - {B}[m-b]^(k+1)*H[n-(m-a)*(k+1)]",
-            )
-        if variant == 2:
-            return (
-                f"{B}[m-b]*sum(j,0,k,(-1)^((a-b+1)*(k-j))*{_qf(q, '(a-b)*(k-j)')}"
-                f"{B}[m-a]^(k-j)*{B}[a-b]^(j)*H[n-(m-b)*k-(m-a)+(m-b)*j])"
-                f" = {B}[a-b]^(k+1)*H[n]"
-                f" - (-1)^((a-b+1)*(k+1))*{_qf(q, '(a-b)*(k+1)')}{B}[m-a]^(k+1)*H[n-(m-b)*(k+1)]",
-            )
-        return (
-            f"{B}[a-b]*sum(j,0,k,(-1)^((a+b)*j)*{_qf(q, '(a-b)*(k-j)')}"
-            f"{B}[m-a]^(k-j)*{B}[m-b]^(j)*H[n-(a-b)*k+(m-a)+(a-b)*j])"
-            f" = (-1)^((a+b)*k)*{B}[m-b]^(k+1)*H[n]"
-            f" + (-1)^(a+b+1)*{_qf(q, '(a-b)*(k+1)')}{B}[m-a]^(k+1)*H[n-(a-b)*(k+1)]",
-        )
-
-    return render
-
-
-def _d_sum_binomial(variant):
-    def render(B, q):
-        if variant == 1:
-            return (
-                f"sum(j,0,k,(-1)^((a+b+1)*(k-j))*{_qf(q, '(a-b)*(k-j)')}binom(k,j)"
-                f"*{B}[m-b]^(j)*{B}[m-a]^(k-j)*H[n-(m-b)*k+(a-b)*j])"
-                f" = {B}[a-b]^(k)*H[n]",
-            )
-        if variant == 2:
-            return (
-                f"sum(j,0,k,(-1)^((a+b)*j)*binom(k,j)*{B}[a-b]^(j)"
-                f"*{_qf(q, '(a-b)*(k-j)')}{B}[m-a]^(k-j)*H[n-(a-b)*k+(m-b)*j])"
-                f" = (-1)^((a+b)*k)*{B}[m-b]^(k)*H[n]",
-            )
-        return (
-            f"sum(j,0,k,(-1)^(j)*binom(k,j)*{B}[a-b]^(j)*{B}[m-b]^(k-j)"
-            f"*H[n+(a-b)*k+(m-a)*j])"
-            f" = (-1)^((a+b)*k)*{_qf(q, '(a-b)*k')}{B}[m-a]^(k)*H[n]",
-        )
-
-    return render
-
-
-def _d_double_shift_lucas(B, q):
-    return ("P[2*a]*Q[n+m] = P[m+a]*Q[n+a] - P[m-a]*Q[n-a]",)
-
-
-def _d_halton_lucas(B, q):
-    return ("2*Q[n+m] = P[m+1]*Q[n+1] - P[m-1]*Q[n-1]",)
 
 
 # ---------------------------------------------------------------------------
@@ -228,13 +112,14 @@ _FAMILIES = {
 
 
 class _Template(NamedTuple):
-    """One identity, instantiated once per family in `families`."""
+    """One identity, instantiated once per family in `families`, with its
+    statements as DSL templates (see _Jac)."""
 
     suffix: str
     free_vars: tuple
     generalized: bool
     substitutions: tuple
-    renderer: Callable
+    statements: tuple
     description: str
     citation: str = ""
     companion: Optional[str] = None
@@ -243,77 +128,124 @@ class _Template(NamedTuple):
     sign: Optional[Callable] = None
 
 
+# Each statement is the str.format template of one classical statement in the
+# DSL: {B} is the family's letter, (-{q}) the base of d'Ocagne's sign, and
+# {j[text]} is text in jac's statement (q = 2) but nothing in fib's and pell's.
+
+
+class _Jac(dict):
+    def __init__(self, q: int):
+        self.q = q
+
+    def __missing__(self, text: str) -> str:
+        return text if self.q == 2 else ""
+
+
 _MASTER_VARS = ("a", "b", "m", "n")
 _SUM_VARS = ("a", "b", "k", "m", "n")
 _catalan = (lambda m, n: _master(0, n + m, n, m),)
 _double_shift = (lambda a, m, n: _master(n, m, a, -a),)
 _halton = (lambda m, n: _master(n, m, 1, -1),)
+_SUM_ORDINARY = (
+    "(-1)^(a-b+1)*{j[2^(a-b)*]}{B}[m-a]"
+    "*sum(j,0,k,{B}[m-b]^(k-j)*{B}[a-b]^(j)*H[n-(m-a)*k-(m-b)+(m-a)*j])"
+    " = {B}[a-b]^(k+1)*H[n] - {B}[m-b]^(k+1)*H[n-(m-a)*(k+1)]",
+    "{B}[m-b]*sum(j,0,k,(-1)^((a-b+1)*(k-j))*{j[2^((a-b)*(k-j))*]}"
+    "{B}[m-a]^(k-j)*{B}[a-b]^(j)*H[n-(m-b)*k-(m-a)+(m-b)*j])"
+    " = {B}[a-b]^(k+1)*H[n]"
+    " - (-1)^((a-b+1)*(k+1))*{j[2^((a-b)*(k+1))*]}{B}[m-a]^(k+1)*H[n-(m-b)*(k+1)]",
+    "{B}[a-b]*sum(j,0,k,(-1)^((a+b)*j)*{j[2^((a-b)*(k-j))*]}"
+    "{B}[m-a]^(k-j)*{B}[m-b]^(j)*H[n-(a-b)*k+(m-a)+(a-b)*j])"
+    " = (-1)^((a+b)*k)*{B}[m-b]^(k+1)*H[n]"
+    " + (-1)^(a+b+1)*{j[2^((a-b)*(k+1))*]}{B}[m-a]^(k+1)*H[n-(a-b)*(k+1)]",
+)
+_SUM_BINOMIAL = (
+    "sum(j,0,k,(-1)^((a+b+1)*(k-j))*{j[2^((a-b)*(k-j))*]}binom(k,j)"
+    "*{B}[m-b]^(j)*{B}[m-a]^(k-j)*H[n-(m-b)*k+(a-b)*j]) = {B}[a-b]^(k)*H[n]",
+    "sum(j,0,k,(-1)^((a+b)*j)*binom(k,j)*{B}[a-b]^(j)"
+    "*{j[2^((a-b)*(k-j))*]}{B}[m-a]^(k-j)*H[n-(a-b)*k+(m-b)*j]) = (-1)^((a+b)*k)*{B}[m-b]^(k)*H[n]",
+    "sum(j,0,k,(-1)^(j)*binom(k,j)*{B}[a-b]^(j)*{B}[m-b]^(k-j)*H[n+(a-b)*k+(m-a)*j])"
+    " = (-1)^((a+b)*k)*{j[2^((a-b)*k)*]}{B}[m-a]^(k)*H[n]",
+)
 
 _TEMPLATES = (
     _Template(
-        "master", _MASTER_VARS, True, (lambda a, b, m, n: _master(n, m, a, b),), _d_master,
+        "master", _MASTER_VARS, True, (lambda a, b, m, n: _master(n, m, a, b),),
+        ("{B}[a-b]*H[n+m] = {B}[m-b]*H[n+a] - (-{q})^(a-b)*{B}[m-a]*H[n+b]",),
         "Three-term expansion of H(n+m) by {base} multipliers at shifts a and b",
     ),
     _Template(
         "master-dual", _MASTER_VARS, True,
-        (lambda a, b, m, n: _master(m - a - b, n + a + b, a, b),), _d_master_dual,
+        (lambda a, b, m, n: _master(m - a - b, n + a + b, a, b),),
+        ("{B}[a-b]*H[n+m] = H[m-b]*{B}[n+a] - (-{q})^(a-b)*H[m-a]*{B}[n+b]",),
         "Mirror of the master expansion with base and companion roles swapped",
     ),
     _Template(
-        "catalan-general", ("m", "n"), True, _catalan, _d_catalan_general,
+        "catalan-general", ("m", "n"), True, _catalan,
+        ("{B}[n-m]*H[n+m] = {B}[n]*H[n] - (-{q})^(n-m)*{B}[m]*H[m]",),
         "Catalan-type relation among H(n+m), H(n), H(m) with {base} multipliers",
         "Catalan's identity (generalized companion form)",
     ),
     _Template(
         # Not generalized and no named companion, so H is the base itself.
-        "catalan", ("m", "n"), False, _catalan, _d_catalan,
+        "catalan", ("m", "n"), False, _catalan,
+        ("{B}[n-m]*{B}[n+m] = {B}[n]^(2) + (-1)^(n+m+1)*{j[2^(n-m)*]}{B}[m]^(2)",),
         "Catalan's identity for {base} numbers", "Catalan's identity",
     ),
     _Template(
-        "double-shift", ("a", "m", "n"), True, _double_shift, _d_double_shift,
+        "double-shift", ("a", "m", "n"), True, _double_shift,
+        ("{B}[2*a]*H[n+m] = {B}[m+a]*H[n+a] - {j[2^(2*a)*]}{B}[m-a]*H[n-a]",),
         "Symmetric shift of both H indices by a with {base} coefficients",
     ),
     _Template(
-        "halton", ("m", "n"), True, _halton, _d_halton,
+        "halton", ("m", "n"), True, _halton,
+        ("{B}[2]*H[n+m] = {B}[m+1]*H[n+1] - {j[4*]}{B}[m-1]*H[n-1]",),
         "Unit-shift instance of the symmetric double shift over {base}",
         "Halton's identity (63), companion form",
     ),
     _Template(
         "odd-even-split", ("k", "m", "n"), True,
         (lambda k, m, n: _master(n, m, 2 * k, 1), lambda k, m, n: _master(n, m, 2 * k, 0)),
-        _d_odd_even_split,
+        (
+            "{B}[2*k-1]*H[n+m] = {j[2^(2*k-1)*]}{B}[m-2*k]*H[n+1] + {B}[m-1]*H[n+2*k]",
+            "{B}[2*k]*H[n+m] = {B}[m]*H[n+2*k] - {j[2^(2*k)*]}{B}[m-2*k]*H[n]",
+        ),
         "Splits H(n+m) with an odd (2k-1) and an even (2k) {base} shift",
     ),
     _Template(
         # G(1) = 1 in every family, so the lhs G(1) H(n+m) is H(n+m).
-        "vajda8", ("m", "n"), True, (lambda m, n: _master(n, m, 1, 0),), _d_vajda8,
+        "vajda8", ("m", "n"), True, (lambda m, n: _master(n, m, 1, 0),),
+        ("H[n+m] = {B}[m]*H[n+1] + {j[2*]}{B}[m-1]*H[n]",),
         "Addition rule: H(n+m) from H(n) and H(n+1) with {base} coefficients",
         "Vajda's formula (8)",
     ),
     _Template(
-        "double-index", ("m", "n"), True, (lambda m, n: _master(n, n, m, -m),), _d_double_index,
+        "double-index", ("m", "n"), True, (lambda m, n: _master(n, n, m, -m),),
+        ("{B}[2*m]*H[2*n] = {B}[n+m]*H[n+m] - {j[2^(2*m)*]}{B}[n-m]*H[n-m]",),
         "Index doubling: H(2n) against {base} terms at n+m and n-m",
     ),
     *(
         _Template(
-            f"sum.{kind}.{v}", _SUM_VARS, True, (_sum_map,), render(v),
+            f"sum.{kind}.{v}", _SUM_VARS, True, (_sum_map,), (statement,),
             f"{title} over H, variant {v}, {{base}} weights",
             identity=f"sum-{kind}:{v}", sign=_alternating if v == flipped else None,
         )
-        for kind, title, render, flipped in (
-            ("ordinary", "Power-weighted ordinary sum", _d_sum_ordinary, 3),
-            ("binomial", "Binomial-weighted sum", _d_sum_binomial, 2),
+        for kind, title, statements, flipped in (
+            ("ordinary", "Power-weighted ordinary sum", _SUM_ORDINARY, 3),
+            ("binomial", "Binomial-weighted sum", _SUM_BINOMIAL, 2),
         )
-        for v in (1, 2, 3)
+        for v, statement in enumerate(statements, 1)
     ),
     _Template(
-        "double-shift-lucas", ("a", "m", "n"), False, _double_shift, _d_double_shift_lucas,
+        "double-shift-lucas", ("a", "m", "n"), False, _double_shift,
+        ("P[2*a]*Q[n+m] = P[m+a]*Q[n+a] - P[m-a]*Q[n-a]",),
         "Symmetric double shift pairing Pell and Pell-Lucas terms",
         companion="pell-lucas", families=("pell",),
     ),
     _Template(
         # Pell(2) = 2 is the lhs multiplier.
-        "halton-lucas", ("m", "n"), False, _halton, _d_halton_lucas,
+        "halton-lucas", ("m", "n"), False, _halton,
+        ("2*Q[n+m] = P[m+1]*Q[n+1] - P[m-1]*Q[n-1]",),
         "Unit-offset double shift pairing Pell and Pell-Lucas terms",
         "Halton's identity (63), Pell-Lucas pairing",
         companion="pell-lucas", families=("pell",),
@@ -340,7 +272,7 @@ def _build_entries() -> dict:
                 generalized=t.generalized,
                 citation=t.citation,
                 default_grid=_default_grid(t.free_vars),
-                dsl_texts=t.renderer(letter, q),
+                dsl_texts=tuple(text.format(B=letter, q=q, j=_Jac(q)) for text in t.statements),
                 identity=t.identity,
                 substitutions=t.substitutions,
                 sign=t.sign,

@@ -317,7 +317,7 @@ def cmd_check(args) -> int:
     else:
         path = Path(args.file)
         if not path.is_file():
-            raise UsageError(f"no such file: {args.file}")
+            raise UsageError(f"{'not a file' if path.exists() else 'no such file'}: {args.file}")
         text = path.read_text(encoding="utf-8")
     ast = parse_identity(text)
     registry = default_registry()

@@ -13,10 +13,13 @@ Grammar (whitespace insensitive; '#' is not a comment character):
     indexTerm := indexAtom ("*" indexAtom)*
     indexAtom := INT | IDENT | "(" indexExpr ")"
 
-INT is a non-negative digit run; IDENT is a letter/underscore word. An IDENT
-directly followed by "[" is a sequence name, resolved against the registry
-when the compiled identity is bound to it, before any case runs; otherwise it
-is a free integer variable. "binom" and "sum" are reserved. Exponents and index
+INT is a non-negative digit run; IDENT is a letter/underscore word; both are
+ASCII only. One regular expression splits the text into these and the symbols
++ - * ^ ( ) [ ] , =; spaces, tabs, CRs and newlines only separate, and any other
+character is an error at its 1-based line and column. An IDENT directly
+followed by "[" is a sequence name, resolved against the registry when the
+compiled identity is bound to it, before any case runs; otherwise it is a free
+integer variable. "binom" and "sum" are reserved. Exponents and index
 expressions always evaluate to integers; exponents may be negative when the
 base is nonzero. There is no division operator, so evaluation is total apart
 from 0^(negative).
@@ -31,10 +34,11 @@ is long) are capped at MAX_DEPTH, below the interpreter's recursion limit.
 from __future__ import annotations
 
 import operator
+import re
 from dataclasses import dataclass, field
 from functools import lru_cache
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Mapping, NamedTuple, Optional
 
 from .errors import EvalError, ParseError, UsageError
 from .grid import GridSpec
@@ -60,91 +64,88 @@ _TOO_DEEP = f"expression is nested too deeply (more than {MAX_DEPTH} levels)"
 
 
 @dataclass(frozen=True)
-class IntLit:
+class _Node:
+    pos: tuple = field(default=(1, 1), compare=False, repr=False, kw_only=True)
+
+
+@dataclass(frozen=True)
+class IntLit(_Node):
     value: int
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Var:
+class Var(_Node):
     name: str
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Neg:
+class Neg(_Node):
     operand: object
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Add:
+class Add(_Node):
     left: object
     right: object
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Sub:
+class Sub(_Node):
     left: object
     right: object
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Mul:
+class Mul(_Node):
     left: object
     right: object
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Pow:
+class Pow(_Node):
     base: object
     exponent: object
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class SeqTerm:
+class SeqTerm(_Node):
     seq: str
     index: object
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Binom:
+class Binom(_Node):
     first: object
     second: object
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Node):
     var: str
     lo: object
     hi: object
     body: object
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 @dataclass(frozen=True)
-class IdentityAst:
+class IdentityAst(_Node):
     lhs: object
     rhs: object
     free_vars: tuple
-    pos: tuple = field(default=(1, 1), compare=False, repr=False)
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer.
+# Tokenizer: one regular expression, whose last matched group names the token
+# kind; blanks match no group. A column is the offset from the line's start.
 
-_SYMBOLS = "+-*^()[],="
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|[ \t\r]+|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<symbol>[-+*^()\[\],=])|(?P<bad>.)"
+)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "int" | "ident" | one of _SYMBOLS | "eof"
+class _Token(NamedTuple):
+    kind: str  # "int" | "ident" | a symbol's own text | "eof"
     text: str
     line: int
     col: int
@@ -152,48 +153,28 @@ class _Token:
 
 def _tokenize(text: str) -> list:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            i += 1
-            col += 1
-            continue
-        # Literals and identifiers are ASCII, as grid variables are.
-        if c.isascii() and c.isdigit():
-            j = i
-            while j < n and text[j].isascii() and text[j].isdigit():
-                j += 1
-            tokens.append(_Token("int", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c.isascii() and (c.isalpha() or c == "_"):
-            j = i
-            while j < n and text[j].isascii() and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if c in _SYMBOLS:
-            tokens.append(_Token(c, c, line, col))
-            i += 1
-            col += 1
-            continue
-        raise ParseError(f"unexpected character {c!r}", line, col)
-    tokens.append(_Token("eof", "", line, col))
+    line, start = 1, 0
+    for match in _TOKEN.finditer(text):
+        kind = match.lastgroup
+        if kind == "newline":
+            line, start = line + 1, match.end()
+        elif kind is not None:
+            word, col = match.group(), match.start() - start + 1
+            if kind == "bad":
+                raise ParseError(f"unexpected character {word!r}", line, col)
+            tokens.append(_Token(word if kind == "symbol" else kind, word, line, col))
+    tokens.append(_Token("eof", "", line, len(text) - start + 1))
     return tokens
 
 
 # ---------------------------------------------------------------------------
-# Parser (recursive descent, one token of lookahead).
+# Parser (recursive descent, one token of lookahead). One set of methods
+# serves both levels; index=True is the integer-only level, with no "^", no
+# sequence terms, no binom or sum.
+
+
+def _found(tok: _Token) -> str:
+    return "end of input" if tok.kind == "eof" else repr(tok.text)
 
 
 class _Parser:
@@ -211,138 +192,99 @@ class _Parser:
             self._i += 1
         return tok
 
-    def _expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> _Token:
         tok = self._peek()
         if tok.kind != kind:
-            got = "end of input" if tok.kind == "eof" else repr(tok.text)
-            raise ParseError(f"expected {what}, found {got}", tok.line, tok.col)
+            raise ParseError(f"expected {what}, found {_found(tok)}", tok.line, tok.col)
         return self._next()
 
-    def _ident(self, what: str) -> _Token:
-        tok = self._expect("ident", what)
-        if tok.text in _RESERVED:
-            raise ParseError(
-                f"{tok.text!r} is reserved and cannot name a {what}", tok.line, tok.col
-            )
-        return tok
-
-    # -- value-level expressions ------------------------------------------
-
-    def parse_identity(self) -> IdentityAst:
-        lhs = self.parse_expr()
-        self._expect("=", "'='")
-        rhs = self.parse_expr()
+    def finish(self, node):
+        """node, once no token is left after it."""
         tok = self._peek()
         if tok.kind != "eof":
             raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
-        free = _validate(lhs, rhs)
-        return IdentityAst(lhs, rhs, free, pos=lhs.pos)
+        return node
 
-    def parse_expr(self):
-        return self._chain(self.parse_factor)
-
-    def _chain(self, parse_atom):
-        """["-"] term (("+" | "-") term)* with term := atom ("*" atom)*,
-        one level of bracket nesting deeper than the caller."""
+    def chain(self, index: bool):
+        """["-"] product (("+" | "-") product)*, one bracket level deeper than the caller."""
         self._depth += 1
         tok = self._peek()
         if self._depth > MAX_DEPTH:
             raise ParseError(_TOO_DEEP, tok.line, tok.col)
         if tok.kind == "-":
             self._next()
-            node = Neg(self._product(parse_atom), pos=(tok.line, tok.col))
+            node = Neg(self._product(index), pos=(tok.line, tok.col))
         else:
-            node = self._product(parse_atom)
+            node = self._product(index)
         while self._peek().kind in ("+", "-"):
-            op = self._next()
-            right = self._product(parse_atom)
-            cls = Add if op.kind == "+" else Sub
-            node = cls(node, right, pos=node.pos)
+            cls = Add if self._next().kind == "+" else Sub
+            node = cls(node, self._product(index), pos=node.pos)
         self._depth -= 1
         return node
 
-    def _product(self, parse_atom):
-        node = parse_atom()
+    def _product(self, index: bool):
+        node = self._factor(index)
         while self._peek().kind == "*":
             self._next()
-            node = Mul(node, parse_atom(), pos=node.pos)
+            node = Mul(node, self._factor(index), pos=node.pos)
         return node
 
-    def parse_factor(self):
-        node = self.parse_base()
-        if self._peek().kind == "^":
+    def _factor(self, index: bool):
+        node = self._base(index)
+        if not index and self._peek().kind == "^":
             self._next()
-            self._expect("(", "'(' after '^'")
-            exponent = self.parse_index_expr()
-            self._expect(")", "')' closing the exponent")
+            self.expect("(", "'(' after '^'")
+            exponent = self.chain(True)
+            self.expect(")", "')' closing the exponent")
             node = Pow(node, exponent, pos=node.pos)
         return node
 
-    def parse_base(self):
+    def _base(self, index: bool):
         tok = self._peek()
+        pos = (tok.line, tok.col)
         if tok.kind == "int":
             self._next()
-            return IntLit(int(tok.text), pos=(tok.line, tok.col))
+            return IntLit(int(tok.text), pos=pos)
         if tok.kind == "(":
             self._next()
-            inner = self.parse_expr()
-            self._expect(")", "')'")
+            inner = self.chain(index)
+            self.expect(")", "')'")
             return inner
-        if tok.kind == "ident":
-            self._next()
-            if tok.text == "binom":
-                self._expect("(", "'(' after 'binom'")
-                first = self.parse_index_expr()
-                self._expect(",", "','")
-                second = self.parse_index_expr()
-                self._expect(")", "')'")
-                return Binom(first, second, pos=(tok.line, tok.col))
-            if tok.text == "sum":
-                self._expect("(", "'(' after 'sum'")
-                var = self._ident("summation variable")
-                self._expect(",", "','")
-                lo = self.parse_index_expr()
-                self._expect(",", "','")
-                hi = self.parse_index_expr()
-                self._expect(",", "','")
-                body = self.parse_expr()
-                self._expect(")", "')'")
-                return Sum(var.text, lo, hi, body, pos=(tok.line, tok.col))
-            if self._peek().kind == "[":
-                self._next()
-                index = self.parse_index_expr()
-                self._expect("]", "']'")
-                return SeqTerm(tok.text, index, pos=(tok.line, tok.col))
-            return Var(tok.text, pos=(tok.line, tok.col))
-        got = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise ParseError(f"expected an expression, found {got}", tok.line, tok.col)
-
-    # -- index-level expressions (integers only, no ^) ---------------------
-
-    def parse_index_expr(self):
-        return self._chain(self.parse_index_atom)
-
-    def parse_index_atom(self):
-        tok = self._peek()
-        if tok.kind == "int":
-            self._next()
-            return IntLit(int(tok.text), pos=(tok.line, tok.col))
-        if tok.kind == "ident":
-            if tok.text in _RESERVED:
+        if tok.kind != "ident":
+            what = "an index expression" if index else "an expression"
+            raise ParseError(f"expected {what}, found {_found(tok)}", *pos)
+        if index and tok.text in _RESERVED:
+            raise ParseError(f"{tok.text!r} is reserved and cannot be an index variable", *pos)
+        self._next()
+        if tok.text == "binom":
+            self.expect("(", "'(' after 'binom'")
+            first = self.chain(True)
+            self.expect(",", "','")
+            second = self.chain(True)
+            self.expect(")", "')'")
+            return Binom(first, second, pos=pos)
+        if tok.text == "sum":
+            self.expect("(", "'(' after 'sum'")
+            var = self.expect("ident", "summation variable")
+            if var.text in _RESERVED:
                 raise ParseError(
-                    f"{tok.text!r} is reserved and cannot be an index variable",
-                    tok.line,
-                    tok.col,
+                    f"{var.text!r} is reserved and cannot name a summation variable",
+                    var.line, var.col,
                 )
+            self.expect(",", "','")
+            lo = self.chain(True)
+            self.expect(",", "','")
+            hi = self.chain(True)
+            self.expect(",", "','")
+            body = self.chain(False)
+            self.expect(")", "')'")
+            return Sum(var.text, lo, hi, body, pos=pos)
+        if not index and self._peek().kind == "[":
             self._next()
-            return Var(tok.text, pos=(tok.line, tok.col))
-        if tok.kind == "(":
-            self._next()
-            inner = self.parse_index_expr()
-            self._expect(")", "')'")
-            return inner
-        got = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise ParseError(f"expected an index expression, found {got}", tok.line, tok.col)
+            seq_index = self.chain(True)
+            self.expect("]", "']'")
+            return SeqTerm(tok.text, seq_index, pos=pos)
+        return Var(tok.text, pos=pos)
 
 
 def _validate(lhs, rhs) -> tuple:
@@ -395,16 +337,17 @@ def _validate(lhs, rhs) -> tuple:
 
 def parse_identity(text: str) -> IdentityAst:
     """Parse "lhs = rhs" into a syntax tree with its free variables."""
-    return _Parser(text).parse_identity()
+    parser = _Parser(text)
+    lhs = parser.chain(False)
+    parser.expect("=", "'='")
+    rhs = parser.finish(parser.chain(False))
+    return IdentityAst(lhs, rhs, _validate(lhs, rhs), pos=lhs.pos)
 
 
 def parse_expression(text: str):
     """Parse a single expression (no '=') into a syntax tree."""
     parser = _Parser(text)
-    node = parser.parse_expr()
-    tok = parser._peek()
-    if tok.kind != "eof":
-        raise ParseError(f"unexpected trailing {tok.text!r}", tok.line, tok.col)
+    node = parser.finish(parser.chain(False))
     _validate(node, IntLit(0))
     return node
 
@@ -416,13 +359,13 @@ _PREC = {Add: 1, Sub: 1, Neg: 1, Mul: 2, Pow: 3}
 
 
 def _prec(node) -> int:
+    if type(node) is IntLit and node.value < 0:
+        return 1  # a hand-built negative literal prints with a leading "-", as Neg does
     return _PREC.get(type(node), 4)
 
 
 def _render(node, min_prec: int, index_level: bool) -> str:
     t = type(node)
-    if t is IntLit:
-        return str(node.value)
     if t is Var:
         return node.name
     if t is SeqTerm:
@@ -434,7 +377,9 @@ def _render(node, min_prec: int, index_level: bool) -> str:
             f"sum({node.var},{_render(node.lo, 1, True)},{_render(node.hi, 1, True)},"
             f"{_render(node.body, 1, False)})"
         )
-    if t is Pow:
+    if t is IntLit:
+        text = str(node.value)
+    elif t is Pow:
         # a power's base must be an atom in the grammar; anything else
         # (including another power) needs explicit parentheses
         base = _render(node.base, 4, index_level)

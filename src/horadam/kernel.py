@@ -307,8 +307,8 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
     w = _swap(w) if swapped else w
     whole = _whole(x) and _whole(y)
     values = _scaled_row(lemma.roles(*w), whole)
-    xs = _terms(x, whole)
-    ys = xs if y is x else _terms(y, whole)
+    xs = xt if whole else _terms(x, False)  # whole: the window's memos serve the sums too
+    ys = xs if y is x else yt if whole else _terms(y, False)
 
     def outcome(case: dict):
         n, k = case["n"], case["k"]

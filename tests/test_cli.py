@@ -302,9 +302,14 @@ class TestCheck:
         code, out, _ = run(capsys, "check", "--file", str(path), "--grid", "n=-6..6")
         assert code == 0 and json.loads(out)["counterexamples"] == []
 
-    def test_missing_file_fails(self, capsys):
-        code, _, err = run(capsys, "check", "--file", "/nonexistent/x.txt", "--grid", "n=0..1")
-        assert code == 2
+    @pytest.mark.parametrize(
+        "name, message", [("missing.txt", "no such file"), ("", "not a file")],
+        ids=["missing", "directory"],
+    )
+    def test_unreadable_file_fails(self, capsys, tmp_path, name, message):
+        path = str(tmp_path / name)
+        code, _, err = run(capsys, "check", "--file", path, "--grid", "n=0..1")
+        assert code == 2 and err == f"error: {message}: {path}\n"
 
     def test_grid_required_when_free_vars(self, capsys):
         code, _, err = run(capsys, "check", "--expr", "F[n]=F[n]")

@@ -102,6 +102,37 @@ class TestParseErrors:
             parse_identity("F[n] =\n   +")
         assert info.value.line == 2
 
+    @pytest.mark.parametrize(
+        "parse, text, message, line, column",
+        [
+            (parse_identity, "F[n]\t= F[n] / 2", "unexpected character '/'", 1, 13),
+            (parse_identity, "F[n] =\r\n  + 1", "expected an expression, found '+'", 2, 3),
+            (parse_identity, "F[n]\r= F[n] F[n]", "unexpected trailing 'F'", 1, 13),
+            (parse_identity, "F[n] =\n", "expected an expression, found end of input", 2, 1),
+            (parse_identity, "F[n] =\n ²", "unexpected character '²'", 2, 2),
+            (
+                parse_identity, "F[sum] = 1",
+                "'sum' is reserved and cannot be an index variable", 1, 3,
+            ),
+            (
+                parse_identity, "sum(sum,0,1,F[n]) = 0",
+                "'sum' is reserved and cannot name a summation variable", 1, 5,
+            ),
+            (parse_identity, "F[n] = F[n] F[n]", "unexpected trailing 'F'", 1, 13),
+            (parse_expression, "F[n]\n  )", "unexpected trailing ')'", 2, 3),
+            (parse_expression, "F[n] = 1", "unexpected trailing '='", 1, 6),
+        ],
+        ids=[
+            "tab", "crlf", "cr", "eof-after-newline", "non-ascii-line-2", "sum-index",
+            "sum-variable", "trailing-identity", "trailing-expression", "expression-equals",
+        ],
+    )
+    def test_error_text_and_position(self, parse, text, message, line, column):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert (info.value.message, info.value.line, info.value.column) == (message, line, column)
+        assert str(info.value) == f"{message} (line {line}, column {column})"
+
     def test_unexpected_character(self):
         with pytest.raises(ParseError):
             parse_identity("F[n] = F[n] / 2")
@@ -224,6 +255,21 @@ class TestPrettyPrint:
         once = pretty_print(parse_identity(text))
         assert pretty_print(parse_identity(once)) == once
 
+    @pytest.mark.parametrize(
+        "node, text",
+        [
+            (Mul(Var("n"), IntLit(-3)), "n*(-3)"),
+            (SeqTerm("F", Add(Var("n"), IntLit(-1))), "F[n+(-1)]"),
+            (Pow(IntLit(-2), IntLit(-1)), "(-2)^(-1)"),
+            (Neg(IntLit(-1)), "-(-1)"),
+            (Add(IntLit(-1), Var("n")), "-1 + n"),
+        ],
+    )
+    def test_negative_literals_print_as_negations(self, node, text):
+        # a hand-built negative literal binds like Neg, so its text re-parses
+        assert pretty_print(node) == text
+        assert eval_expr(parse_expression(text), {"n": 2}, REG) == eval_expr(node, {"n": 2}, REG)
+
     def test_composite_power_bases_get_parentheses(self):
         # a bare chain like 2^(n)^(m) is not grammatical, so the printer
         # must parenthesize any non-atomic base
@@ -275,6 +321,38 @@ def _value_nodes(children):
 
 value_exprs = st.recursive(_value_leaf, _value_nodes, max_leaves=8)
 
+# Trees with hand-built negative literals, which print with a leading "-" and
+# re-parse as Neg(IntLit(...)): equal in value, not in shape. Indices and
+# exponents stay small so that the values do.
+_signed_literal = st.integers(min_value=-9, max_value=9).map(IntLit)
+_signed_index = st.recursive(
+    st.one_of(st.integers(-3, 3).map(IntLit), st.sampled_from("nm").map(Var)),
+    _index_nodes,
+    max_leaves=3,
+)
+
+
+def _signed_nodes(children):
+    return st.one_of(
+        st.tuples(children, children).map(lambda t: Add(*t)),
+        st.tuples(children, children).map(lambda t: Sub(*t)),
+        st.tuples(children, children).map(lambda t: Mul(*t)),
+        children.map(Neg),
+        st.tuples(children, st.integers(-2, 2).map(IntLit)).map(lambda t: Pow(*t)),
+        st.tuples(_signed_index, _signed_index).map(lambda t: Binom(*t)),
+    )
+
+
+signed_exprs = st.recursive(
+    st.one_of(
+        _signed_literal,
+        st.sampled_from("nm").map(Var),
+        _signed_index.map(lambda ix: SeqTerm("F", ix)),
+    ),
+    _signed_nodes,
+    max_leaves=8,
+)
+
 
 class TestRoundTripProperty:
     @given(node=value_exprs)
@@ -288,6 +366,15 @@ class TestRoundTripProperty:
     def test_random_index_trees_round_trip(self, ix):
         node = SeqTerm("H", ix)
         assert parse_expression(pretty_print(node)) == node
+
+    @given(node=signed_exprs, n=st.integers(-3, 3), m=st.integers(-3, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_negative_literals_round_trip_in_value(self, node, n, m):
+        reparsed = parse_expression(pretty_print(node))
+        bindings = {"n": n, "m": m}
+        assert _outcome(lambda: eval_expr(reparsed, bindings, REG)) == _outcome(
+            lambda: eval_expr(node, bindings, REG)
+        )
 
 
 class TestEval:
