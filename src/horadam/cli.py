@@ -66,8 +66,8 @@ def _rational(text: str):
 
 
 def _integer(text: str) -> int:
-    try:
-        return int(text, 10)
+    try:  # int() of a str reads any script's digits; a non-ASCII text fails to encode
+        return int(text.encode("ascii"), 10)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
 

@@ -16,10 +16,11 @@ from typing import Iterator
 
 from .errors import ParseError
 
-# Variable names follow the DSL's identifiers, which may start with "_".
-_RANGE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(-?\d+)(?:\s*\.\.\s*(-?\d+))?\s*$")
+# Names follow the DSL's identifiers (a leading "_" too); numbers take ASCII digits.
+_INT = re.compile(r"-?[0-9]+")
+_RANGE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(-?[0-9]+)(?:\s*\.\.\s*(-?[0-9]+))?\s*$")
 _CONSTRAINT = re.compile(
-    r"^\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+)\s*(<=|>=|!=|==|<|>|=)\s*([A-Za-z_][A-Za-z0-9_]*|-?\d+)\s*$"
+    r"^\s*([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+)\s*(<=|>=|!=|==|<|>|=)\s*([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+)\s*$"
 )
 
 _OPS = {
@@ -92,7 +93,7 @@ def parse_grid(text: str) -> GridSpec:
         match = _CONSTRAINT.match(section)
         if match is None:
             raise ParseError(f"bad grid constraint {section.strip()!r}")
-        left, op, right = (int(x) if x.lstrip("-").isdigit() else x for x in match.groups())
+        left, op, right = (int(x) if _INT.fullmatch(x) else x for x in match.groups())
         for operand in (left, right):
             if isinstance(operand, str) and operand not in ranges:
                 raise ParseError(f"constraint uses unknown variable {operand!r}")

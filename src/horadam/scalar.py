@@ -21,7 +21,7 @@ from .errors import DomainError, ParameterError
 # zero stored as 0/1, and str() rendering "n" or "n/d".
 Rational = Fraction
 
-_RATIONAL_TEXT = re.compile(r"^[+-]?\d+(?:/\d+)?$")
+_RATIONAL_TEXT = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
 
 # Measured on CPython 3.11: the decimal route takes x1.0-1.2 the time of str()
 # at 2**14 bits and x0.73-0.87 at 2**15; the halving stops at _LEAF_BITS.

@@ -111,16 +111,18 @@ def _lucas_pair(P: int, Q: int, m: int, strip: tuple) -> tuple:
     """(a, b, exps) with (W(m), W(m+1)) = (a, b) * prod(r**e) over strip's r
     and exps, for m >= 0, walking the bits of m from the top.
 
-    Doubling W(2k) = W(k)*(2*W(k+1) - P*W(k)), W(2k+1) = W(k+1)**2 + Q*W(k)**2
-    costs three big products per bit (Joye and Quisquater, "Efficient
-    computation of full Lucas sequences", Electronics Letters 32, 1996).
+    The doubling W(2k) = (x+y)**2 - y**2 - (P+1)*x**2, W(2k+1) = y**2 + Q*x**2 at
+    (x, y) = (W(k), W(k+1)) costs three squarings per bit, as in GMP's Fibonacci
+    routine (GMP manual); Joye and Quisquater's W(2k) = x*(2y - P*x) (Electronics
+    Letters 32, 1996) costs a product, and CPython squares in 0.45-0.7 of one.
     Each r is divided out while it divides both members; the doubling is
     homogeneous of degree 2 and the step linear, so a count doubles per bit.
     """
-    a, b = 0, 1
+    a, b = (1, P) if m else (0, 1)  # (W(1), W(2)) stands for m's top bit
     exps = [0] * len(strip) if strip else ()
-    for bit in bin(m)[2:]:
-        a, b = a * (2 * b - P * a), b * b + Q * (a * a)
+    for bit in bin(m)[3:]:
+        A, B, c = a * a, b * b, a + b
+        a, b = c * c - B - (P + 1) * A, B + Q * A
         if bit == "1":
             a, b = b, P * b + Q * a
         if strip:
@@ -140,10 +142,14 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
 
 
 def term(s: Sequence, n: int) -> Rational:
-    """Exact G(n) for any integer n in O(log |n|) big-integer multiplications.
+    """Exact G(n) for any integer n in O(log |n|) big-integer squarings.
 
     G(n) = g1*U(n) + q*g0*U(n-1) with U the (0, 1)-seeded sequence of (p, q);
     for n <= 0, U(-m) = -U(m) / (-q)**m gives G(-m) = (g0*U(m+1) - g1*U(m)) / (-q)**m.
+    So the numerator is c1*W(k+1) + c0*W(k) (k = n-1 or -n), and at (x, y) =
+    (W(j), W(j+1)), j = k // 2, it is alpha*x**2 + 2*beta*x*y + gamma*y**2 =
+    ((beta*x + gamma*y)**2 + (alpha*gamma - beta**2)*x**2) / gamma: two squarings
+    in place of the walk's last doubling (x*(alpha*x + 2*beta*y) when gamma = 0).
     The numerator and denominator d0*d1*step**k are built as integers and
     reduced without a gcd of the two: the walk strips the primes of step that
     divide gcd(P, Q), their counts cancel against step**k, and every common
@@ -153,16 +159,22 @@ def term(s: Sequence, n: int) -> Rational:
     a0, d0 = s.g0.numerator, s.g0.denominator
     a1, d1 = s.g1.numerator, s.g1.denominator
     (step, rest, strip), k = (pos, n - 1) if n > 0 else (neg, -n)
-    w0, w1, exps = _lucas_pair(P, Q, k, strip)
-    if n > 0:
-        num = a1 * d0 * w1 + qs * a0 * d1 * w0
+    c1, c0 = (a1 * d0, qs * a0 * d1) if n > 0 else (a0 * d1, -scale * a1 * d0)
+    x, y, exps = _lucas_pair(P, Q, k >> 1, strip)
+    if k & 1:
+        alpha, beta, gamma = c0 * Q, c1 * Q, c1 * P + c0
     else:
-        num = a0 * d1 * w1 - scale * a1 * d0 * w0
+        alpha, beta, gamma = c1 * Q - c0 * P, c0, c1
+    if gamma:
+        u = beta * x + gamma * y
+        num = (u * u + (alpha * gamma - beta * beta) * (x * x)) // gamma
+    else:
+        num = x * (alpha * x + 2 * beta * y)
     den = d0 * d1 * rest**k
     if strip:
-        # e <= k*v, from Cassini's W(k)**2 - W(k+1)*W(k-1) = (-Q)**(k-1)
+        # 2e <= k*v, from Cassini's W(k)**2 - W(k+1)*W(k-1) = (-Q)**(k-1)
         for (r, v), e in zip(strip, exps):
-            den *= r ** (k * v - e)
+            den *= r ** (k * v - 2 * e)
     if den < 0:
         num, den = -num, -den
     if den == 1:

@@ -450,6 +450,24 @@ class TestExitContract:
         assert err == f"error: unexpected character {bad!r} (line 1, column {col})\n"
 
     @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (["eval", "--seq", "fibonacci", "-n", "١٠"],
+             "horadam eval: error: argument -n/--index: not an integer: '١٠'"),
+            (["eval", "--p", "٣/٢", "--q", "2/3", "--g0", "2", "--g1", "-3", "-n", "3"],
+             "horadam eval: error: argument --p: not a rational literal: '٣/٢' (expected 'n' or 'n/d')"),
+            (["table", "--seq", "fibonacci", "--from", "٠", "--to", "2"],
+             "horadam table: error: argument --from: not an integer: '٠'"),
+        ],
+        ids=["eval-index", "eval-p", "table-from"],
+    )
+    def test_non_ascii_digits_in_numeric_arguments(self, capsys, argv, last_line):
+        # argparse puts its usage above the one error line
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\n{last_line}\n") and err.count("error:") == 1
+
+    @pytest.mark.parametrize(
         "grid, message",
         [
             ("n=0..3;n<q", "constraint uses unknown variable 'q'"),
@@ -457,8 +475,11 @@ class TestExitContract:
             ("n=0..x", "bad grid range 'n=0..x', expected var=lo..hi"),
             ("n=0..3;", "empty grid constraint"),
             ("n=0..3;n<<2", "bad grid constraint 'n<<2'"),
+            ("n=٠..٣", "bad grid range 'n=٠..٣', expected var=lo..hi"),
+            ("n=0..3;n<٣", "bad grid constraint 'n<٣'"),
         ],
-        ids=["unknown-variable", "duplicate", "bad-range", "empty-constraint", "bad-constraint"],
+        ids=["unknown-variable", "duplicate", "bad-range", "empty-constraint", "bad-constraint",
+             "non-ascii-range", "non-ascii-constraint"],
     )
     def test_grid_error_carries_no_location(self, capsys, grid, message):
         code, out, err = run(capsys, "check", "--expr", "F[n]=F[n]", "--grid", grid)

@@ -66,7 +66,9 @@ class TestRational:
     def test_parse_accepts_integer_and_slash_forms(self, text, expected):
         assert rat_from_text(text) == expected
 
-    @pytest.mark.parametrize("text", ["1.5", "1e3", "", "a/b", "7/-2", "1/2/3", "1 / 2"])
+    @pytest.mark.parametrize(
+        "text", ["1.5", "1e3", "", "a/b", "7/-2", "1/2/3", "1 / 2", "٣", "٣/٢", "1/²"]
+    )
     def test_parse_rejects_non_rational_text(self, text):
         with pytest.raises(ParameterError):
             rat_from_text(text)

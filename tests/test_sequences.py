@@ -33,6 +33,11 @@ shared_prime_rationals = st.builds(
 )
 
 
+# Near powers of two the doubling walk's index (n - 1 for n > 0, -n otherwise)
+# is all ones, a single one, or ones at both ends.
+NEAR_POWERS = {d * (2 ** k + e) for k in range(12) for e in (-1, 0, 1) for d in (1, -1)}
+
+
 def _in_lowest_terms(value) -> bool:
     return (
         type(value) is Fraction
@@ -132,11 +137,10 @@ class TestTerm:
                 assert term(seq, n) == term_iterative_oracle(seq, n)
 
     def test_large_index_matches_oracle(self):
-        # Near powers of two the doubling walk's index (n - 1 for n > 0, -n
-        # otherwise) is all ones, a single one, or ones at both ends.
-        near_powers = {d * (2 ** k + e) for k in range(12) for e in (-1, 0, 1) for d in (1, -1)}
         cases = (
             (get_named("fibonacci"), (2000, -1201)),
+            (get_named("pell"), (2000, -1201)),  # P = 2
+            (get_named("jacobsthal"), (2000, -1201)),  # Q = 2
             (make_sequence(0, 3, 1, 2), ()),  # p = 0
             (make_sequence(1, -1, 0, 1), ()),  # q = -1
             (make_sequence(2, -1, 1, 3), ()),  # repeated root x = 1
@@ -150,10 +154,32 @@ class TestTerm:
             (make_sequence(Fraction(5, 6), Fraction(-1, 6), 1, Fraction(1, 2)), ()),
         )
         for seq, extra in cases:
-            for n in sorted(near_powers | {0, 1, -1} | set(extra)):
+            for n in sorted(NEAR_POWERS | {0, 1, -1} | set(extra)):
                 value = term(seq, n)
                 assert _in_lowest_terms(value), (seq, n)
                 assert value == term_iterative_oracle(seq, n), (seq, n)
+
+    @pytest.mark.parametrize(
+        "p, q, g0, g1",
+        [
+            (1, 1, 1, 0),  # g1 = 0
+            (1, 1, 0, 1),  # g0 = 0
+            (1, 1, 1, -1),  # G(2) = 0
+            (2, 3, 1, 2),  # G(-1) = 0, i.e. g1 = p*g0
+            (0, 3, 1, 2),  # p = 0
+            (Fraction(3, 2), Fraction(2, 3), 2, -3),  # for n > 0 the walk strips 3
+        ],
+        ids=["g1-zero", "g0-zero", "G2-zero", "Gm1-zero", "p-zero", "strip"],
+    )
+    def test_fused_last_doubling_matches_oracle(self, p, q, g0, g1):
+        # gamma, the y**2 coefficient of term()'s last step, is zero exactly
+        # when g1, G(2), g0 or G(-1) is, by the sign of n and the parity of
+        # the walk index; each of the first four sequences has one such zero.
+        seq = make_sequence(p, q, g0, g1)
+        for n in sorted(set(range(-40, 41)) | NEAR_POWERS):
+            value = term(seq, n)
+            assert _in_lowest_terms(value), n
+            assert value == term_iterative_oracle(seq, n), n
 
     @given(
         p=shared_prime_rationals,
