@@ -25,6 +25,7 @@ from .errors import UsageError
 from .grid import parse_grid
 from .kernel import IDENTITIES
 from .report import VerificationReport, run_grid
+from .scalar import m1
 from .sequences import get_named, make_sequence
 
 __all__ = ["CatalogEntry", "catalog_list", "catalog_run", "catalog_entry"]
@@ -47,7 +48,7 @@ def _sum_map(a: int, b: int, k: int, m: int, n: int) -> tuple:  # the same map f
 def _alternating(a: int, b: int, k: int, m: int, n: int) -> int:
     # The kernel's rows for sum-ordinary:3 and sum-binomial:2 carry -(-1)^(a+b) on
     # every weight where the classical statements do not: a factor of its k-th power.
-    return -1 if (a + b + 1) * k % 2 else 1
+    return m1((a + b + 1) * k)
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +316,7 @@ def catalog_run(
         grid = parse_grid(entry.default_grid)
     elif isinstance(grid, str):
         grid = parse_grid(grid)
-    if tuple(sorted(grid.var_names)) != entry.free_vars:
-        raise UsageError(
-            f"catalog entry {entry_id!r} needs grid variables"
-            f" {{{', '.join(entry.free_vars)}}}, got {{{', '.join(grid.var_names)}}}"
-        )
+    grid.require_variables(entry.free_vars, f"catalog entry {entry_id!r}")
     if generalized_initials is not None and not entry.generalized:
         raise UsageError(f"catalog entry {entry_id!r} takes no companion initials")
     h0, h1 = generalized_initials if generalized_initials is not None else (None, None)

@@ -29,22 +29,13 @@ from .errors import HoradamError, UsageError
 from .grid import make_grid, parse_grid
 from .kernel import IDENTITIES, IDENTITY_NAMES, ThreeTermRelation, verify_identity_grid
 from .report import VerificationReport
-from .scalar import rat_from_text, rat_text
-from .sequences import Sequence, get_named, make_sequence, term, term_range
+from .scalar import int_from_text, rat_from_text, rat_text
+from .sequences import Sequence, get_named, make_sequence, named_sequences, term, term_range
 
 __all__ = ["build_parser", "main"]
 
-_TABLE_ORDER = (
-    "fibonacci",
-    "lucas",
-    "pell",
-    "pell-lucas",
-    "jacobsthal",
-    "jacobsthal-lucas",
-)
-
 _LONG_OPTION = re.compile(r"--[^=]+")
-_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")
+_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")  # any script's digits: rat_from_text judges them
 
 
 def _attach_negative_fractions(argv: list) -> list:
@@ -58,18 +49,17 @@ def _attach_negative_fractions(argv: list) -> list:
     return out
 
 
-def _rational(text: str):
-    try:
-        return rat_from_text(text)
-    except HoradamError as exc:
-        raise argparse.ArgumentTypeError(str(exc))
+def _argument_type(parse):
+    """An argparse type that reports parse's error as the argument's own."""
+    def convert(text: str):
+        try:
+            return parse(text)
+        except HoradamError as exc:
+            raise argparse.ArgumentTypeError(str(exc))
+    return convert
 
 
-def _integer(text: str) -> int:
-    try:  # int() of a str reads any script's digits; a non-ASCII text fails to encode
-        return int(text.encode("ascii"), 10)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}")
+_rational, _integer = _argument_type(rat_from_text), _argument_type(int_from_text)
 
 
 def _add_output_options(sub, default_format: str) -> None:
@@ -176,18 +166,21 @@ def _resolve_sequence(args) -> Optional[Sequence]:
     return None
 
 
+def _companion_initials(args) -> Optional[tuple]:
+    """(h0, h1) from --h0 and --h1, or None when neither is given."""
+    inits = (args.h0, args.h1)
+    if inits.count(None) == 1:
+        raise UsageError("--h0 and --h1 must be given together")
+    return None if None in inits else inits
+
+
 def _resolve_companion(args, base: Sequence) -> Sequence:
-    named = getattr(args, "h", None)
-    inits = (getattr(args, "h0", None), getattr(args, "h1", None))
-    if named is not None and any(v is not None for v in inits):
-        raise UsageError("--h excludes --h0/--h1")
-    if named is not None:
-        return get_named(named)
-    if any(v is not None for v in inits):
-        if None in inits:
-            raise UsageError("--h0 and --h1 must be given together")
-        return make_sequence(base.params.p, base.params.q, inits[0], inits[1])
-    return base
+    if args.h is not None:
+        if (args.h0, args.h1) != (None, None):
+            raise UsageError("--h excludes --h0/--h1")
+        return get_named(args.h)
+    inits = _companion_initials(args)
+    return base if inits is None else make_sequence(base.params.p, base.params.q, *inits)
 
 
 # ---------------------------------------------------------------------------
@@ -220,8 +213,8 @@ def _table_rows(args) -> tuple:
     if args.all and (args.seq is not None or _custom_params_given(args)):
         raise UsageError("--all excludes --seq and --p/--q/--g0/--g1")
     if args.all:
-        names = _TABLE_ORDER
-        seqs = [get_named(name) for name in names]
+        named = named_sequences()
+        names, seqs = tuple(named), list(named.values())
     else:
         seq = _resolve_sequence(args)
         if seq is None:
@@ -291,23 +284,16 @@ def cmd_catalog(args) -> int:
         payload = "".join(f"{e.id}\t{e.description}\n" for e in catalog_list())
         _emit(payload, None)
         return 0
-    inits = (args.h0, args.h1)
-    if any(v is not None for v in inits) and None in inits:
-        raise UsageError("--h0 and --h1 must be given together")
-    initials = inits if inits[0] is not None else None
-    report = catalog_run(args.id, args.grid, initials)
+    report = catalog_run(args.id, args.grid, _companion_initials(args))
     return _emit_report(report, args)
 
 
 def _parse_declaration(text: str):
     name, sep, params = text.partition("=")
-    name = name.strip()
-    if not sep or not name:
+    name, parts = name.strip(), params.split(",")
+    if not sep or not name or len(parts) != 4:
         raise UsageError(f"bad --declare {text!r}; expected NAME=p,q,g0,g1")
-    parts = [piece.strip() for piece in params.split(",")]
-    if len(parts) != 4:
-        raise UsageError(f"bad --declare {text!r}; expected NAME=p,q,g0,g1")
-    p, q, g0, g1 = (rat_from_text(piece) for piece in parts)
+    p, q, g0, g1 = map(rat_from_text, parts)
     return name, make_sequence(p, q, g0, g1, name=name)
 
 

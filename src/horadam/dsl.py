@@ -40,10 +40,10 @@ from functools import lru_cache
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
-from .errors import EvalError, ParseError, UsageError
-from .grid import GridSpec
+from .errors import EvalError, ParseError
+from .grid import NAME, GridSpec
 from .report import VerificationReport, run_grid
-from .scalar import Rational, binom
+from .scalar import DIGITS, Rational, binom
 from .sequences import NAME_ALIASES, Sequence, get_named, term_fn
 
 __all__ = [
@@ -139,7 +139,7 @@ class IdentityAst(_Node):
 # kind; blanks match no group. A column is the offset from the line's start.
 
 _TOKEN = re.compile(
-    r"(?P<newline>\n)|[ \t\r]+|(?P<int>[0-9]+)|(?P<ident>[A-Za-z_][A-Za-z0-9_]*)"
+    rf"(?P<newline>\n)|[ \t\r]+|(?P<int>{DIGITS})|(?P<ident>{NAME})"
     r"|(?P<symbol>[-+*^()\[\],=])|(?P<bad>.)"
 )
 
@@ -551,17 +551,7 @@ def verify_over_grid(
     """Check lhs = rhs exactly at every grid case; nothing is ever skipped."""
     if registry is None:
         registry = default_registry()
-    grid_vars = set(grid.var_names)
-    free = set(ast.free_vars)
-    if grid_vars != free:
-        missing = sorted(free - grid_vars)
-        extra = sorted(grid_vars - free)
-        parts = []
-        if missing:
-            parts.append(f"missing {', '.join(missing)}")
-        if extra:
-            parts.append(f"unused {', '.join(extra)}")
-        raise UsageError(f"grid variables do not match identity: {'; '.join(parts)}")
+    grid.require_variables(ast.free_vars, "identity")
     outcome = _bind((ast.lhs, ast.rhs), registry)
     label = identity_label if identity_label is not None else pretty_print(ast)
     return run_grid(label, grid, outcome)

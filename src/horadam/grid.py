@@ -5,6 +5,7 @@ filter constraints, e.g. "n=-3..3,m=-3..3;m<=n". A bare "var=v" pins the
 variable to one value. An inverted range (lo > hi) is empty, which makes the
 whole grid empty. Cases are enumerated in lexicographic order of the sorted
 variable names; constraints filter cases out, they never bind variables.
+Numbers and blanks follow scalar's number rule.
 """
 
 from __future__ import annotations
@@ -14,14 +15,15 @@ import re
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import ParseError
+from .errors import ParseError, UsageError
+from .scalar import BLANK, BLANKS, INTEGER
 
-# Names follow the DSL's identifiers (a leading "_" too); numbers take ASCII digits.
-_INT = re.compile(r"-?[0-9]+")
-_RANGE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_]*)\s*=\s*(-?[0-9]+)(?:\s*\.\.\s*(-?[0-9]+))?\s*$")
-_CONSTRAINT = re.compile(
-    r"^\s*([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+)\s*(<=|>=|!=|==|<|>|=)\s*([A-Za-z_][A-Za-z0-9_]*|-?[0-9]+)\s*$"
-)
+# The one identifier rule: grid variables and the DSL's names (a leading "_" too).
+NAME = "[A-Za-z_][A-Za-z0-9_]*"
+_INTEGER = re.compile(INTEGER)
+_RANGE = re.compile(rf"{BLANK}({NAME}){BLANK}={BLANK}({INTEGER})(?:{BLANK}\.\.{BLANK}({INTEGER}))?{BLANK}")
+_OPERAND = f"{BLANK}({NAME}|{INTEGER}){BLANK}"
+_CONSTRAINT = re.compile(f"{_OPERAND}(<=|>=|!=|==|<|>|=){_OPERAND}")
 
 _OPS = {
     "<=": lambda x, y: x <= y,
@@ -45,6 +47,14 @@ class GridSpec:
     @property
     def var_names(self) -> tuple:
         return tuple(name for name, _, _ in self.ranges)
+
+    def require_variables(self, needed, subject: str) -> None:
+        """Raise UsageError, naming any missing and unused, unless the variables are those needed."""
+        have, want = set(self.var_names), set(needed)
+        if have != want:
+            parts = [f"{word} {', '.join(sorted(names))}"
+                     for word, names in (("missing", want - have), ("unused", have - want)) if names]
+            raise UsageError(f"grid variables do not match {subject}: {'; '.join(parts)}")
 
     def cases(self) -> Iterator[dict]:
         """Yield {var: int} bindings in deterministic (sorted-name) order."""
@@ -76,24 +86,24 @@ def parse_grid(text: str) -> GridSpec:
     """Parse the grid microformat; duplicate or malformed entries are rejected."""
     sections = text.split(";")
     ranges = {}
-    head = sections[0].strip()
+    head = sections[0].strip(BLANKS)
     if head:
         for part in head.split(","):
-            match = _RANGE.match(part)
+            match = _RANGE.fullmatch(part)
             if match is None:
-                raise ParseError(f"bad grid range {part.strip()!r}, expected var=lo..hi")
+                raise ParseError(f"bad grid range {part.strip(BLANKS)!r}, expected var=lo..hi")
             name, lo, hi = match.group(1), int(match.group(2)), match.group(3)
             if name in ranges:
                 raise ParseError(f"duplicate grid variable {name!r}")
             ranges[name] = (lo, int(hi) if hi is not None else lo)
     constraints = []
     for section in sections[1:]:
-        if not section.strip():
+        if not section.strip(BLANKS):
             raise ParseError("empty grid constraint")
-        match = _CONSTRAINT.match(section)
+        match = _CONSTRAINT.fullmatch(section)
         if match is None:
-            raise ParseError(f"bad grid constraint {section.strip()!r}")
-        left, op, right = (int(x) if _INT.fullmatch(x) else x for x in match.groups())
+            raise ParseError(f"bad grid constraint {section.strip(BLANKS)!r}")
+        left, op, right = (int(x) if _INTEGER.fullmatch(x) else x for x in match.groups())
         for operand in (left, right):
             if isinstance(operand, str) and operand not in ranges:
                 raise ParseError(f"constraint uses unknown variable {operand!r}")

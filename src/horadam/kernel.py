@@ -448,13 +448,7 @@ def verify_identity_grid(
     rel: Optional[ThreeTermRelation] = None,
 ) -> VerificationReport:
     """Sweep one identity over a grid; grid variables must match exactly."""
-    needed = identity_variables(identity)
-    have = grid.var_names
-    if tuple(sorted(have)) != needed:
-        raise UsageError(
-            f"identity {identity!r} needs grid variables {{{', '.join(needed)}}},"
-            f" got {{{', '.join(have)}}}"
-        )
+    grid.require_variables(identity_variables(identity), f"identity {identity!r}")
     return run_grid(identity, grid, identity_outcome(identity, g, h, rel))
 
 

@@ -1,4 +1,4 @@
-"""Exact rational scalars, rational text, binomial coefficients and parity signs.
+"""Exact rational scalars, number text, binomial coefficients and parity signs.
 
 ``rat_text`` prints an integer of ``_DECIMAL_BITS`` bits or more through exact
 ``Decimal`` halves (the divide and conquer of ``str(int)`` on CPython 3.12+,
@@ -21,7 +21,14 @@ from .errors import DomainError, ParameterError
 # zero stored as 0/1, and str() rendering "n" or "n/d".
 Rational = Fraction
 
-_RATIONAL_TEXT = re.compile(r"^[+-]?[0-9]+(?:/[0-9]+)?$")
+# The number rule for all number text (CLI arguments, grids, --declare parts): an optional
+# sign and ASCII digits, with blanks (spaces and tabs) around a number and none inside it.
+DIGITS = "[0-9]+"
+INTEGER = f"[+-]?{DIGITS}"
+BLANKS = " \t"
+BLANK = f"[{BLANKS}]*"
+_INTEGER_TEXT = re.compile(f"{BLANK}({INTEGER}){BLANK}")
+_RATIONAL_TEXT = re.compile(f"{BLANK}({INTEGER})(?:/({DIGITS}))?{BLANK}")
 
 # Measured on CPython 3.11: the decimal route takes x1.0-1.2 the time of str()
 # at 2**14 bits and x0.73-0.87 at 2**15; the halving stops at _LEAF_BITS.
@@ -37,15 +44,20 @@ def rat(num: int, den: int = 1) -> Rational:
     return Fraction(num, den)
 
 
+def int_from_text(text: str) -> int:
+    """Parse an integer under the number rule."""
+    match = _INTEGER_TEXT.fullmatch(text)
+    if match is None:
+        raise ParameterError(f"not an integer: {text!r}")
+    return int(match.group(1))
+
+
 def rat_from_text(text: str) -> Rational:
-    """Parse 'n' or 'n/d' (no decimals, no exponents); den must be nonzero."""
-    s = text.strip()
-    if not _RATIONAL_TEXT.match(s):
+    """Parse 'n' or 'n/d' under the number rule (no decimals, no exponents); d must be nonzero."""
+    match = _RATIONAL_TEXT.fullmatch(text)
+    if match is None:
         raise ParameterError(f"not a rational literal: {text!r} (expected 'n' or 'n/d')")
-    if "/" in s:
-        num, den = s.split("/")
-        return rat(int(num), int(den))
-    return Fraction(int(s))
+    return rat(int(match[1]), int(match[2] or 1))
 
 
 def rat_text(value) -> str:

@@ -468,6 +468,58 @@ class TestExitContract:
         assert err.endswith(f"\n{last_line}\n") and err.count("error:") == 1
 
     @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (["eval", "--seq", "fibonacci", "-n", "1_0"],
+             "horadam eval: error: argument -n/--index: not an integer: '1_0'"),
+            (["table", "--seq", "fibonacci", "--from", " 1_0", "--to", "2"],
+             "horadam table: error: argument --from: not an integer: ' 1_0'"),
+            (["eval", "--seq", "fibonacci", "-n", "\n10"],
+             "horadam eval: error: argument -n/--index: not an integer: '\\n10'"),
+            (["eval", "--p", "1_0", "--q", "1", "--g0", "0", "--g1", "1", "-n", "3"],
+             "horadam eval: error: argument --p: not a rational literal: '1_0' (expected 'n' or 'n/d')"),
+        ],
+        ids=["eval-underscore", "table-underscore", "eval-newline", "eval-p-underscore"],
+    )
+    def test_number_rule_refuses_underscores_and_other_blanks(self, capsys, argv, last_line):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\n{last_line}\n") and err.count("error:") == 1
+
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["eval", "--seq", "fibonacci", "-n", " 10 "], "55\n"),
+            (["eval", "--seq", "fibonacci", "-n", "\t+10"], "55\n"),
+            (["eval", "--p", " 1 ", "--q", "+1", "--g0", "\t0", "--g1", "1/1 ", "-n", "10"], "55\n"),
+            (["table", "--seq", "fibonacci", "--from", "+9 ", "--to", " 10"], "9,34\n10,55\n"),
+            (["check", "--expr", "F[n]=F[n]", "--grid", "n=+1.. 2 ;n>=\t+2", "--format", "csv"],
+             "identity,grid,cases_total,cases_checked,cases_skipped_precondition,bindings,lhs,rhs\n"
+             "F[n] = F[n],n=+1.. 2 ;n>=\t+2,1,1,0,,,\n"),
+        ],
+        ids=["eval-blanks", "eval-tab-plus", "eval-rationals", "table", "grid"],
+    )
+    def test_number_rule_takes_a_sign_and_blanks_around(self, capsys, argv, expected):
+        assert run(capsys, *argv) == (0, expected, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["verify", "--identity", "theorem1", "--seq", "fibonacci", "--grid", "n=0..1"],
+             "grid variables do not match identity 'theorem1': missing a, b, c, d, m"),
+            (["catalog", "run", "fib.catalan", "--grid", "n=0..1"],
+             "grid variables do not match catalog entry 'fib.catalan': missing m"),
+            (["catalog", "run", "fib.catalan", "--grid", "k=0,n=0..1"],
+             "grid variables do not match catalog entry 'fib.catalan': missing m; unused k"),
+            (["check", "--expr", "F[n]=F[m]", "--grid", "k=0,n=0..1"],
+             "grid variables do not match identity: missing m; unused k"),
+        ],
+        ids=["verify", "catalog", "catalog-unused", "check"],
+    )
+    def test_grid_variable_mismatch_has_one_message(self, capsys, argv, message):
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "grid, message",
         [
             ("n=0..3;n<q", "constraint uses unknown variable 'q'"),
@@ -477,9 +529,13 @@ class TestExitContract:
             ("n=0..3;n<<2", "bad grid constraint 'n<<2'"),
             ("n=٠..٣", "bad grid range 'n=٠..٣', expected var=lo..hi"),
             ("n=0..3;n<٣", "bad grid constraint 'n<٣'"),
+            ("n=1_0..2", "bad grid range 'n=1_0..2', expected var=lo..hi"),
+            ("n=0..3;n<1_0", "bad grid constraint 'n<1_0'"),
+            ("n=0..3,\nm=0", "bad grid range '\\nm=0', expected var=lo..hi"),
         ],
         ids=["unknown-variable", "duplicate", "bad-range", "empty-constraint", "bad-constraint",
-             "non-ascii-range", "non-ascii-constraint"],
+             "non-ascii-range", "non-ascii-constraint", "underscore-range", "underscore-constraint",
+             "newline"],
     )
     def test_grid_error_carries_no_location(self, capsys, grid, message):
         code, out, err = run(capsys, "check", "--expr", "F[n]=F[n]", "--grid", grid)
@@ -545,6 +601,40 @@ def _check_argvs(draw) -> list:
     return _with_format(draw, ["check", "--expr", text, "--grid", _grid_text(draw, ("k", "n"))])
 
 
+@st.composite
+def _number_word(draw, value: int) -> str:
+    """value's text bent about the number rule: a leading 0 split off by "_", a "+", blanks."""
+    digits = str(abs(value))
+    if draw(st.booleans()):
+        digits = "0" + draw(st.sampled_from(["", "_"])) + digits
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "+"]))
+    blank = st.sampled_from(["", " ", "\t", "\n", "\u00a0"])
+    return draw(blank) + sign + digits + draw(blank)
+
+
+@st.composite
+def _number_argvs(draw) -> list:
+    def word(lo: int, hi: int) -> str:
+        return draw(_number_word(draw(st.integers(lo, hi))))
+
+    form = draw(st.sampled_from(["eval", "rational", "table", "declare", "initials", "grid"]))
+    if form == "eval":
+        return ["eval", "--seq", "lucas", "-n", word(-30, 30)]
+    if form == "rational":
+        return ["eval", "--p", f"{word(-3, 3)}/{word(1, 3)}", "--q", word(1, 3),
+                "--g0", "0", "--g1", "1", "-n", "5"]
+    if form == "table":
+        return ["table", "--all", "--from", word(-5, 0), "--to", word(0, 5)]
+    if form == "declare":
+        return ["check", "--expr", "X[n+1] = X[n] + X[n-1]", "--grid", "n=-3..3",
+                "--declare", "X=" + ",".join(word(-2, 2) for _ in range(4))]
+    if form == "initials":
+        return ["catalog", "run", "fib.catalan-general", "--grid", "m=-2..2,n=-2..2",
+                "--h0", word(-3, 3), "--h1", word(-3, 3)]
+    return _with_format(draw, ["check", "--expr", "F[n+1] = F[n] + F[n-1]",
+                               "--grid", f"n={word(-3, 0)}..{word(0, 3)};n!={word(-3, 3)}"])
+
+
 def _quiet_main(argv) -> tuple:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -554,7 +644,8 @@ def _quiet_main(argv) -> tuple:
 
 
 @pytest.mark.parametrize(
-    "argvs", [_catalog_argvs(), _verify_argvs(), _check_argvs()], ids=["catalog", "verify", "check"]
+    "argvs", [_catalog_argvs(), _verify_argvs(), _check_argvs(), _number_argvs()],
+    ids=["catalog", "verify", "check", "numbers"],
 )
 @given(data=st.data())
 @settings(max_examples=60, deadline=None, derandomize=True)

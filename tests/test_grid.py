@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horadam import ParseError, make_grid, parse_grid
+from horadam import ParseError, make_grid, parse_expression, parse_grid
+from horadam.dsl import Var
 
 
 class TestParse:
@@ -124,3 +125,24 @@ class TestMakeGrid:
     def test_count_matches_enumeration(self, ranges):
         grid = make_grid(ranges)
         assert grid.case_count() == len(list(grid.cases()))
+
+
+class TestNamesAgreeWithTheDsl:
+    @staticmethod
+    def _dsl_reads_a_variable(name: str) -> bool:
+        try:
+            return parse_expression(name) == Var(name)
+        except ParseError:
+            return False
+
+    @staticmethod
+    def _grid_reads_a_variable(name: str) -> bool:
+        try:
+            return parse_grid(f"{name}=0").var_names == (name,)
+        except ParseError:
+            return False
+
+    @given(name=st.text(alphabet="aZ_09αé٣²$", max_size=4))
+    @settings(max_examples=200)
+    def test_dsl_and_grid_accept_the_same_variable_names(self, name):
+        assert self._dsl_reads_a_variable(name) == self._grid_reads_a_variable(name), name
