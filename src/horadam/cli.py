@@ -26,7 +26,7 @@ from typing import Optional
 from .catalog import catalog_list, catalog_run
 from .dsl import default_registry, parse_identity, verify_over_grid
 from .errors import HoradamError, UsageError
-from .grid import make_grid, parse_grid
+from .grid import NAME, make_grid, parse_grid
 from .kernel import IDENTITIES, IDENTITY_NAMES, ThreeTermRelation, verify_identity_grid
 from .report import VerificationReport
 from .scalar import int_from_text, rat_from_text, rat_text
@@ -34,17 +34,26 @@ from .sequences import Sequence, get_named, make_sequence, named_sequences, term
 
 __all__ = ["build_parser", "main"]
 
-_LONG_OPTION = re.compile(r"--[^=]+")
-_NEGATIVE_FRACTION = re.compile(r"-\d+/\d+")  # any script's digits: rat_from_text judges them
+_SIGNED_NUMBER = re.compile(r"-[-+]*\d")  # any script's digits: the number rule judges them
 
 
-def _attach_negative_fractions(argv: list) -> list:
-    """Rewrite "--p -3/2" as "--p=-3/2": argparse takes a word such as -3/2
-    for an option string, and only plain negative numbers such as -3 for values."""
+def _number_flags(parser: argparse.ArgumentParser) -> set:
+    """The option strings of parser and its subparsers whose values are numbers."""
+    actions = parser._actions
+    subs = [p for a in actions if isinstance(a, argparse._SubParsersAction) for p in a.choices.values()]
+    flags = {f for a in actions if a.type in (_integer, _rational) for f in a.option_strings}
+    return flags.union(*map(_number_flags, subs))
+
+
+def _attach_signed_numbers(argv: list, flags: set) -> list:
+    """Rewrite "--p -3/2" as "--p=-3/2" and "-n --5" as "-n--5" after a number
+    flag: argparse takes a word such as -3/2 or --5 for an option string, and
+    only plain negative numbers such as -3 for values."""
     out: list = []
     for word in argv:
-        if out and _LONG_OPTION.fullmatch(out[-1]) and _NEGATIVE_FRACTION.fullmatch(word):
-            word = out.pop() + "=" + word
+        if out and out[-1] in flags and _SIGNED_NUMBER.match(word):
+            flag = out.pop()
+            word = flag + "=" * flag.startswith("--") + word
         out.append(word)
     return out
 
@@ -291,7 +300,7 @@ def cmd_catalog(args) -> int:
 def _parse_declaration(text: str):
     name, sep, params = text.partition("=")
     name, parts = name.strip(), params.split(",")
-    if not sep or not name or len(parts) != 4:
+    if not sep or not re.fullmatch(NAME, name) or len(parts) != 4:
         raise UsageError(f"bad --declare {text!r}; expected NAME=p,q,g0,g1")
     p, q, g0, g1 = map(rat_from_text, parts)
     return name, make_sequence(p, q, g0, g1, name=name)
@@ -336,7 +345,8 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     parser = build_parser()
     try:
-        args = parser.parse_args(_attach_negative_fractions(sys.argv[1:] if argv is None else argv))
+        argv = sys.argv[1:] if argv is None else argv
+        args = parser.parse_args(_attach_signed_numbers(argv, _number_flags(parser)))
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else 2

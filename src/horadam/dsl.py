@@ -33,10 +33,11 @@ is long) are capped at MAX_DEPTH, below the interpreter's recursion limit.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, reduce
 from fractions import Fraction
 from typing import Mapping, NamedTuple, Optional
 
@@ -44,7 +45,7 @@ from .errors import EvalError, ParseError
 from .grid import NAME, GridSpec
 from .report import VerificationReport, run_grid
 from .scalar import DIGITS, Rational, binom
-from .sequences import NAME_ALIASES, Sequence, get_named, term_fn
+from .sequences import NAME_ALIASES, Sequence, _coprime_fraction, get_named, is_whole, term_reader
 
 __all__ = [
     "IntLit", "Var", "Neg", "Add", "Sub", "Mul", "Pow", "SeqTerm", "Binom",
@@ -414,13 +415,25 @@ def pretty_print(node) -> str:
 
 # ---------------------------------------------------------------------------
 # Evaluation. A pair of sides compiles once, into the text of one Python
-# function of the binding dict; the code object is cached per syntax tree.
-# The text holds only int literals, repr'd variable names, the emitter's own
-# error labels and slot names: a sequence is a slot _tK filled when the code
-# is bound to a registry, a sum's variable is the parameter _vK of its body's
-# lambda. Python's left-to-right evaluation keeps left operands before right
-# ones and a base before its exponent, so the first error raised is the same
-# as a tree walk's.
+# function of the binding dict; the code object is cached per syntax tree and
+# set of whole sequence names. The text holds only int literals, repr'd
+# variable names, the emitter's own error labels and slot names: a sequence is
+# a slot _tK filled when the code is bound to a registry, a sum's variable is
+# the parameter _vK of its body's lambda. Python's left-to-right evaluation
+# keeps left operands before right ones and a base before its exponent, so the
+# first error raised is the same as a tree walk's.
+#
+# Each node is a value or a pair. A value, an int or Fraction computed by
+# Python's operators, is a literal, variable, binom, term of a whole sequence
+# (term_fn's int) or power of a value, or an operation on values. A pair, an
+# unreduced (numerator, denominator > 0) of ints, is a term of any other
+# sequence or an operation with a pair operand, where a value operand is lifted
+# by as_integer_ratio() and a power of a value by its pair form, so that
+# 2^(-j)*J[j] makes no Fraction. Products multiply the parts, a negative power
+# swaps them, and + - and sum() put both operands over the lcm of their
+# denominators, never their product, which a sum would square term by term. A
+# pair side, or a pair used as an integer, is normalised once, into an int or a
+# Fraction, so no pair reaches a result or an error text.
 
 _CODE_CACHE_SIZE = 256
 
@@ -431,23 +444,14 @@ def default_registry() -> dict:
 
 
 def _index(value, what: str) -> int:
-    if isinstance(value, int):
-        return value
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
+    value = _value(value) if type(value) is tuple else value
+    if isinstance(value, int) or isinstance(value, Fraction) and value.denominator == 1:
+        return int(value)
     raise EvalError(f"{what} did not evaluate to an integer: {value}")
 
 
-def _power(x, e):
-    if type(e) is not int:
-        e = _index(e, "exponent")
-    if e >= 0:
-        return x ** e
-    if x == 0:
-        raise EvalError("zero raised to a negative power")
-    if x == 1 or x == -1:
-        return x if e % 2 else 1
-    return Fraction(x) ** e
+def _power(x, e: int):
+    return x ** e if e >= 0 else _value(_pow(x.as_integer_ratio(), e))
 
 
 def _sum(body, lo: int, hi: int):
@@ -458,63 +462,115 @@ def _unbound(exc: KeyError) -> EvalError:
     return EvalError(f"unbound variable {exc.args[0]!r}")
 
 
+def _value(x: tuple, g: int = 0):
+    """A pair as an int or a normalised Fraction; g = 1 when x is in lowest terms."""
+    num, den = x
+    g = g or math.gcd(num, den)
+    return num // g if g == den else _coprime_fraction(num // g, den // g)
+
+
+def _mul(x: tuple, y: tuple) -> tuple:
+    return x[0] * y[0], x[1] * y[1]
+
+
+def _pow(x: tuple, e: int) -> tuple:
+    num, den = x
+    if e >= 0:
+        return num ** e, den ** e
+    if num == 0:
+        raise EvalError("zero raised to a negative power")
+    return (den ** -e, num ** -e) if num > 0 else ((-den) ** -e, (-num) ** -e)
+
+
+def _add(x: tuple, y: tuple) -> tuple:
+    (a, b), (c, d) = x, y
+    if b == d:
+        return a + c, b
+    g = math.gcd(b, d)
+    return a * (d // g) + c * (b // g), b // g * d
+
+
+def _sub(x: tuple, y: tuple) -> tuple:
+    return _add(x, (-y[0], y[1]))
+
+
+def _pair_sum(body, lo: int, hi: int) -> tuple:
+    return reduce(_add, map(body, range(lo, hi + 1)), (0, 1))
+
+
 _HELPERS = {
-    "__builtins__": {}, "KeyError": KeyError, "type": type, "int": int,
-    "_index": _index, "_power": _power, "_sum": _sum, "_binom": binom, "_unbound": _unbound,
+    "__builtins__": {}, "KeyError": KeyError, "type": type, "int": int, "_binom": binom,
+    "_index": _index, "_power": _power, "_sum": _sum, "_unbound": _unbound, "_value": _value,
+    "_add": _add, "_sub": _sub, "_mul": _mul, "_pow": _pow, "_pair_sum": _pair_sum,
 }
+_OPS = {Add: ("+", "_add"), Sub: ("-", "_sub"), Mul: ("*", "_mul")}
 
 
 @lru_cache(maxsize=_CODE_CACHE_SIZE)
-def _compiled(sides: tuple):
+def _compiled(sides: tuple, whole: frozenset):
     """Code defining _f(b), which returns the tuple of the sides' values, and
-    the sequence name of each slot _tK in order of first use. Each tree level
-    adds at most two parentheses, and a tree deeper than MAX_DEPTH, which only
-    a hand-built tree can be, is refused, so the text stays within the
-    compiler's limit of 200 nested parentheses."""
+    the sequence name of each slot _tK (ints if the name is in whole, else
+    pairs) in order of first use. Each tree level adds at most two parentheses,
+    and a tree deeper than MAX_DEPTH, which only a hand-built tree can be, is
+    refused, so the text stays within the compiler's limit of 200 nested ones."""
     seqs: dict = {}
     sums: list = []
 
-    def emit(node, scope: dict, depth: int = 1) -> str:
+    def emit(node, scope: dict, depth: int = 1) -> tuple:
+        """(value text, or None for a pair node; pair text)."""
         if depth > MAX_DEPTH:
             raise EvalError(_TOO_DEEP)
         depth += 1
         t = type(node)
         if t is IntLit:
-            return repr(operator.index(node.value))
+            text = repr(operator.index(node.value))
+            return text, f"({text}, 1)"
         if t is Var:
-            return scope.get(node.name) or f"b[{str.__repr__(node.name)}]"
+            return lifted(scope.get(node.name) or f"b[{str.__repr__(node.name)}]")
         if t is Neg:
-            return "-" + emit(node.operand, scope, depth)
-        if t is Add or t is Sub or t is Mul:
-            op = "+" if t is Add else "-" if t is Sub else "*"
-            return f"({emit(node.left, scope, depth)} {op} {emit(node.right, scope, depth)})"
+            value, pair = emit(node.operand, scope, depth)
+            return value and "-" + value, f"_mul((-1, 1), {pair})"
+        if t in _OPS:
+            op, helper = _OPS[t]
+            (lv, lp), (rv, rp) = emit(node.left, scope, depth), emit(node.right, scope, depth)
+            return lv and rv and f"({lv} {op} {rv})", f"{helper}({lp}, {rp})"
         if t is SeqTerm:
             slot = seqs.setdefault(node.seq, f"_t{len(seqs)}")
-            return f"{slot}({integer(node.index, scope, depth, 'sequence index')})"
+            text = f"{slot}({integer(node.index, scope, depth, 'sequence index')})"
+            return lifted(text) if node.seq in whole else (None, text)
         if t is Pow:
-            return f"_power({emit(node.base, scope, depth)}, {emit(node.exponent, scope, depth)})"
+            value, pair = emit(node.base, scope, depth)
+            e = integer(node.exponent, scope, depth, "exponent")
+            return value and f"_power({value}, {e})", f"_pow({pair}, {e})"
         if t is Sum:
             lo = integer(node.lo, scope, depth, "sum lower bound")
             hi = integer(node.hi, scope, depth, "sum upper bound")
             var = f"_v{len(sums)}"
             sums.append(var)
-            body = emit(node.body, {**scope, node.var: var}, depth)
-            return f"_sum(lambda {var}: {body}, {lo}, {hi})"
+            value, pair = emit(node.body, {**scope, node.var: var}, depth)
+            value = value and f"_sum(lambda {var}: {value}, {lo}, {hi})"
+            return value, f"_pair_sum(lambda {var}: {pair}, {lo}, {hi})"
         if t is Binom:
             first = integer(node.first, scope, depth, "binom argument")
             second = integer(node.second, scope, depth, "binom argument")
-            return f"_binom({first}, {second})"
+            return lifted(f"_binom({first}, {second})")
         raise TypeError(f"not a DSL node: {node!r}")
+
+    def lifted(value: str) -> tuple:
+        return value, f"({value}).as_integer_ratio()"
 
     def integer(node, scope: dict, depth: int, what: str) -> str:
         """node's text as an int, converted by _index unless it is a literal or
         a sum variable; _i holds the value between the test and its use."""
-        text = emit(node, scope, depth)
+        value, pair = emit(node, scope, depth)
+        if value is None:
+            return f"_index({pair}, {what!r})"
         if type(node) is IntLit or type(node) is Var and node.name in scope:
-            return text
-        return f"_i if type(_i := {text}) is int else _index(_i, {what!r})"
+            return value
+        return f"_i if type(_i := {value}) is int else _index(_i, {what!r})"
 
-    values = "".join(emit(side, {}) + ", " for side in sides)
+    emitted = [(type(side) is SeqTerm, *emit(side, {})) for side in sides]  # a term: lowest terms
+    values = "".join(f"{v}, " if v else f"_value({p}, {int(term)}), " for term, v, p in emitted)
     source = (
         f"def _f(b):\n try:\n  return {values}\n"
         " except KeyError as exc:\n  raise _unbound(exc) from None\n"
@@ -523,15 +579,16 @@ def _compiled(sides: tuple):
 
 
 def _bind(sides: tuple, registry: Mapping[str, Sequence]):
-    """The function of the binding dict for sides, with one term_fn per
+    """The function of the binding dict for sides, with one term reader per
     sequence name; an unknown name fails here, before any case runs."""
-    code, names = _compiled(sides)
+    whole = frozenset(name for name, seq in registry.items() if is_whole(seq))
+    code, names = _compiled(sides, whole)
     namespace = dict(_HELPERS)
     for slot, name in enumerate(names):
         seq = registry.get(name)
         if seq is None:
             raise EvalError(f"unknown sequence name {name!r}")
-        namespace[f"_t{slot}"] = term_fn(seq)
+        namespace[f"_t{slot}"] = term_reader(seq, name in whole)
     exec(code, namespace)
     return namespace.pop("_f")  # so that the function and its globals form no cycle
 

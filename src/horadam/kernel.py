@@ -28,14 +28,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
 from .grid import GridSpec, make_grid
 from .report import VerificationReport, run_grid
 from .scalar import Rational
-from .sequences import Sequence, term, term_fn
+from .sequences import Sequence, is_whole, term, term_fn, term_reader
 
 __all__ = [
     "ThreeTermRelation", "f_g", "basis_coefficients", "IdentitySpec", "IDENTITIES",
@@ -148,13 +148,13 @@ def _theorem1(gt, whole: bool, a: int, b: int, c: int, d: int, m: int) -> tuple:
 
 def _relation(g: Sequence) -> Callable:
     """Theorem 1's relation over g as a function of (a, b, c, d, m)."""
-    whole = _whole(g)
-    return partial(_theorem1, _terms(g, whole), whole)
+    whole = is_whole(g)
+    return partial(_theorem1, term_reader(g, whole), whole)
 
 
 def _theorem1_pair(g: Sequence, h: Sequence) -> Callable:
-    relation, whole = lru_cache(maxsize=_MEMO_SIZE)(_relation(g)), _whole(h)
-    ht = _terms(h, whole)
+    relation, whole = lru_cache(maxsize=_MEMO_SIZE)(_relation(g)), is_whole(h)
+    ht = term_reader(h, whole)
 
     def pair(a: int, b: int, c: int, d: int, m: int, n: int) -> tuple:
         w0, w1, w2, s, t, scale = relation(a, b, c, d, m)
@@ -189,17 +189,6 @@ def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], t
 # Both are homogeneous in the weights and linear in the terms, so they run on integers:
 # integer weights over c (a row's own scale), and terms over d, the lcm that clears
 # the case's terms (1 if whole, when the terms are ints): one division a side.
-
-
-def _whole(s: Sequence) -> bool:
-    """Every term is an integer: q = +-1 and p, G(0) and G(1) are integers. A whole
-    sequence is read through term_fn's ints; any other as (numerator, denominator)."""
-    return abs(s.params.q) == 1 == s.params.p.denominator == s.g0.denominator == s.g1.denominator
-
-
-def _terms(s: Sequence, whole: bool) -> Callable:
-    """i -> G(i): term_fn's int if whole, else a cached (numerator, denominator)."""
-    return term_fn(s) if whole else cache(lambda i: term(s, i).as_integer_ratio())
 
 
 def _clear(parts: list) -> tuple:
@@ -305,10 +294,10 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
     yt, y_name = (xt, "X") if y is x else (term_fn(y), "Y")
     w = (1, rel.f1, rel.f2, rel.a, rel.b)
     w = _swap(w) if swapped else w
-    whole = _whole(x) and _whole(y)
+    whole = is_whole(x) and is_whole(y)
     values = _scaled_row(lemma.roles(*w), whole)
-    xs = xt if whole else _terms(x, False)  # whole: the window's memos serve the sums too
-    ys = xs if y is x else yt if whole else _terms(y, False)
+    xs = xt if whole else term_reader(x, False)  # whole: the window's memos serve the sums too
+    ys = xs if y is x else yt if whole else term_reader(y, False)
 
     def outcome(case: dict):
         n, k = case["n"], case["k"]
@@ -321,8 +310,8 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
 def _sum_core(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence) -> tuple:
     # The lemma at T or swap(T), skipping nothing: row(a, b, c, d, m) memoizes
     # the evaluator's arguments, and at(n, k, *row) gives the two sides there.
-    relation, whole = _relation(g), _whole(h)
-    ht = _terms(h, whole)
+    relation, whole = _relation(g), is_whole(h)
+    ht = term_reader(h, whole)
 
     @lru_cache(maxsize=_MEMO_SIZE)
     def row(a: int, b: int, c: int, d: int, m: int) -> tuple:

@@ -285,14 +285,18 @@ def term_fn(s: Sequence) -> Callable[[int], object]:
     Grid sweeps revisit the same few indices many times; plain-int values keep
     the inner arithmetic on the fast integer path.
     """
-    cache: dict = {}
-
     def t(n: int):
-        v = cache.get(n)
-        if v is None:
-            f = term(s, n)
-            v = f.numerator if f.denominator == 1 else f
-            cache[n] = v
-        return v
+        f = term(s, n)
+        return f.numerator if f.denominator == 1 else f
 
-    return t
+    return functools.cache(t)
+
+
+def is_whole(s: Sequence) -> bool:
+    """Every term is an integer: q = +-1 and p, G(0) and G(1) are integers."""
+    return abs(s.params.q) == 1 == s.params.p.denominator == s.g0.denominator == s.g1.denominator
+
+
+def term_reader(s: Sequence, whole: bool) -> Callable:
+    """i -> G(i): term_fn's int if whole, else a cached (numerator, denominator)."""
+    return term_fn(s) if whole else functools.cache(lambda i: term(s, i).as_integer_ratio())

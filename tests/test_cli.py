@@ -349,6 +349,16 @@ class TestCheck:
         code, _, _ = run(capsys, "check", "--declare", "X=1,1", "--expr", "X[0]=1")
         assert code == 2
 
+    @pytest.mark.parametrize("name", ["my seq", "α", "1X", "X[0]"])
+    def test_declared_name_follows_the_identifier_rule(self, capsys, name):
+        # a name the DSL cannot spell could never be referenced
+        declaration = f"{name}=1,1,0,1"
+        code, out, err = run(
+            capsys, "check", "--expr", "F[n]=F[n]", "--declare", declaration, "--grid", "n=0..1"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --declare {declaration!r}; expected NAME=p,q,g0,g1\n"
+
     def test_expr_and_file_mutually_exclusive(self, capsys):
         code, _, _ = run(capsys, "check", "--expr", "F[0]=0", "--file", "x", "--grid", "n=0..0")
         assert code == 2
@@ -485,6 +495,41 @@ class TestExitContract:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err.endswith(f"\n{last_line}\n") and err.count("error:") == 1
+
+    @pytest.mark.parametrize(
+        "argv, last_line",
+        [
+            (["eval", "--seq", "fibonacci", "-n", "-1_0"],
+             "horadam eval: error: argument -n/--index: not an integer: '-1_0'"),
+            (["eval", "--seq", "fibonacci", "-n", "--5"],
+             "horadam eval: error: argument -n/--index: not an integer: '--5'"),
+            (["eval", "--seq", "fibonacci", "--index", "--5"],
+             "horadam eval: error: argument -n/--index: not an integer: '--5'"),
+            (["eval", "--seq", "fibonacci", "-n", "+-5"],
+             "horadam eval: error: argument -n/--index: not an integer: '+-5'"),
+            (["table", "--seq", "fibonacci", "--from", "-+1", "--to", "2"],
+             "horadam table: error: argument --from: not an integer: '-+1'"),
+            (["eval", "--p", "--3/2", "--q", "1", "--g0", "0", "--g1", "1", "-n", "3"],
+             "horadam eval: error: argument --p: not a rational literal: '--3/2'"
+             " (expected 'n' or 'n/d')"),
+            (["eval", "--seq", "fibonacci", "-n", "--output", "x"],
+             "horadam eval: error: argument -n/--index: expected one argument"),
+            (["eval", "--p", "1", "--q", "1", "--g0", "0", "-n", "--g1", "1"],
+             "horadam eval: error: argument -n/--index: expected one argument"),
+        ],
+        ids=["underscore", "double-dash", "long-flag", "plus-minus", "table-minus-plus",
+             "rational", "flag-after-flag", "digit-flag-after-flag"],
+    )
+    def test_signed_word_after_a_number_flag_meets_the_number_rule(self, capsys, argv, last_line):
+        # a "-"-led word that looks like a number is the flag's value, judged by
+        # the number rule; a real flag after a number flag is still argparse's
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"\n{last_line}\n") and err.count("error:") == 1
+
+    def test_signed_values_after_number_flags_still_parse(self, capsys):
+        argv = ["eval", "--p", "-3/2", "--q", "2/3", "--g0", "2", "--g1", "-3", "-n", "-3"]
+        assert run(capsys, *argv)[:2] == (0, "27/4\n")
 
     @pytest.mark.parametrize(
         "argv, expected",

@@ -625,16 +625,18 @@ class TestCompilerAgainstWalker:
         "wrap",
         [
             lambda t: SeqTerm("F", t),
+            lambda t: SeqTerm("J", t),
             lambda t: Pow(Neg(IntLit(1)), t),
             lambda t: Binom(t, IntLit(1)),
             lambda t: Sum("j", t, IntLit(1), IntLit(2)),
             lambda t: Sum("j", IntLit(-1), t, Var("j")),
         ],
-        ids=["terms", "parity", "binoms", "sum-lower-bounds", "sum-upper-bounds"],
+        ids=["terms", "jac-terms", "parity", "binoms", "sum-lower-bounds", "sum-upper-bounds"],
     )
     def test_hand_built_tree_at_the_cap(self, wrap):
         # only hand-built trees nest these shapes, whose generated code holds
-        # two parentheses per tree level: the deepest still evaluates, one
+        # two parentheses per tree level (J's terms are pairs, normalised
+        # before each use as an index): the deepest still evaluates, one
         # level more is refused like a parsed tree
         node = Var("n")
         while _tree_depth(wrap(node)) <= MAX_DEPTH:
@@ -657,7 +659,8 @@ class TestCompilerAgainstWalker:
 # each role in turn takes one of these names and must behave like a plain one.
 _HOSTILE = (
     "b", "_t0", "_t1", "_v0", "_i", "_f", "_power", "_span", "_sum", "_index", "_binom",
-    "_unbound", "KeyError", "exc", "type", "int", "lambda", "None", "__import__", "__builtins__",
+    "_unbound", "_value", "_add", "_sub", "_mul", "_pow", "_pair_sum", "as_integer_ratio",
+    "KeyError", "exc", "type", "int", "lambda", "None", "__import__", "__builtins__",
 )
 _TEMPLATE = "{t}[{x}+1]*{x} + sum({s},0,{x},binom({x},{s})*{t}[{s}]) = {t}[{x}+1]*{x} + {t}[2*{x}]"
 
@@ -673,14 +676,16 @@ def _shape(report):
 
 
 class TestHostileNames:
+    # fibonacci's terms are ints in the generated code, jacobsthal's are pairs
+    @pytest.mark.parametrize("seq", ["fibonacci", "jacobsthal"])
     @pytest.mark.parametrize("role", ["x", "s", "t"])
     @pytest.mark.parametrize("name", _HOSTILE)
-    def test_evaluates_like_a_plain_name(self, role, name):
+    def test_evaluates_like_a_plain_name(self, role, name, seq):
         names = _roles(role, name)
-        fib = get_named("fibonacci")
+        sequence = get_named(seq)
         plain = parse_identity(_TEMPLATE.format(t="T", x="x", s="s"))
         ast = parse_identity(_TEMPLATE.format(**names))
-        registry = {**REG, "T": fib, names["t"]: fib}
+        registry = {**REG, "T": sequence, names["t"]: sequence}
         x = names["x"]
         for value in range(-3, 4):
             for side in ("lhs", "rhs"):
@@ -689,9 +694,11 @@ class TestHostileNames:
                 )
         expected = verify_over_grid(plain, make_grid({"x": (-3, 3)}), registry)
         report = verify_over_grid(ast, make_grid({x: (-3, 3)}), registry)
-        # the sums vanish at x < 0 while T[2*x] does not: three counterexamples
+        # the sums vanish at x < 0 while T[2*x] does not: three counterexamples,
+        # and for jacobsthal two more at x = 2 and 3, where the sum is 3^(x-1)
         assert _shape(report) == _shape(expected)
-        assert [list(b) for b, _, _ in report.counterexamples] == [[x]] * 3
+        count = {"fibonacci": 3, "jacobsthal": 5}[seq]
+        assert [list(b) for b, _, _ in report.counterexamples] == [[x]] * count
         for bindings, reg, message in (
             ({}, registry, f"unbound variable {x!r}"),
             ({x: 1}, REG, f"unknown sequence name {names['t']!r}"),
@@ -714,6 +721,59 @@ class TestHostileNames:
         with pytest.raises(EvalError) as err:
             eval_expr(node, {}, REG)
         assert str(err.value) == f"unbound variable {name!r}"
+
+
+class TestPairArithmetic:
+    """Terms of a sequence that is not whole, and powers beside them, evaluate
+    as unreduced (numerator, denominator) pairs of ints."""
+
+    @pytest.mark.parametrize(
+        "text", ["sum(j,0,n,2^(-j))", "sum(j,0,n,J[-j])", "sum(j,0,n,2^(-j)*J[j])"]
+    )
+    def test_long_sums_match_the_walker(self, text):
+        # a denominator per term that grew as the product of the terms' ones
+        # would make these take seconds, not milliseconds
+        node, n = parse_expression(text), 1500
+        assert eval_expr(node, {"n": n}, REG) == _walk(node, {"n": n}, REG)
+        if text == "sum(j,0,n,2^(-j))":
+            assert eval_expr(node, {"n": n}, REG) == 2 - Fraction(1, 2**n)
+
+    def test_sums_carry_the_lcm_of_the_denominators(self):
+        assert dsl._add((1, 4), (1, 6)) == (5, 12)
+        assert dsl._sub((1, 4), (1, 6)) == (1, 12)
+        assert dsl._pair_sum(lambda j: (1, 2**j), 0, 10) == (2**11 - 1, 2**10)
+        assert dsl._pair_sum(lambda j: (1, 6 if j % 2 else 4), 0, 3) == (10, 12)
+
+    @pytest.mark.parametrize("x, e, pair", [((2, 3), 2, (4, 9)), ((-2, 3), -3, (-27, 8)),
+                                            ((-1, 1), -1, (-1, 1)), ((0, 5), 0, (1, 1))])
+    def test_powers_keep_a_positive_denominator(self, x, e, pair):
+        assert dsl._pow(x, e) == pair
+
+    def test_zero_pair_to_a_negative_power_rejected(self):
+        with pytest.raises(EvalError, match="zero raised to a negative power"):
+            eval_expr(parse_expression("(J[0]*J[-1])^(-1)"), {}, REG)
+
+    def test_counterexamples_render_in_lowest_terms(self):
+        ast = parse_identity("J[n+1] = 2*J[n]")
+        report = verify_over_grid(ast, make_grid({"n": (-8, -1)}), REG)
+        jac = get_named("J")
+        assert len(report.counterexamples) == 8
+        for bindings, lhs, rhs in report.counterexamples:
+            n = bindings["n"]
+            assert (lhs, rhs) == (term(jac, n + 1), 2 * term(jac, n))
+            for value in (lhs, rhs):
+                assert type(value) in (int, Fraction)
+                assert str(value) == str(Fraction(value.numerator, value.denominator))
+        row = report.to_json_obj()["counterexamples"][0]
+        assert (row["lhs"], row["rhs"]) == ("43/128", "-85/128")
+
+    def test_whole_and_rational_sequences_compile_apart(self):
+        # the same text reads its slot as ints for a whole H and as pairs for
+        # any other, so the code is cached per set of whole names
+        node = parse_expression("H[n] + H[n-1]")
+        for p, q in ((1, 1), (1, 2), (1, -1), (Fraction(1, 2), 3)):
+            h = make_sequence(p, q, 2, 1)
+            assert eval_expr(node, {"n": -3}, {"H": h}) == term(h, -3) + term(h, -4)
 
 
 class TestVerifyOverGrid:
