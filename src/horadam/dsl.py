@@ -433,7 +433,10 @@ def pretty_print(node) -> str:
 # swaps them, and + - and sum() put both operands over the lcm of their
 # denominators, never their product, which a sum would square term by term. A
 # pair side, or a pair used as an integer, is normalised once, into an int or a
-# Fraction, so no pair reaches a result or an error text.
+# Fraction, so no pair reaches a result or an error text; a side that is one
+# term reads term_fn's int or Fraction. A sum whose body holds no sum runs its
+# first term as a walk would, filling a slot _hK_N with each largest subtree that
+# does not read its variable; later terms read the slots, and an empty sum none.
 
 _CODE_CACHE_SIZE = 256
 
@@ -458,14 +461,22 @@ def _sum(body, lo: int, hi: int):
     return sum(map(body, range(lo, hi + 1)), 0)
 
 
+def _peeled(total, body, lo: int, hi: int):
+    """total(body, lo, hi) for a body that returns its term and the later terms' body."""
+    if lo > hi:
+        return total(body, lo, hi)
+    first, later = body(lo)
+    return (operator.add if total is _sum else _add)(first, total(later, lo + 1, hi))
+
+
 def _unbound(exc: KeyError) -> EvalError:
     return EvalError(f"unbound variable {exc.args[0]!r}")
 
 
-def _value(x: tuple, g: int = 0):
-    """A pair as an int or a normalised Fraction; g = 1 when x is in lowest terms."""
+def _value(x: tuple):
+    """A pair as an int or a normalised Fraction."""
     num, den = x
-    g = g or math.gcd(num, den)
+    g = math.gcd(num, den)
     return num // g if g == den else _coprime_fraction(num // g, den // g)
 
 
@@ -498,30 +509,44 @@ def _pair_sum(body, lo: int, hi: int) -> tuple:
     return reduce(_add, map(body, range(lo, hi + 1)), (0, 1))
 
 
+def _nodes(node, depth: int):
+    """node and the nodes below it, down to depth MAX_DEPTH."""
+    yield node
+    if depth < MAX_DEPTH and isinstance(node, _Node):
+        for child in vars(node).values():
+            yield from _nodes(child, depth + 1)
+
+
 _HELPERS = {
     "__builtins__": {}, "KeyError": KeyError, "type": type, "int": int, "_binom": binom,
     "_index": _index, "_power": _power, "_sum": _sum, "_unbound": _unbound, "_value": _value,
     "_add": _add, "_sub": _sub, "_mul": _mul, "_pow": _pow, "_pair_sum": _pair_sum,
+    "_peeled": _peeled,
 }
 _OPS = {Add: ("+", "_add"), Sub: ("-", "_sub"), Mul: ("*", "_mul")}
 
 
 @lru_cache(maxsize=_CODE_CACHE_SIZE)
 def _compiled(sides: tuple, whole: frozenset):
-    """Code defining _f(b), which returns the tuple of the sides' values, and
-    the sequence name of each slot _tK (ints if the name is in whole, else
-    pairs) in order of first use. Each tree level adds at most two parentheses,
-    and a tree deeper than MAX_DEPTH, which only a hand-built tree can be, is
-    refused, so the text stays within the compiler's limit of 200 nested ones."""
+    """Code defining _f(b), which returns the tuple of the sides' values, and the
+    (sequence name, read as values?) of each slot _tK in order of first use. Each
+    tree level adds at most two parentheses and a tree deeper than MAX_DEPTH (only
+    a hand-built one can be) is refused: the compiler allows 200 nested ones."""
     seqs: dict = {}
     sums: list = []
+    peel: list = []  # in a peeled body: its variable, sum number, slots taken, first term?
 
-    def emit(node, scope: dict, depth: int = 1) -> tuple:
+    def emit(node, scope: dict, depth: int = 1, walrus: str = "({} := {})") -> tuple:
         """(value text, or None for a pair node; pair text)."""
         if depth > MAX_DEPTH:
             raise EvalError(_TOO_DEEP)
+        if hoists(node, scope, depth):
+            return hoisted(lambda: emit(node, scope, depth), walrus)
         depth += 1
         t = type(node)
+        if t is Neg and type(node.operand) is IntLit:  # a negative literal
+            emit(node.operand, scope, depth)  # the operand's depth check
+            node, t = IntLit(-operator.index(node.operand.value)), IntLit
         if t is IntLit:
             text = repr(operator.index(node.value))
             return text, f"({text}, 1)"
@@ -535,21 +560,35 @@ def _compiled(sides: tuple, whole: frozenset):
             (lv, lp), (rv, rp) = emit(node.left, scope, depth), emit(node.right, scope, depth)
             return lv and rv and f"({lv} {op} {rv})", f"{helper}({lp}, {rp})"
         if t is SeqTerm:
-            slot = seqs.setdefault(node.seq, f"_t{len(seqs)}")
+            values = node.seq in whole or depth == 2  # or the node is a side
+            slot = seqs.setdefault((node.seq, values), f"_t{len(seqs)}")
             text = f"{slot}({integer(node.index, scope, depth, 'sequence index')})"
-            return lifted(text) if node.seq in whole else (None, text)
+            return lifted(text) if values else (None, text)
         if t is Pow:
             value, pair = emit(node.base, scope, depth)
+            if value == "-1":  # a parity sign
+                sign = integer(node.exponent, scope, depth, "exponent", "1 - {} % 2 * 2")
+                return f"({sign})", f"({sign}, 1)"
             e = integer(node.exponent, scope, depth, "exponent")
+            if value is None and type(node.base) in (Add, Sub, Mul, Neg, Sum):
+                pair = f"_value({pair}).as_integer_ratio()"  # raise no common factor
             return value and f"_power({value}, {e})", f"_pow({pair}, {e})"
         if t is Sum:
             lo = integer(node.lo, scope, depth, "sum lower bound")
             hi = integer(node.hi, scope, depth, "sum upper bound")
             var = f"_v{len(sums)}"
             sums.append(var)
-            value, pair = emit(node.body, {**scope, node.var: var}, depth)
-            value = value and f"_sum(lambda {var}: {value}, {lo}, {hi})"
-            return value, f"_pair_sum(lambda {var}: {pair}, {lo}, {hi})"
+            scope = {**scope, node.var: var}
+            if not any(type(below) is Sum for below in _nodes(node.body, depth)):
+                peel[:] = node.var, len(sums) - 1, 0, True
+            texts, totals = emit(node.body, scope, depth, "{} := {}"), ("_sum(", "_pair_sum(")
+            if peel and peel[2]:  # the later terms read slots
+                peel[2:] = 0, False
+                later = emit(node.body, scope, depth, "{} := {}")
+                texts = [x and f"({x}, lambda {var}: {rest})" for x, rest in zip(texts, later)]
+                totals = "_peeled(_sum, ", "_peeled(_pair_sum, "
+            peel.clear()
+            return tuple(x and f"{h}lambda {var}: {x}, {lo}, {hi})" for h, x in zip(totals, texts))
         if t is Binom:
             first = integer(node.first, scope, depth, "binom argument")
             second = integer(node.second, scope, depth, "binom argument")
@@ -557,20 +596,41 @@ def _compiled(sides: tuple, whole: frozenset):
         raise TypeError(f"not a DSL node: {node!r}")
 
     def lifted(value: str) -> tuple:
-        return value, f"({value}).as_integer_ratio()"
+        return value, f"{value}.as_integer_ratio()"  # value is a name, subscript or call
 
-    def integer(node, scope: dict, depth: int, what: str) -> str:
-        """node's text as an int, converted by _index unless it is a literal or
-        a sum variable; _i holds the value between the test and its use."""
+    def plain(node, scope: dict) -> bool:
+        """node's text is an int literal or a sum variable."""
+        if type(node) is Neg:
+            return type(node.operand) is IntLit
+        return type(node) is IntLit or type(node) is Var and node.name in scope
+
+    def hoists(node, scope: dict, depth: int) -> bool:
+        """node is in a peeled body, does not read its variable and is not plain."""
+        return bool(peel) and not plain(node, scope) and Var(peel[0]) not in _nodes(node, depth)
+
+    def hoisted(make, walrus: str) -> tuple:
+        """make()'s texts, hoisting off; the first term assigns them a slot, later ones read it."""
+        var, k, n, first = peel
+        peel.clear()
+        texts = make()
+        peel[:] = var, k, n + 1, first
+        slot = f"_h{k}_{n}"
+        return tuple(text and (walrus.format(slot, text) if first else slot) for text in texts)
+
+    def integer(node, scope: dict, depth: int, what: str, use: str = "{}") -> str:
+        """use with node's text as an int, converted by _index unless it is a
+        literal or a sum variable; _i holds the value between the test and its use."""
+        if hoists(node, scope, depth):
+            return hoisted(lambda: (integer(node, scope, depth, what, use),), "{} := {}")[0]
         value, pair = emit(node, scope, depth)
         if value is None:
-            return f"_index({pair}, {what!r})"
-        if type(node) is IntLit or type(node) is Var and node.name in scope:
-            return value
-        return f"_i if type(_i := {value}) is int else _index(_i, {what!r})"
+            return use.format(f"_index({pair}, {what!r})")
+        if plain(node, scope):
+            return use.format(value)
+        convert = use.format(f"_index(_i, {what!r})")
+        return f"{use.format('_i')} if type(_i := {value}) is int else {convert}"
 
-    emitted = [(type(side) is SeqTerm, *emit(side, {})) for side in sides]  # a term: lowest terms
-    values = "".join(f"{v}, " if v else f"_value({p}, {int(term)}), " for term, v, p in emitted)
+    values = "".join(f"{v}, " if v else f"_value({p}), " for v, p in (emit(s, {}) for s in sides))
     source = (
         f"def _f(b):\n try:\n  return {values}\n"
         " except KeyError as exc:\n  raise _unbound(exc) from None\n"
@@ -582,13 +642,13 @@ def _bind(sides: tuple, registry: Mapping[str, Sequence]):
     """The function of the binding dict for sides, with one term reader per
     sequence name; an unknown name fails here, before any case runs."""
     whole = frozenset(name for name, seq in registry.items() if is_whole(seq))
-    code, names = _compiled(sides, whole)
+    code, slots = _compiled(sides, whole)
     namespace = dict(_HELPERS)
-    for slot, name in enumerate(names):
+    for k, (name, values) in enumerate(slots):
         seq = registry.get(name)
         if seq is None:
             raise EvalError(f"unknown sequence name {name!r}")
-        namespace[f"_t{slot}"] = term_reader(seq, name in whole)
+        namespace[f"_t{k}"] = term_reader(seq, values)
     exec(code, namespace)
     return namespace.pop("_f")  # so that the function and its globals form no cycle
 

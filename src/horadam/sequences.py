@@ -298,5 +298,5 @@ def is_whole(s: Sequence) -> bool:
 
 
 def term_reader(s: Sequence, whole: bool) -> Callable:
-    """i -> G(i): term_fn's int if whole, else a cached (numerator, denominator)."""
+    """i -> G(i): term_fn's int or Fraction if whole, else a cached (numerator, denominator)."""
     return term_fn(s) if whole else functools.cache(lambda i: term(s, i).as_integer_ratio())

@@ -288,6 +288,21 @@ class TestCheck:
         first = json.loads(out)["counterexamples"][0]
         assert first == {"bindings": {"n": 0}, "lhs": "1", "rhs": "0"}
 
+    def test_sides_that_are_one_rational_term(self, capsys):
+        # each side is one Jacobsthal term, read as term()'s int or Fraction
+        code, out, _ = run(capsys, "check", "--expr", "J[n+1]=J[n]", "--grid", "n=-3..3")
+        jac = horadam.get_named("J")
+        terms = {n: str(horadam.term(jac, n)) for n in range(-3, 5)}
+        rows = [
+            {"bindings": {"n": n}, "lhs": terms[n + 1], "rhs": terms[n]}
+            for n in range(-3, 4) if n != 1
+        ]
+        report = {
+            "identity": "J[n+1] = J[n]", "grid": "n=-3..3", "cases_total": 7, "cases_checked": 7,
+            "cases_skipped_precondition": 0, "counterexamples": rows,
+        }
+        assert code == 1 and out == json.dumps(report, indent=2) + "\n"
+
     def test_underscore_variable_is_swept(self, capsys):
         code, out, _ = run(capsys, "check", "--expr", "_a + 1 = 1 + _a", "--grid", "_a=0..2;_a>=1")
         assert code == 0 and json.loads(out)["cases_checked"] == 2

@@ -1,6 +1,7 @@
 """DSL tokenizer, parser, pretty printer, and evaluator."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from horadam import (
     verify_over_grid,
 )
 from horadam import dsl
+from horadam.sequences import term_reader
 from horadam.dsl import (
     MAX_DEPTH, Add, Binom, IdentityAst, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var,
 )
@@ -594,6 +596,13 @@ _walk_exprs = st.recursive(
 )
 
 
+def _chain(node):
+    """The chain below a sum-on-top shape, or node itself."""
+    if type(node) is not Sum:
+        return node
+    return node.body.right if type(node.body) is Mul else node.body
+
+
 class TestCompilerAgainstWalker:
     @given(node=_walk_exprs, n=st.integers(-3, 3), m=st.integers(-3, 3))
     @settings(max_examples=300, deadline=None)
@@ -630,8 +639,16 @@ class TestCompilerAgainstWalker:
             lambda t: Binom(t, IntLit(1)),
             lambda t: Sum("j", t, IntLit(1), IntLit(2)),
             lambda t: Sum("j", IntLit(-1), t, Var("j")),
+            # one sum on top of a chain that does not read j: its first term
+            # assigns the chain to a slot, beside j or J[j] or as the whole body
+            lambda t: Sum("j", IntLit(0), IntLit(1), Mul(Var("j"), SeqTerm("J", _chain(t)))),
+            lambda t: Sum("j", IntLit(0), IntLit(1), SeqTerm("J", _chain(t))),
+            lambda t: Sum(
+                "j", IntLit(0), IntLit(1), Mul(SeqTerm("J", Var("j")), Binom(_chain(t), IntLit(1)))
+            ),
         ],
-        ids=["terms", "jac-terms", "parity", "binoms", "sum-lower-bounds", "sum-upper-bounds"],
+        ids=["terms", "jac-terms", "parity", "binoms", "sum-lower-bounds", "sum-upper-bounds",
+             "sum-body-slot", "sum-body-in-a-slot", "sum-body-slot-binoms"],
     )
     def test_hand_built_tree_at_the_cap(self, wrap):
         # only hand-built trees nest these shapes, whose generated code holds
@@ -658,7 +675,8 @@ class TestCompilerAgainstWalker:
 # template holds a free variable x, a sum variable s and a sequence name t;
 # each role in turn takes one of these names and must behave like a plain one.
 _HOSTILE = (
-    "b", "_t0", "_t1", "_v0", "_i", "_f", "_power", "_span", "_sum", "_index", "_binom",
+    "b", "_t0", "_t1", "_v0", "_h0_0", "_i", "_f", "_power", "_span", "_sum", "_peeled", "_index",
+    "_binom",
     "_unbound", "_value", "_add", "_sub", "_mul", "_pow", "_pair_sum", "as_integer_ratio",
     "KeyError", "exc", "type", "int", "lambda", "None", "__import__", "__builtins__",
 )
@@ -774,6 +792,76 @@ class TestPairArithmetic:
         for p, q in ((1, 1), (1, 2), (1, -1), (Fraction(1, 2), 3)):
             h = make_sequence(p, q, 2, 1)
             assert eval_expr(node, {"n": -3}, {"H": h}) == term(h, -3) + term(h, -4)
+
+
+class TestPeeledSums:
+    """A sum whose body holds no sum computes what its body does not read of
+    the sum's variable once, in its first term, and reads it in the others."""
+
+    @pytest.mark.parametrize(
+        "text, bindings, message",
+        [
+            # the first term raises before it reaches the unbound x
+            ("sum(j,0,2,0^(j-1)*F[x])", {}, "zero raised to a negative power"),
+            ("sum(j,0,2,F[j]*F[n+1])", {"n": Fraction(1, 2)},
+             "sequence index did not evaluate to an integer: 3/2"),
+            ("sum(j,0,2,J[n]^(j)*binom(n,j))", {"n": Fraction(1, 2)},
+             "sequence index did not evaluate to an integer: 1/2"),
+            ("sum(j,0,2,F[j]^(n+m))", {"n": 1}, "unbound variable 'm'"),
+            ("sum(j,0,2,(-1)^(j+n)*J[j])", {"n": Fraction(1, 2)},
+             "exponent did not evaluate to an integer: 1/2"),
+        ],
+    )
+    def test_first_error_is_the_walkers(self, text, bindings, message):
+        node = parse_expression(text)
+        assert _outcome(lambda: _walk(node, bindings, REG)) == (EvalError, message)
+        assert _outcome(lambda: eval_expr(node, bindings, REG)) == (EvalError, message)
+
+    def test_empty_sum_reads_nothing(self):
+        node = parse_expression("sum(j,1,0,F[x])")
+        value = eval_expr(node, {}, REG)
+        assert value == _walk(node, {}, REG) == 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "sum(j,0,n,F[m]*F[j])", "sum(j,0,n,J[m-j]*J[m]^(j))",
+            "sum(j,n,m,(-1)^(j)*binom(m,j)*J[n])", "sum(j,0,n,(J[m]+J[n])^(j)*2^(-j))",
+            "sum(j,0,n,F[m])", "sum(j,0,n,J[m]*sum(i,0,j,J[i]*J[n]))",
+        ],
+    )
+    def test_outcomes_match_the_walker(self, text):
+        node = parse_expression(text)
+        for n in range(-1, 5):
+            for m in range(-3, 4):
+                b = {"n": n, "m": m}
+                expected = _outcome(lambda: _walk(node, b, REG))
+                assert _outcome(lambda: eval_expr(node, b, REG)) == expected
+
+    def test_invariant_term_read_once_per_case(self, monkeypatch):
+        reads = []
+
+        def counting(seq, values):
+            read = term_reader(seq, values)
+            return lambda i: reads.append(i) or read(i)
+
+        monkeypatch.setattr(dsl, "term_reader", counting)
+        ast = parse_identity("sum(j,0,5,F[m]*F[j]) = F[m]*(F[7]-1)")
+        assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
+        # per case: F[m] in the first term, F[1..5] in the others, then the rhs
+        assert reads == [i for m in range(-2, 3) for i in (m, 0, 1, 2, 3, 4, 5, m, 7)]
+
+    def test_power_of_a_pair_operation_cancels_first(self):
+        # 2*J[-1] is the pair (2, 2): raising both parts would build two
+        # ten-million-bit integers to return 1
+        node = parse_expression("(2*J[-1])^(n)")
+        tracemalloc.start()
+        try:
+            value = eval_expr(node, {"n": 10**7}, REG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value == 1 and peak < 2**20
 
 
 class TestVerifyOverGrid:
