@@ -14,11 +14,11 @@ with its two terms swapped. IDENTITIES holds one entry per identity.
 Every outcome evaluates both sides exactly and no statement divides: each
 row is stated multiplied through by Z^k, where Z is the weight the paper
 divides by. Every statement is homogeneous in its weights and linear in its
-terms, so it runs on integers: a sequence whose terms are not all integers is
-read as (numerator, denominator) pairs, each case clears its own terms by
-their lcm, Theorem 1's relation comes from G's cleared terms as integers over
-a square, and each side is divided once at the end. One ordinary and one
-binomial evaluator serve the rows. A summation case with k >= 1 and Z = 0 is
+terms, so it runs on integers: each case reads a sequence's terms as ints
+G(i)*scale from a cached table keyed by its index bounds (sequences.term_tables),
+Theorem 1's relation comes from G's cleared terms as integers over a square,
+and each side is divided once at the end. One ordinary and one binomial
+evaluator serve the rows. A summation case with k >= 1 and Z = 0 is
 skipped (rather than failed), since the theorems hypothesize Z nonzero; the
 positional cores, through which the catalog checks, skip nothing.
 """
@@ -35,7 +35,7 @@ from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
 from .grid import GridSpec, make_grid
 from .report import VerificationReport, run_grid
 from .scalar import Rational
-from .sequences import Sequence, is_whole, term, term_fn, term_reader
+from .sequences import Sequence, _coprime_fraction, is_whole, term, term_fn, term_reader, term_tables
 
 __all__ = [
     "ThreeTermRelation", "f_g", "basis_coefficients", "IdentitySpec", "IDENTITIES",
@@ -153,17 +153,14 @@ def _relation(g: Sequence) -> Callable:
 
 
 def _theorem1_pair(g: Sequence, h: Sequence) -> Callable:
-    relation, whole = lru_cache(maxsize=_MEMO_SIZE)(_relation(g)), is_whole(h)
-    ht = term_reader(h, whole)
+    relation, table = lru_cache(maxsize=_MEMO_SIZE)(_relation(g)), term_tables(h)
 
     def pair(a: int, b: int, c: int, d: int, m: int, n: int) -> tuple:
         w0, w1, w2, s, t, scale = relation(a, b, c, d, m)
-        nm, dh = n + m, 1
-        x, y, z = ht(nm), ht(nm - s), ht(nm - t)
-        if not whole:
-            dh, (x, y, z) = _clear([x, y, z])
-        lhs, rhs = w0 * x, w1 * y + w2 * z
-        return (lhs, rhs) if scale == dh == 1 else _sides(lhs, rhs, scale * dh)
+        nm, span = n + m, abs(s) + abs(t)
+        ht, dh = table(nm - span, nm + span)
+        lhs, rhs = w0 * ht(nm), w1 * ht(nm - s) + w2 * ht(nm - t)
+        return (lhs, rhs) if scale == dh == 1 else _sides(lhs, rhs, scale, dh, dh)
 
     return pair
 
@@ -187,8 +184,8 @@ def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], t
 # the binomial sums
 #   sum_{j=0..k} binom(k, j) Z^(k-j) Y^j st(n + s*k + t*j) = W^k rt(n).
 # Both are homogeneous in the weights and linear in the terms, so they run on integers:
-# integer weights over c (a row's own scale), and terms over d, the lcm that clears
-# the case's terms (1 if whole, when the terms are ints): one division a side.
+# integer weights over c (a row's own scale), and each sequence's terms from its table
+# over the case's index bounds (at scale 1 if whole): one division a side.
 
 
 def _clear(parts: list) -> tuple:
@@ -199,46 +196,48 @@ def _clear(parts: list) -> tuple:
     return d, nums if d == 1 else [num * (d // den) for num, den in parts]
 
 
-def _scaled_row(values: tuple, whole: bool) -> tuple:
-    """Evaluator arguments (three weights, shifts) as integer weights, shifts, c, whole."""
+def _scaled_row(values: tuple) -> tuple:
+    """Evaluator arguments (three weights, shifts) as integer weights, shifts, c."""
     c, weights = _clear([v.as_integer_ratio() for v in values[:3]])
-    return (*weights, *values[3:], c, whole)
+    return (*weights, *values[3:], c)
 
 
-def _sides(lhs: int, rhs: int, scale: int) -> tuple:
-    """The two sides over scale > 0; equal sides share one Fraction."""
-    value = Fraction(lhs, scale)
-    return (value, value) if lhs == rhs else (value, Fraction(rhs, scale))
+def _sides(lhs: int, rhs: int, c: int, d: int, e: int) -> tuple:
+    """lhs / (c*d) and rhs / (c*e) as Fractions, for c, d, e > 0; equal sides share one."""
+    if d != e:
+        lhs, rhs, d = lhs * e, rhs * d, d * e
+    g = math.gcd(lhs, scale := c * d)
+    value = _coprime_fraction(lhs // g, scale // g)
+    if lhs == rhs:
+        return value, value
+    g = math.gcd(rhs, scale)
+    return value, _coprime_fraction(rhs // g, scale // g)
 
 
-def _ordinary_sum(st, rt, n: int, k: int, X, Y, Z, s: int, t: int, sign: int, c: int,
-                  whole: bool) -> tuple:
+def _ordinary_sum(st, rt, n: int, k: int, X, Y, Z, s: int, t: int, sign: int, c: int) -> tuple:
     if k < 0:
         raise DomainError(f"summation bound k must be non-negative, got {k}")
-    base, ends, d = n - s * k + t, (rt(n), rt(n - s * (k + 1))), 1
-    if not whole:
-        d, h = _clear([st(base + s * j) for j in range(k + 1)] + [*ends])
-        st, base, s, ends = h.__getitem__, 0, 1, h[-2:]  # the cleared terms, by position
-    tot, y = 0, 1
+    span = abs(s) * (k + 1) + abs(t)
+    (sv, d), (rv, e) = st(n - span, n + span), rt(n - span, n + span)
+    base, tot, y = n - s * k + t, 0, 1
     for j in range(k + 1):
-        tot = tot * Z + y * st(base + s * j)
+        tot = tot * Z + y * sv(base + s * j)
         y = y * Y
-    lhs, rhs = X * tot, sign * (y * ends[0] - Z ** (k + 1) * ends[1])
-    return (lhs, rhs) if c == d == 1 else _sides(lhs, rhs, c ** (k + 1) * d)
+    lhs, rhs = X * tot, sign * (y * rv(n) - Z ** (k + 1) * rv(n - s * (k + 1)))
+    return (lhs, rhs) if c == d == e == 1 else _sides(lhs, rhs, c ** (k + 1), d, e)
 
 
-def _binomial_sum(st, rt, n: int, k: int, Y, Z, W, s: int, t: int, c: int, whole: bool) -> tuple:
+def _binomial_sum(st, rt, n: int, k: int, Y, Z, W, s: int, t: int, c: int) -> tuple:
     if k < 0:
         raise DomainError(f"summation bound k must be non-negative, got {k}")
-    base, end, d = n + s * k, rt(n), 1
-    if not whole:
-        d, h = _clear([st(base + t * j) for j in range(k + 1)] + [end])
-        st, base, t, end = h.__getitem__, 0, 1, h[-1]  # the cleared terms, by position
-    tot, y = 0, 1
+    span = (abs(s) + abs(t)) * k
+    (sv, d), (rv, e) = st(n - span, n + span), rt(n - span, n + span)
+    base, tot, y = n + s * k, 0, 1
     for j in range(k + 1):
-        tot = tot * Z + math.comb(k, j) * y * st(base + t * j)
+        tot = tot * Z + math.comb(k, j) * y * sv(base + t * j)
         y = y * Y
-    return (tot, W ** k * end) if c == d == 1 else _sides(tot, W ** k * end, c ** k * d)
+    rhs = W ** k * rv(n)
+    return (tot, rhs) if c == d == e == 1 else _sides(tot, rhs, c ** k, d, e)
 
 
 class _Lemma(NamedTuple):
@@ -275,33 +274,31 @@ def _minus(shift: int) -> str:
     return f"n-{shift}" if shift > 0 else f"n+{-shift}" if shift else "n"
 
 
-def _check_relation_window(xt, yt, w: tuple, anchors, y_name: str) -> None:
+def _check_relation_window(xt, yt, w: tuple, anchors, y_name: str, passed: set) -> None:
     """Every summand rewrite uses X(s) = f1*X(s-a) + f2*Y(s-b) at some anchor s;
-    verify those instances up front so a wrong relation surfaces as a clear error."""
+    verify those not in passed up front so a wrong relation surfaces as a clear error."""
     _, f1, f2, a, b = w
     for s in anchors:
-        if xt(s) != f1 * xt(s - a) + f2 * yt(s - b):
+        if s not in passed and xt(s) != f1 * xt(s - a) + f2 * yt(s - b):
             raise PreconditionError(
                 f"relation X(n) = {f1}*X({_minus(a)}) + {f2}*{y_name}({_minus(b)}) fails at n={s}"
             )
+        passed.add(s)
 
 
 def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
                    rel: ThreeTermRelation) -> Callable[[dict], tuple]:
     # The lemma at the relation X(n) = f1*X(n-a) + f2*Y(n-b), or at its swap;
     # it sums Y and puts X on the other side.
-    xt = term_fn(x)
-    yt, y_name = (xt, "X") if y is x else (term_fn(y), "Y")
+    xt, xs = term_fn(x), term_tables(x)
+    yt, ys, y_name = (xt, xs, "X") if y is x else (term_fn(y), term_tables(y), "Y")
     w = (1, rel.f1, rel.f2, rel.a, rel.b)
     w = _swap(w) if swapped else w
-    whole = is_whole(x) and is_whole(y)
-    values = _scaled_row(lemma.roles(*w), whole)
-    xs = xt if whole else term_reader(x, False)  # whole: the window's memos serve the sums too
-    ys = xs if y is x else yt if whole else term_reader(y, False)
+    values, passed = _scaled_row(lemma.roles(*w)), set()
 
     def outcome(case: dict):
         n, k = case["n"], case["k"]
-        _check_relation_window(xt, yt, w, lemma.anchors(n, k, *w[3:]), y_name)
+        _check_relation_window(xt, yt, w, lemma.anchors(n, k, *w[3:]), y_name, passed)
         return lemma.evaluate(ys, xs, n, k, *values)
 
     return outcome
@@ -310,13 +307,12 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
 def _sum_core(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence) -> tuple:
     # The lemma at T or swap(T), skipping nothing: row(a, b, c, d, m) memoizes
     # the evaluator's arguments, and at(n, k, *row) gives the two sides there.
-    relation, whole = _relation(g), is_whole(h)
-    ht = term_reader(h, whole)
+    relation, ht = _relation(g), term_tables(h)
 
     @lru_cache(maxsize=_MEMO_SIZE)
     def row(a: int, b: int, c: int, d: int, m: int) -> tuple:
         *w, scale = relation(a, b, c, d, m)
-        return (*lemma.roles(*(_swap(w) if swapped else w)), scale, whole)
+        return (*lemma.roles(*(_swap(w) if swapped else w)), scale)
 
     return row, partial(lemma.evaluate, ht, ht)
 

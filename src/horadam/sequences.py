@@ -300,3 +300,36 @@ def is_whole(s: Sequence) -> bool:
 def term_reader(s: Sequence, whole: bool) -> Callable:
     """i -> G(i): term_fn's int or Fraction if whole, else a cached (numerator, denominator)."""
     return term_fn(s) if whole else functools.cache(lambda i: term(s, i).as_integer_ratio())
+
+
+class _Table(dict):
+    """The int G(i)*scale by index i, filled from term() on first read."""
+
+    def __init__(self, s: Sequence, scale: int):
+        self.seq, self.scale = s, scale
+
+    def __missing__(self, i: int) -> int:
+        num, den = term(self.seq, i).as_integer_ratio()
+        value, rest = divmod(num * self.scale, den)
+        if rest:
+            raise ArithmeticError(f"scale {self.scale} does not clear G({i}) = {num}/{den}")
+        return self.setdefault(i, value)
+
+
+def term_tables(s: Sequence) -> Callable:
+    """table(lo, hi) -> (read, scale), read(i) the int G(i)*scale for lo <= i <= hi: one
+    table per (A, B), A = hi-1 and B = -lo rounded up to multiples of 8 (0 if negative),
+    at scale d0*d1 * lcm**A * |q*lcm|**B (lcm that of p's and q's denominators), which
+    term()'s denominator d0*d1*step**k divides; a whole sequence has one, at scale 1."""
+    lcm, _, qs, *_ = s.params._engine
+    dens = s.g0.denominator * s.g1.denominator
+
+    @functools.cache
+    def keyed(a: int, b: int) -> tuple:
+        t = _Table(s, dens * lcm ** (8 * a) * abs(qs) ** (8 * b))
+        return t.__getitem__, t.scale
+
+    if is_whole(s):
+        one = keyed(0, 0)
+        return lambda lo, hi: one
+    return lambda lo, hi: keyed(hi + 6 >> 3 if hi > 1 else 0, 7 - lo >> 3 if lo < 0 else 0)

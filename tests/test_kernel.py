@@ -6,6 +6,7 @@ arithmetic), so the kernel's own term engine and caches are never the only
 route to an expected value.
 """
 
+import collections
 import itertools
 import math
 from fractions import Fraction
@@ -34,6 +35,7 @@ from horadam import (
 )
 from horadam import kernel
 from horadam.kernel import IDENTITIES, IDENTITY_NAMES, identity_outcome
+from horadam.sequences import term_tables
 from conftest import random_pair
 
 F = get_named("fibonacci")
@@ -58,14 +60,6 @@ def _oracle(seq):
 
 def _fg_literal(t, u, v, s, tt) -> Fraction:
     return t(u - s) * t(v - tt) - t(u - tt) * t(v - s)
-
-
-def _read(whole: bool, *accessors) -> tuple:
-    """The accessors as the integer evaluators read terms: unchanged (ints) when
-    whole, else as (numerator, denominator) pairs."""
-    if whole:
-        return accessors
-    return tuple(lambda i, t=t: Fraction(t(i)).as_integer_ratio() for t in accessors)
 
 
 class TestKernelForm:
@@ -356,6 +350,42 @@ class TestLemmasAtPowerRelations:
                 verify_identity_grid(name, x, y, grid, perturbed)
 
 
+class TestRelationAnchors:
+    """A lemma outcome verifies each anchor of its relation once per sweep,
+    however many cases apply the relation there."""
+
+    LEMMAS = {
+        "lemma1": ("telescope", False), "lemma2:1": ("telescope", False),
+        "lemma2:2": ("telescope", True), "lemma2:3": ("mixed", False),
+        "lemma3:1": ("binomial", False), "lemma3:2": ("backward", False),
+        "lemma3:3": ("backward", True),
+    }
+
+    @pytest.mark.parametrize("name", _LEMMA_NAMES)
+    def test_each_anchor_is_checked_once(self, name, monkeypatch):
+        reads = collections.Counter()
+
+        def counting(seq):
+            read = term_fn(seq)
+
+            def counted(i):
+                reads[i] += 1
+                return read(i)
+
+            return counted
+
+        # The relation check reads terms through term_fn; the sums read term tables.
+        monkeypatch.setattr(kernel, "term_fn", counting)
+        grid = make_grid({"k": (0, 6), "n": (-5, 5)})
+        assert verify_identity_grid(name, J, J, grid).holds
+        row, swapped = self.LEMMAS[name]
+        a, b = (2, 1) if swapped else (1, 2)
+        anchors = {s for k, n in itertools.product(range(7), range(-5, 6))
+                   for s in kernel._LEMMAS[row].anchors(n, k, a, b)}
+        # Checking anchor s reads X(s), X(s-a) and Y(s-b) once each.
+        assert reads == collections.Counter(i for s in anchors for i in (s, s - a, s - b))
+
+
 class TestSumOrdinary:
     def test_known_skip_case_variant1(self):
         # any case with f_g(d, m; b, a) = 0 and k >= 1 must be skipped;
@@ -498,7 +528,7 @@ class TestSkippedCasesBalance:
             g, h = random_pair(rng)
         else:
             g, h = (get_named(name) for name in pair.split("/"))
-        gt, ht = _oracle(g), _oracle(h)
+        gt, table = _oracle(g), term_tables(h)
         outcomes = {name: identity_outcome(name, g, h) for name in self.SUMS}
         balanced = dict.fromkeys(outcomes, 0)
         for a, b, c, d, m in itertools.product(range(-1, 3), repeat=5):
@@ -515,8 +545,7 @@ class TestSkippedCasesBalance:
                     for n in (-1, 0, 1):
                         case = dict(n=n, m=m, a=a, b=b, c=c, d=d, k=k)
                         assert outcomes[name](case) is None, (name, case)
-                        row = kernel._scaled_row(values, False)
-                        lhs, rhs = lemma.evaluate(*_read(False, ht, ht), n, k, *row)
+                        lhs, rhs = lemma.evaluate(table, table, n, k, *kernel._scaled_row(values))
                         assert lhs == rhs, (name, case)
                         balanced[name] += 1
         assert min(balanced.values()) > 0, balanced
@@ -551,65 +580,74 @@ weight = st.one_of(st.integers(-6, 6), small_rational)
 
 
 @st.composite
-def term_accessors(draw):
-    """(accessor, integral): term_fn of an integer sequence (integer p, g0, g1
-    and q = +-1), of one with integer p, g0, g1 and |q| > 1 (a different power
-    of q under each negative index), or of a random rational one."""
+def term_sequences(draw):
+    """(sequence, whole): an integer sequence (integer p, g0, g1 and q = +-1), one
+    with integer p, g0, g1 and |q| > 1 (a different power of q under each negative
+    index), or a random rational one."""
     kind = draw(st.sampled_from(("whole", "q-power", "rational")))
     if kind == "rational":
         p, q = draw(small_rational), draw(nonzero_rational)
         g0, g1 = draw(small_rational), draw(nonzero_rational)
-        return term_fn(make_sequence(p, q, g0, g1)), False
+        return make_sequence(p, q, g0, g1), False
     p, q = draw(st.integers(-3, 3)), draw(st.sampled_from((1, -1) if kind == "whole" else (2, -3)))
     g0, g1 = draw(st.integers(-5, 5)), draw(st.integers(1, 5))
-    return term_fn(make_sequence(p, q, g0, g1)), kind == "whole"
+    return make_sequence(p, q, g0, g1), kind == "whole"
 
 
 # With (s, t) = (1, 0) in the ordinary sum and (-1, 1) in the binomial one, the
 # summed terms are J(-4), ..., J(-1), with the denominators 16, 8, 4 and 2.
-_MIXED_DENOMINATORS = dict(
-    st_=(term_fn(J), False), rt_=(term_fn(J), False), weights=(1, Fraction(1, 3), -2),
-    k=3, n=-1,
-)
+_MIXED_DENOMINATORS = dict(st_=(J, False), rt_=(J, False), weights=(1, Fraction(1, 3), -2),
+                           k=3, n=-1)
+# A rational sequence whose tables' scales differ from Jacobsthal's at every key.
+RATIONAL = make_sequence(Fraction(3, 2), Fraction(2, 3), Fraction(1, 2), -3)
 
 
 class TestIntegerSumEvaluators:
-    """The integer evaluators against the Fraction references: equal pairs, and
-    ints whenever the weights are ints and the sequences whole. Whole
-    sequences are also run through the clearing path (whole=False), which reads
-    terms as (numerator, denominator) pairs."""
+    """The integer evaluators, reading each sequence from its term tables, against
+    the Fraction references: equal pairs, and ints whenever the weights are ints
+    and the sequences whole. Whole and non-whole sequences share one path, and
+    two different sequences are read at their own scales."""
 
     @given(
-        st_=term_accessors(), rt_=term_accessors(), weights=st.tuples(weight, weight, weight),
+        st_=term_sequences(), rt_=term_sequences(), weights=st.tuples(weight, weight, weight),
         k=st.integers(0, 6), n=idx, s=st.integers(-3, 3), t=st.integers(-3, 3),
-        sign=st.sampled_from((1, -1)), clear=st.booleans(),
+        sign=st.sampled_from((1, -1)),
     )
-    @example(**_MIXED_DENOMINATORS, s=1, t=0, sign=-1, clear=False)
+    @example(**_MIXED_DENOMINATORS, s=1, t=0, sign=-1)
     @settings(max_examples=300, deadline=None)
-    def test_ordinary(self, st_, rt_, weights, k, n, s, t, sign, clear):
-        (sf, s_int), (rf, r_int) = st_, rt_
-        whole = s_int and r_int and not clear
-        row = kernel._scaled_row((*weights, s, t, sign), whole)
-        got = kernel._ordinary_sum(*_read(whole, sf, rf), n, k, *row)
-        assert got == _ordinary_sum_reference(sf, rf, n, k, *weights, s, t, sign)
+    def test_ordinary(self, st_, rt_, weights, k, n, s, t, sign):
+        (sg, s_int), (rg, r_int) = st_, rt_
+        row = kernel._scaled_row((*weights, s, t, sign))
+        got = kernel._ordinary_sum(term_tables(sg), term_tables(rg), n, k, *row)
+        assert got == _ordinary_sum_reference(term_fn(sg), term_fn(rg), n, k, *weights, s, t, sign)
         if s_int and r_int and all(type(w) is int for w in weights):
             assert all(type(side) is int for side in got)
 
     @given(
-        st_=term_accessors(), rt_=term_accessors(), weights=st.tuples(weight, weight, weight),
+        st_=term_sequences(), rt_=term_sequences(), weights=st.tuples(weight, weight, weight),
         k=st.integers(0, 6), n=idx, s=st.integers(-3, 3), t=st.integers(-3, 3),
-        clear=st.booleans(),
     )
-    @example(**_MIXED_DENOMINATORS, s=-1, t=1, clear=False)
+    @example(**_MIXED_DENOMINATORS, s=-1, t=1)
     @settings(max_examples=300, deadline=None)
-    def test_binomial(self, st_, rt_, weights, k, n, s, t, clear):
-        (sf, s_int), (rf, r_int) = st_, rt_
-        whole = s_int and r_int and not clear
-        row = kernel._scaled_row((*weights, s, t), whole)
-        got = kernel._binomial_sum(*_read(whole, sf, rf), n, k, *row)
-        assert got == _binomial_sum_reference(sf, rf, n, k, *weights, s, t)
+    def test_binomial(self, st_, rt_, weights, k, n, s, t):
+        (sg, s_int), (rg, r_int) = st_, rt_
+        row = kernel._scaled_row((*weights, s, t))
+        got = kernel._binomial_sum(term_tables(sg), term_tables(rg), n, k, *row)
+        assert got == _binomial_sum_reference(term_fn(sg), term_fn(rg), n, k, *weights, s, t)
         if s_int and r_int and all(type(w) is int for w in weights):
             assert all(type(side) is int for side in got)
+
+    def test_two_sequences_at_different_scales(self):
+        weights = (2, Fraction(-1, 3), Fraction(3, 2))
+        jt, rt = term_tables(J), term_tables(RATIONAL)
+        ja, ra = _oracle(J), _oracle(RATIONAL)
+        for n in range(-9, 10):
+            assert jt(n - 9, n + 9)[1] != rt(n - 9, n + 9)[1]
+            for k in range(5):
+                got = kernel._ordinary_sum(jt, rt, n, k, *kernel._scaled_row((*weights, 2, -1, 1)))
+                assert got == _ordinary_sum_reference(ja, ra, n, k, *weights, 2, -1, 1), (n, k)
+                got = kernel._binomial_sum(rt, jt, n, k, *kernel._scaled_row((*weights, -1, 2)))
+                assert got == _binomial_sum_reference(ra, ja, n, k, *weights, -1, 2), (n, k)
 
 
 @st.composite
@@ -655,6 +693,19 @@ class TestTheorem1OnIntegers:
         )
         if whole:
             assert all(type(side) is int for side in (*theorem, *corollary))
+
+    def test_rational_pair_across_table_keys(self):
+        # n + m runs over -42..42, so H's reads cross several table keys on each side of 0.
+        g, h = make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3), RATIONAL
+        gt, ht = _oracle(g), _oracle(h)
+        pair = IDENTITIES["theorem1"].core(g, h)
+        for a, b, c, d in ((1, 0, -1, 1), (0, -1, 2, 0), (2, 1, -2, -1)):
+            for m in (-2, 0, 2):
+                A = _fg_literal(gt, d, c, b, a)
+                B, C = _fg_literal(gt, d, m, b, a), _fg_literal(gt, c, m, a, b)
+                for n in range(-40, 41):
+                    expected = (A * ht(n + m), B * ht(n + c) + C * ht(n + d))
+                    assert pair(a, b, c, d, m, n) == expected, (a, b, c, d, m, n)
 
 
 class TestRelationMemo:

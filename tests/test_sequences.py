@@ -21,6 +21,7 @@ from horadam import (
     term_iterative_oracle,
     term_range,
 )
+from horadam import sequences
 from conftest import EXPECTED_TABLE, TABLE_COLUMNS, random_pair, random_sequence
 
 rationals = st.fractions(
@@ -288,3 +289,40 @@ class TestTermFn:
         fg, fh = term_fn(g), term_fn(h)
         mismatch = any(fg(n) != fh(n) for n in range(0, 6))
         assert mismatch or (g.g0 == h.g0 and g.g1 == h.g1)
+
+
+# Index bounds at and around multiples of 8, where a table's key changes.
+KEY_EDGES = st.sampled_from(sorted({8 * j + e for j in range(-3, 4) for e in (-1, 0, 1)}))
+
+
+class TestTermTables:
+    @given(
+        p=shared_prime_rationals,
+        q=shared_prime_rationals.filter(lambda v: v != 0),
+        g0=shared_prime_rationals,
+        g1=shared_prime_rationals,
+        bounds=st.lists(st.one_of(KEY_EDGES, st.integers(-30, 30)), min_size=2, max_size=2),
+    )
+    def test_reads_are_terms_times_the_scale(self, p, q, g0, g1, bounds):
+        assume(g0 != 0 or g1 != 0)
+        s = make_sequence(p, q, g0, g1)
+        lo, hi = sorted(bounds)
+        read, scale = sequences.term_tables(s)(lo, hi)
+        for i in range(lo, hi + 1):
+            value = read(i)
+            assert type(value) is int, i
+            assert value == term_iterative_oracle(s, i) * scale, i
+
+    def test_whole_sequences_read_ints_at_scale_one(self):
+        table = sequences.term_tables(get_named("pell"))
+        read, scale = table(-40, 40)
+        assert scale == 1 and table(0, 1)[0] == read
+        assert [read(i) for i in (-3, 0, 5)] == [5, 0, 29]
+
+    def test_a_scale_that_does_not_clear_raises(self):
+        # J(-1) = 1/2 and J(-2) = -1/4: scale 2 clears the first and not the second.
+        table = sequences._Table(get_named("jacobsthal"), 2)
+        assert table[-1] == 1
+        with pytest.raises(ArithmeticError, match=r"does not clear G\(-2\) = -1/4"):
+            table[-2]
+        assert -2 not in table
