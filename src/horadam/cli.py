@@ -15,8 +15,6 @@ output (a one-line diagnostic goes to the error stream).
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import re
 import sys
@@ -243,8 +241,11 @@ def _table_rows(args) -> tuple:
 
 def cmd_table(args) -> int:
     columns, rows = _table_rows(args)
+    # Every cell is an index or rat_text: no JSON escaping and no CSV quoting.
     if args.format == "json":
-        payload = json.dumps({"columns": list(columns), "rows": rows}, indent=2) + "\n"
+        cells = ["    [\n      \"" + '",\n      "'.join(row) + '"\n    ]' for row in rows]
+        listed = "[\n" + ",\n".join(cells) + "\n  ]" if cells else "[]"
+        payload = f'{json.dumps({"columns": list(columns)}, indent=2)[:-2]},\n  "rows": {listed}\n}}\n'
     elif args.format == "text":
         widths = [max(len(col), *(len(r[i]) for r in rows)) if rows else len(col)
                   for i, col in enumerate(columns)]
@@ -252,10 +253,7 @@ def cmd_table(args) -> int:
         lines += ["  ".join(cell.rjust(widths[i]) for i, cell in enumerate(row)) for row in rows]
         payload = "\n".join(lines) + "\n"
     else:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerows(rows)
-        payload = buf.getvalue()
+        payload = "".join(",".join(row) + "\n" for row in rows)
     _emit(payload, args.output)
     return 0
 

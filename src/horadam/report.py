@@ -6,6 +6,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Optional
 
 from .errors import HoradamError
@@ -20,6 +21,7 @@ _TEXT_COUNTEREXAMPLE_CAP = 20
 
 # Leading fields of every JSON object and CSV row, in output order.
 _SUMMARY_FIELDS = ("identity", "grid", "cases_total", "cases_checked", "cases_skipped_precondition")
+_CSV_HEADER = ",".join((*_SUMMARY_FIELDS, "bindings", "lhs", "rhs")) + "\n"
 
 # Stable shape of every JSON report this tool emits (verify/catalog run/check).
 REPORT_JSON_SCHEMA = {
@@ -90,19 +92,29 @@ class VerificationReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), indent=2) + "\n"
+        """json.dumps(self.to_json_obj(), indent=2) + newline, written directly: indent
+        selects the pure-Python encoder. Names are escaped as that encoder escapes them;
+        rat_text's digits, '-' and '/' need no escaping."""
+        head = json.dumps({name: getattr(self, name) for name in _SUMMARY_FIELDS}, indent=2)
+        rows = []
+        for bindings, lhs, rhs in self.counterexamples:
+            names = ",\n".join(f"        {_quote(k)}: {bindings[k]}" for k in sorted(bindings))
+            names = "{\n" + names + "\n      }" if bindings else "{}"
+            rows.append(f'    {{\n      "bindings": {names},\n      "lhs": "{rat_text(lhs)}",'
+                        f'\n      "rhs": "{rat_text(rhs)}"\n    }}')
+        listed = "[\n" + ",\n".join(rows) + "\n  ]" if rows else "[]"
+        return f'{head[:-2]},\n  "counterexamples": {listed}\n}}\n'
 
     def to_csv(self) -> str:
+        """csv.writer's rows (lineterminator newline); the summary prefix goes through
+        csv once, and the bindings text (grid names, ints) and rat_text never need quoting."""
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([*_SUMMARY_FIELDS, "bindings", "lhs", "rhs"])
-        head = [getattr(self, name) for name in _SUMMARY_FIELDS]
-        if self.counterexamples:
-            for bindings, lhs, rhs in self.counterexamples:
-                writer.writerow(head + [render_bindings(bindings), rat_text(lhs), rat_text(rhs)])
-        else:
-            writer.writerow(head + ["", "", ""])
-        return buf.getvalue()
+        writer.writerow([getattr(self, name) for name in _SUMMARY_FIELDS])
+        head = buf.getvalue()[:-1]
+        rows = [f"{head},{render_bindings(b)},{rat_text(lhs)},{rat_text(rhs)}\n"
+                for b, lhs, rhs in self.counterexamples]
+        return _CSV_HEADER + "".join(rows or [f"{head},,,\n"])
 
     def to_text(self) -> str:
         lines = [

@@ -279,17 +279,41 @@ def get_named(name: str) -> Sequence:
     return _REGISTRY[canonical]
 
 
+class _Terms(dict):
+    """G(i) by index i, as an int when integral else a Fraction, or as a lowest-terms
+    pair (numerator, denominator > 0). A miss at i takes one integer step from two
+    stored neighbours, scale*G(i) = P*G(i-1) + qs*G(i-2) forwards, else
+    qs*G(i) = scale*G(i+2) - P*G(i+1) backwards, reduced by one gcd; else term()."""
+
+    def __init__(self, s: Sequence, pairs: bool):
+        self.seq, self.pairs = s, pairs
+        self.scale, self.P, self.qs = s.params._engine[:3]
+
+    def __missing__(self, i: int):
+        get = self.get
+        if (a := get(i - 1)) is not None and (b := get(i - 2)) is not None:
+            P, qs, scale = self.P, self.qs, self.scale
+        elif (a := get(i + 1)) is not None and (b := get(i + 2)) is not None:
+            P, qs, scale = -self.P, self.scale, self.qs  # G(i) = (-P*G(i+1) + scale*G(i+2)) / qs
+        else:
+            f = term(self.seq, i)
+            return self.setdefault(i, f.as_integer_ratio() if self.pairs else
+                                   f.numerator if f.denominator == 1 else f)
+        (an, ad), (bn, bd) = (a, b) if self.pairs else (a.as_integer_ratio(), b.as_integer_ratio())
+        num, den = P * an * bd + qs * bn * ad, scale * ad * bd
+        g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
+        num, den = num // g, den // g
+        return self.setdefault(i, (num, den) if self.pairs else
+                               num if den == 1 else _coprime_fraction(num, den))
+
+
 def term_fn(s: Sequence) -> Callable[[int], object]:
     """Memoized accessor n -> G(n); integral values are stored as ints.
 
     Grid sweeps revisit the same few indices many times; plain-int values keep
     the inner arithmetic on the fast integer path.
     """
-    def t(n: int):
-        f = term(s, n)
-        return f.numerator if f.denominator == 1 else f
-
-    return functools.cache(t)
+    return _Terms(s, False).__getitem__
 
 
 def is_whole(s: Sequence) -> bool:
@@ -299,7 +323,7 @@ def is_whole(s: Sequence) -> bool:
 
 def term_reader(s: Sequence, whole: bool) -> Callable:
     """i -> G(i): term_fn's int or Fraction if whole, else a cached (numerator, denominator)."""
-    return term_fn(s) if whole else functools.cache(lambda i: term(s, i).as_integer_ratio())
+    return _Terms(s, not whole).__getitem__
 
 
 class _Table(dict):

@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, formats, and the exit-code contract."""
 
 import contextlib
+import csv
 import io
 import json
 import subprocess
@@ -106,6 +107,25 @@ class TestTable:
         code, out, _ = run(capsys, "table", "--seq", "pell", "--from", "0", "--to", "2", "--format", "text")
         assert code == 0
         assert out.splitlines()[0].split() == ["n", "pell"]
+
+    @pytest.mark.parametrize("selector", [
+        ("--all",),
+        ("--p", "3/2", "--q", "-2/3", "--g0", "1/2", "--g1", "-3"),
+    ])
+    def test_json_and_csv_equal_the_stdlib_writers(self, capsys, selector):
+        # The reference rows come from term(), not from the table's own recurrence.
+        if selector == ("--all",):
+            named = horadam.named_sequences()
+            columns, seqs = ["n", *named], list(named.values())
+        else:
+            columns, seqs = ["n", "sequence"], [horadam.make_sequence("3/2", "-2/3", "1/2", -3)]
+        rows = [[str(n)] + [horadam.rat_text(horadam.term(s, n)) for s in seqs] for n in range(-40, 41)]
+        argv = ["table", *selector, "--from", "-40", "--to", "40", "--format"]
+        assert run(capsys, *argv, "json") == (
+            0, json.dumps({"columns": columns, "rows": rows}, indent=2) + "\n", "")
+        buf = io.StringIO()
+        csv.writer(buf, lineterminator="\n").writerows(rows)
+        assert run(capsys, *argv, "csv") == (0, buf.getvalue(), "")
 
 
 class TestVerify:

@@ -5,7 +5,12 @@ import io
 import json
 from fractions import Fraction
 
-from horadam import make_grid, parse_grid, run_grid
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from horadam import VerificationReport, make_grid, parse_grid, rat_text, run_grid
+from horadam.grid import NAME
+from horadam.report import render_bindings
 
 
 def _failing_outcome(case):
@@ -129,3 +134,55 @@ class TestSingleCase:
         assert not report.holds
         bindings, lhs, rhs = report.counterexamples[0]
         assert bindings == {"n": 4} and (lhs, rhs) == (7, 8)
+
+
+def _reference_csv(report) -> str:
+    """Every row through csv.writer, as to_csv wrote them before it joined fields."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    fields = ["identity", "grid", "cases_total", "cases_checked", "cases_skipped_precondition"]
+    writer.writerow([*fields, "bindings", "lhs", "rhs"])
+    head = [getattr(report, name) for name in fields]
+    if report.counterexamples:
+        for bindings, lhs, rhs in report.counterexamples:
+            writer.writerow(head + [render_bindings(bindings), rat_text(lhs), rat_text(rhs)])
+    else:
+        writer.writerow(head + ["", "", ""])
+    return buf.getvalue()
+
+
+def _outcome(render):
+    """render()'s text, or its error: csv refuses a NUL before Python 3.11."""
+    try:
+        return render()
+    except csv.Error as exc:
+        return repr(exc)
+
+
+# Labels mix what JSON escapes and CSV quotes with arbitrary text.
+_AWKWARD = st.sampled_from([",", '"', "\\", "\t", "\n", "\r", "\x00", "\x1f", "\x7f", "é", "\u2028", "∑"])
+_LABELS = st.text(_AWKWARD | st.characters(), max_size=12)
+# Integers of 2**15 bits and more go through rat_text's decimal conversion.
+_HUGE = st.sampled_from(((1 << (1 << 15)) + 1, -(3**20700), -(1 << 40000) + 7))
+_VALUES = st.integers() | _HUGE | st.fractions() | st.builds(Fraction, _HUGE, st.integers(2, 10**9))
+_BINDINGS = st.dictionaries(st.from_regex(rf"\A{NAME}\Z"), st.integers(), max_size=3)
+_REPORTS = st.builds(
+    VerificationReport, _LABELS, _LABELS,
+    st.integers(0, 10**6), st.integers(0, 10**6), st.integers(0, 10**6),
+    st.lists(st.tuples(_BINDINGS, _VALUES, _VALUES), max_size=5).map(tuple),
+)
+
+
+class TestWritersMatchTheStdlib:
+    @settings(max_examples=150, deadline=None)
+    @given(report=_REPORTS)
+    def test_json_and_csv(self, report):
+        assert report.to_json() == json.dumps(report.to_json_obj(), indent=2) + "\n"
+        assert _outcome(report.to_csv) == _outcome(lambda: _reference_csv(report))
+
+    def test_labels_with_newlines_and_quotes(self):
+        report = VerificationReport('a,"b"\n\\', "n=0..1\n", 2, 2, 0, (({"n": 0}, 1, Fraction(-1, 2)), ({}, 0, 0)))
+        assert report.to_json() == json.dumps(report.to_json_obj(), indent=2) + "\n"
+        assert report.to_csv() == _reference_csv(report)
+        assert json.loads(report.to_json())["identity"] == 'a,"b"\n\\'
+        assert [row[:2] for row in csv.reader(io.StringIO(report.to_csv()))][1:] == [['a,"b"\n\\', "n=0..1\n"]] * 2

@@ -291,6 +291,60 @@ class TestTermFn:
         assert mismatch or (g.g0 == h.g0 and g.g1 == h.g1)
 
 
+
+def _outward(indices: list) -> list:
+    """0, 1, -1, 2, -2, ...: every read after the first two crosses 0."""
+    return sorted(indices, key=lambda i: (abs(i), -i))
+
+
+class TestTermCaches:
+    """term_fn and term_reader fill a miss by one recurrence step from two stored
+    neighbours, forwards or backwards, or else by term()."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        p=shared_prime_rationals,
+        q=shared_prime_rationals.filter(lambda v: v != 0),
+        g0=shared_prime_rationals,
+        g1=shared_prime_rationals,
+        order=st.sampled_from(("ascending", "descending", "shuffled", "outward")),
+        rnd=st.randoms(use_true_random=False),
+    )
+    def test_reads_equal_term_in_value_and_type(self, p, q, g0, g1, order, rnd):
+        assume(g0 != 0 or g1 != 0)
+        s = make_sequence(p, q, g0, g1)
+        indices = list(range(-15, 16))
+        if order == "descending":
+            indices.reverse()
+        elif order == "shuffled":
+            rnd.shuffle(indices)
+        elif order == "outward":
+            indices = _outward(indices)
+        values, pairs = term_fn(s), sequences.term_reader(s, False)
+        for i in indices:
+            want = term(s, i)
+            got = values(i)
+            # Fraction equality compares numerator and denominator as stored.
+            assert got == want and type(got) is (int if want.denominator == 1 else Fraction), i
+            assert pairs(i) == want.as_integer_ratio(), i
+
+    def test_a_sweep_calls_term_only_to_start(self, monkeypatch, capsys):
+        from horadam.cli import main
+
+        calls = []
+
+        def counting(seq, n):
+            calls.append(n)
+            return term(seq, n)
+
+        fib = term_range(get_named("fibonacci"), -1500, 1501)
+        monkeypatch.setattr(sequences, "term", counting)
+        code = main(["check", "--expr", "F[n+1]=F[n]", "--grid", "n=-1500..1500", "--format", "csv"])
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert code == 1 and len(calls) <= 4, calls
+        expected = [f"n={n},{fib[n + 1501]},{fib[n + 1500]}" for n in range(-1500, 1501) if n != 1]
+        assert [row.split(",", 5)[5] for row in rows] == expected
+
 # Index bounds at and around multiples of 8, where a table's key changes.
 KEY_EDGES = st.sampled_from(sorted({8 * j + e for j in range(-3, 4) for e in (-1, 0, 1)}))
 
