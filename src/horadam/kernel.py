@@ -16,11 +16,11 @@ row is stated multiplied through by Z^k, where Z is the weight the paper
 divides by. Every statement is homogeneous in its weights and linear in its
 terms, so it runs on integers: each case reads a sequence's terms as ints
 G(i)*scale from a cached table keyed by its index bounds (sequences.term_tables),
-Theorem 1's relation comes from G's cleared terms as integers over a square,
-and each side is divided once at the end. One ordinary and one binomial
-evaluator serve the rows. A summation case with k >= 1 and Z = 0 is
-skipped (rather than failed), since the theorems hypothesize Z nonzero; the
-positional cores, through which the catalog checks, skip nothing.
+Theorem 1's relation reads G from G's table over its six indices, as integers
+over that table's scale squared, and each side is divided once at the end. One
+ordinary and one binomial evaluator serve the rows. A summation case with
+k >= 1 and Z = 0 is skipped (rather than failed), since the theorems hypothesize
+Z nonzero; the positional cores, through which the catalog checks, skip nothing.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
 from .grid import GridSpec, make_grid
 from .report import VerificationReport, run_grid
 from .scalar import Rational
-from .sequences import Sequence, _coprime_fraction, is_whole, term, term_fn, term_reader, term_tables
+from .sequences import Sequence, _coprime_fraction, term, term_fn, term_tables
 
 __all__ = [
     "ThreeTermRelation", "f_g", "basis_coefficients", "IdentitySpec", "IDENTITIES",
@@ -134,26 +134,18 @@ def _swap(w: tuple) -> tuple:
 _MEMO_SIZE = 256
 
 
-def _theorem1(gt, whole: bool, a: int, b: int, c: int, d: int, m: int) -> tuple:
+def _theorem1(table, a: int, b: int, c: int, d: int, m: int) -> tuple:
     # The relation T = (A, B, C, m-c, m-d), then D^2; Theorem 1 is T at the index n+m.
-    # A, B, C are integers times D^2, where D clears G's six terms (1 when G is whole).
-    scale = 1
-    if not whole:
-        at = (d - b, c - a, d - a, c - b, m - a, m - b)
-        scale, ints = _clear([gt(i) for i in at])
-        gt = dict(zip(at, ints)).__getitem__
+    # A, B, C are integers times D^2, D the scale of G's table over its six indices.
+    at = (d - b, c - a, d - a, c - b, m - a, m - b)
+    gt, scale = table(min(at), max(at))
     return (_fg(gt, d, c, b, a), _fg(gt, d, m, b, a), _fg(gt, c, m, a, b), m - c, m - d,
             scale * scale)
 
 
-def _relation(g: Sequence) -> Callable:
-    """Theorem 1's relation over g as a function of (a, b, c, d, m)."""
-    whole = is_whole(g)
-    return partial(_theorem1, term_reader(g, whole), whole)
-
-
 def _theorem1_pair(g: Sequence, h: Sequence) -> Callable:
-    relation, table = lru_cache(maxsize=_MEMO_SIZE)(_relation(g)), term_tables(h)
+    relation = lru_cache(maxsize=_MEMO_SIZE)(partial(_theorem1, term_tables(g)))
+    table = term_tables(h)
 
     def pair(a: int, b: int, c: int, d: int, m: int, n: int) -> tuple:
         w0, w1, w2, s, t, scale = relation(a, b, c, d, m)
@@ -188,18 +180,12 @@ def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], t
 # over the case's index bounds (at scale 1 if whole): one division a side.
 
 
-def _clear(parts: list) -> tuple:
-    """(d, ints): d is the lcm of the (numerator, denominator) pairs' denominators,
-    ints the values times d."""
-    nums, dens = zip(*parts)
-    d = math.lcm(*dens)
-    return d, nums if d == 1 else [num * (d // den) for num, den in parts]
-
-
 def _scaled_row(values: tuple) -> tuple:
-    """Evaluator arguments (three weights, shifts) as integer weights, shifts, c."""
-    c, weights = _clear([v.as_integer_ratio() for v in values[:3]])
-    return (*weights, *values[3:], c)
+    """Evaluator arguments (three weights, shifts) as integer weights, shifts, c:
+    c is the lcm of the weights' denominators."""
+    parts = [v.as_integer_ratio() for v in values[:3]]
+    c = math.lcm(*(den for _, den in parts))
+    return (*(num * (c // den) for num, den in parts), *values[3:], c)
 
 
 def _sides(lhs: int, rhs: int, c: int, d: int, e: int) -> tuple:
@@ -307,7 +293,7 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
 def _sum_core(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence) -> tuple:
     # The lemma at T or swap(T), skipping nothing: row(a, b, c, d, m) memoizes
     # the evaluator's arguments, and at(n, k, *row) gives the two sides there.
-    relation, ht = _relation(g), term_tables(h)
+    relation, ht = partial(_theorem1, term_tables(g)), term_tables(h)
 
     @lru_cache(maxsize=_MEMO_SIZE)
     def row(a: int, b: int, c: int, d: int, m: int) -> tuple:

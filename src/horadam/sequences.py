@@ -327,13 +327,13 @@ def term_reader(s: Sequence, whole: bool) -> Callable:
 
 
 class _Table(dict):
-    """The int G(i)*scale by index i, filled from term() on first read."""
+    """The int G(i)*scale by index i, filled from a pair store on first read."""
 
-    def __init__(self, s: Sequence, scale: int):
-        self.seq, self.scale = s, scale
+    def __init__(self, terms: _Terms, scale: int):
+        self.terms, self.scale = terms, scale
 
     def __missing__(self, i: int) -> int:
-        num, den = term(self.seq, i).as_integer_ratio()
+        num, den = self.terms[i]
         value, rest = divmod(num * self.scale, den)
         if rest:
             raise ArithmeticError(f"scale {self.scale} does not clear G({i}) = {num}/{den}")
@@ -344,13 +344,14 @@ def term_tables(s: Sequence) -> Callable:
     """table(lo, hi) -> (read, scale), read(i) the int G(i)*scale for lo <= i <= hi: one
     table per (A, B), A = hi-1 and B = -lo rounded up to multiples of 8 (0 if negative),
     at scale d0*d1 * lcm**A * |q*lcm|**B (lcm that of p's and q's denominators), which
-    term()'s denominator d0*d1*step**k divides; a whole sequence has one, at scale 1."""
+    term()'s denominator d0*d1*step**k divides; a whole sequence has one, at scale 1.
+    All tables fill from one stepping pair store, so each index is computed once."""
     lcm, _, qs, *_ = s.params._engine
-    dens = s.g0.denominator * s.g1.denominator
+    dens, terms = s.g0.denominator * s.g1.denominator, _Terms(s, True)
 
     @functools.cache
     def keyed(a: int, b: int) -> tuple:
-        t = _Table(s, dens * lcm ** (8 * a) * abs(qs) ** (8 * b))
+        t = _Table(terms, dens * lcm ** (8 * a) * abs(qs) ** (8 * b))
         return t.__getitem__, t.scale
 
     if is_whole(s):

@@ -695,17 +695,19 @@ class TestTheorem1OnIntegers:
             assert all(type(side) is int for side in (*theorem, *corollary))
 
     def test_rational_pair_across_table_keys(self):
-        # n + m runs over -42..42, so H's reads cross several table keys on each side of 0.
+        # n + m runs over -52..52, so H's reads cross several table keys on each side
+        # of 0; the last three rows put G's six indices past +-9 and out to +-21.
         g, h = make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3), RATIONAL
         gt, ht = _oracle(g), _oracle(h)
         pair = IDENTITIES["theorem1"].core(g, h)
-        for a, b, c, d in ((1, 0, -1, 1), (0, -1, 2, 0), (2, 1, -2, -1)):
-            for m in (-2, 0, 2):
-                A = _fg_literal(gt, d, c, b, a)
-                B, C = _fg_literal(gt, d, m, b, a), _fg_literal(gt, c, m, a, b)
-                for n in range(-40, 41):
-                    expected = (A * ht(n + m), B * ht(n + c) + C * ht(n + d))
-                    assert pair(a, b, c, d, m, n) == expected, (a, b, c, d, m, n)
+        rows = [(*abcd, m) for abcd in ((1, 0, -1, 1), (0, -1, 2, 0), (2, 1, -2, -1))
+                for m in (-2, 0, 2)]
+        for a, b, c, d, m in rows + [(10, -9, -8, 11, 12), (-10, 9, 8, -11, -12), (0, 9, -9, 0, 0)]:
+            A = _fg_literal(gt, d, c, b, a)
+            B, C = _fg_literal(gt, d, m, b, a), _fg_literal(gt, c, m, a, b)
+            for n in range(-40, 41):
+                expected = (A * ht(n + m), B * ht(n + c) + C * ht(n + d))
+                assert pair(a, b, c, d, m, n) == expected, (a, b, c, d, m, n)
 
 
 class TestRelationMemo:

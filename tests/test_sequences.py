@@ -21,7 +21,7 @@ from horadam import (
     term_iterative_oracle,
     term_range,
 )
-from horadam import sequences
+from horadam import catalog_run, kernel, parse_grid, sequences
 from conftest import EXPECTED_TABLE, TABLE_COLUMNS, random_pair, random_sequence
 
 rationals = st.fractions(
@@ -345,6 +345,25 @@ class TestTermCaches:
         expected = [f"n={n},{fib[n + 1501]},{fib[n + 1500]}" for n in range(-1500, 1501) if n != 1]
         assert [row.split(",", 5)[5] for row in rows] == expected
 
+    @pytest.mark.parametrize("run, limit", [
+        # Theorem 1 reads G and H from their tables, each filled from one pair store.
+        (lambda: kernel.verify_identity_grid(
+            "theorem1", make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3),
+            make_sequence(Fraction(3, 2), Fraction(2, 3), Fraction(-1, 2), 3),
+            parse_grid(kernel.IDENTITIES["theorem1"].default_grid)), 8),
+        (lambda: catalog_run("jac.sum.ordinary.1", None, (3, -5)), 40),
+    ], ids=["theorem1-rational", "jac-sum-ordinary"])
+    def test_tables_call_term_only_to_start(self, monkeypatch, run, limit):
+        calls = []
+
+        def counting(seq, n):
+            calls.append(n)
+            return term(seq, n)
+
+        monkeypatch.setattr(sequences, "term", counting)
+        report = run()
+        assert report.holds and len(calls) <= limit, calls
+
 # Index bounds at and around multiples of 8, where a table's key changes.
 KEY_EDGES = st.sampled_from(sorted({8 * j + e for j in range(-3, 4) for e in (-1, 0, 1)}))
 
@@ -375,7 +394,7 @@ class TestTermTables:
 
     def test_a_scale_that_does_not_clear_raises(self):
         # J(-1) = 1/2 and J(-2) = -1/4: scale 2 clears the first and not the second.
-        table = sequences._Table(get_named("jacobsthal"), 2)
+        table = sequences._Table(sequences._Terms(get_named("jacobsthal"), True), 2)
         assert table[-1] == 1
         with pytest.raises(ArithmeticError, match=r"does not clear G\(-2\) = -1/4"):
             table[-2]
