@@ -6,8 +6,8 @@ but with caller-chosen initial terms; the base sequence supplies the
 coefficient terms.
 
 Natively, each entry is a kernel identity (Theorem 1 or a sum row) at a
-substitution of its indices, up to a sign, evaluated by the kernel's
-positional cores, which skip nothing: every statement is division-free.
+substitution of its indices, up to a sign, evaluated by that identity's
+kernel core bound without the sums' Z = 0 skip: every statement is division-free.
 Every entry also carries its classical statement literally in the DSL (field
 dsl_texts), which the test suite verifies against the native route case by
 case; the two routes share no evaluation code. Each identity's statements are
@@ -85,7 +85,7 @@ class CatalogEntry:
             companion = make_sequence(
                 base.params.p, base.params.q, 0 if h0 is None else h0, 1 if h1 is None else h1
             )
-        pair = IDENTITIES[self.identity].core(base, companion)
+        pair = IDENTITIES[self.identity].core(base, companion, None, False)
         values, (head, *rest), sign = itemgetter(*self.free_vars), self.substitutions, self.sign
 
         def outcome(case: dict) -> tuple:

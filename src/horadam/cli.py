@@ -22,7 +22,7 @@ from pathlib import Path
 from typing import Optional
 
 from .catalog import catalog_list, catalog_run
-from .dsl import default_registry, parse_identity, verify_over_grid
+from .dsl import RESERVED, default_registry, parse_identity, verify_over_grid
 from .errors import HoradamError, UsageError
 from .grid import NAME, make_grid, parse_grid
 from .kernel import IDENTITIES, IDENTITY_NAMES, ThreeTermRelation, verify_identity_grid
@@ -300,6 +300,8 @@ def _parse_declaration(text: str):
     name, parts = name.strip(), params.split(",")
     if not sep or not re.fullmatch(NAME, name) or len(parts) != 4:
         raise UsageError(f"bad --declare {text!r}; expected NAME=p,q,g0,g1")
+    if name in RESERVED:  # the DSL reads these words only as sum(...) and binom(...)
+        raise UsageError(f"bad --declare {text!r}; {name!r} is reserved")
     p, q, g0, g1 = map(rat_from_text, parts)
     return name, make_sequence(p, q, g0, g1, name=name)
 

@@ -53,7 +53,7 @@ __all__ = [
     "eval_expr", "verify_over_grid", "default_registry",
 ]
 
-_RESERVED = ("binom", "sum")
+RESERVED = ("binom", "sum")
 
 MAX_DEPTH = 100  # the catalog's deepest tree has 11 levels
 _TOO_DEEP = f"expression is nested too deeply (more than {MAX_DEPTH} levels)"
@@ -254,7 +254,7 @@ class _Parser:
         if tok.kind != "ident":
             what = "an index expression" if index else "an expression"
             raise ParseError(f"expected {what}, found {_found(tok)}", *pos)
-        if index and tok.text in _RESERVED:
+        if index and tok.text in RESERVED:
             raise ParseError(f"{tok.text!r} is reserved and cannot be an index variable", *pos)
         self._next()
         if tok.text == "binom":
@@ -267,7 +267,7 @@ class _Parser:
         if tok.text == "sum":
             self.expect("(", "'(' after 'sum'")
             var = self.expect("ident", "summation variable")
-            if var.text in _RESERVED:
+            if var.text in RESERVED:
                 raise ParseError(
                     f"{var.text!r} is reserved and cannot name a summation variable",
                     var.line, var.col,

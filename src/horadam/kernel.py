@@ -20,7 +20,8 @@ Theorem 1's relation reads G from G's table over its six indices, as integers
 over that table's scale squared, and each side is divided once at the end. One
 ordinary and one binomial evaluator serve the rows. A summation case with
 k >= 1 and Z = 0 is skipped (rather than failed), since the theorems hypothesize
-Z nonzero; the positional cores, through which the catalog checks, skip nothing.
+Z nonzero. Each identity is one positional core; verify binds it with that skip
+and the catalog, whose statements are all division-free, without.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
+from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
@@ -119,9 +121,9 @@ def basis_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# Outcome builders. Each returns a function binding -> None | (lhs, rhs);
-# identity_outcome binds them through the IDENTITIES table. A relation
-# w0*X(n) = w1*X(n-a) + w2*Y(n-b) is the tuple w = (w0, w1, w2, a, b).
+# Cores. Each returns a function of an identity's variables, in order, giving None
+# for a skipped case or else (lhs, rhs); identity_outcome reads a dict case into
+# it. A relation w0*X(n) = w1*X(n-a) + w2*Y(n-b) is the tuple w = (w0, w1, w2, a, b).
 
 
 def _swap(w: tuple) -> tuple:
@@ -143,7 +145,7 @@ def _theorem1(table, a: int, b: int, c: int, d: int, m: int) -> tuple:
             scale * scale)
 
 
-def _theorem1_pair(g: Sequence, h: Sequence) -> Callable:
+def _theorem1_pair(g: Sequence, h: Sequence, rel=None, skips: bool = True) -> Callable:
     relation = lru_cache(maxsize=_MEMO_SIZE)(partial(_theorem1, term_tables(g)))
     table = term_tables(h)
 
@@ -157,16 +159,11 @@ def _theorem1_pair(g: Sequence, h: Sequence) -> Callable:
     return pair
 
 
-def _theorem1_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
-    pair = _theorem1_pair(g, h)
-    return lambda case: pair(case["a"], case["b"], case["c"], case["d"], case["m"], case["n"])
-
-
-def _corollary_outcome(g: Sequence, h: Sequence, rel=None) -> Callable[[dict], tuple]:
+def _corollary_pair(g: Sequence, h: Sequence, rel=None, skips: bool = True) -> Callable:
     # Theorem 1 at (c, d) = (a, b), negated, is Theorem 1 at (a, b, c, d) = (b, a, a, b):
     # f_g changes sign when either index pair is swapped, so all three weights do.
     pair = _theorem1_pair(g, h)
-    return lambda case: pair(case["b"], case["a"], case["a"], case["b"], case["m"], case["n"])
+    return lambda a, b, m, n: pair(b, a, a, b, m, n)
 
 
 # The two summation statements, without division. st is the summed sequence
@@ -272,8 +269,8 @@ def _check_relation_window(xt, yt, w: tuple, anchors, y_name: str, passed: set) 
         passed.add(s)
 
 
-def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
-                   rel: ThreeTermRelation) -> Callable[[dict], tuple]:
+def _lemma_pair(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
+                rel: ThreeTermRelation) -> Callable:
     # The lemma at the relation X(n) = f1*X(n-a) + f2*Y(n-b), or at its swap;
     # it sums Y and puts X on the other side.
     xt, xs = term_fn(x), term_tables(x)
@@ -282,41 +279,31 @@ def _lemma_outcome(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
     w = _swap(w) if swapped else w
     values, passed = _scaled_row(lemma.roles(*w)), set()
 
-    def outcome(case: dict):
-        n, k = case["n"], case["k"]
+    def pair(k: int, n: int) -> tuple:
         _check_relation_window(xt, yt, w, lemma.anchors(n, k, *w[3:]), y_name, passed)
         return lemma.evaluate(ys, xs, n, k, *values)
 
-    return outcome
+    return pair
 
 
-def _sum_core(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence) -> tuple:
-    # The lemma at T or swap(T), skipping nothing: row(a, b, c, d, m) memoizes
-    # the evaluator's arguments, and at(n, k, *row) gives the two sides there.
-    relation, ht = partial(_theorem1, term_tables(g)), term_tables(h)
+def _sum_pair(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None,
+              skips: bool = True) -> Callable:
+    # The lemma at T or swap(T); row(a, b, c, d, m) memoizes the evaluator's arguments.
+    # The theorems hypothesize Z != 0: skips gives None where k > 0 and Z = 0.
+    relation, ht, z_at = partial(_theorem1, term_tables(g)), term_tables(h), lemma.z_at
 
     @lru_cache(maxsize=_MEMO_SIZE)
     def row(a: int, b: int, c: int, d: int, m: int) -> tuple:
         *w, scale = relation(a, b, c, d, m)
         return (*lemma.roles(*(_swap(w) if swapped else w)), scale)
 
-    return row, partial(lemma.evaluate, ht, ht)
+    def pair(a: int, b: int, c: int, d: int, k: int, m: int, n: int):
+        values = row(a, b, c, d, m)
+        if skips and k > 0 and values[z_at] == 0:
+            return None
+        return lemma.evaluate(ht, ht, n, k, *values)
 
-
-def _sum_outcome(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None) -> Callable:
-    # The theorems hypothesize Z != 0; k = 0 needs no hypothesis.
-    row, at = _sum_core(lemma, swapped, g, h)
-
-    def outcome(case: dict):
-        k, values = case["k"], row(case["a"], case["b"], case["c"], case["d"], case["m"])
-        return None if k > 0 and values[lemma.z_at] == 0 else at(case["n"], k, *values)
-
-    return outcome
-
-
-def _sum_pair(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence) -> Callable:
-    row, at = _sum_core(lemma, swapped, g, h)
-    return lambda a, b, c, d, k, m, n: at(n, k, *row(a, b, c, d, m))
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +311,14 @@ def _sum_pair(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence) -> Callabl
 
 
 class IdentitySpec(NamedTuple):
-    """One identity; build(g, h, rel) returns its outcome (rel used iff takes_relation, h
-    iff takes_companion), and core(g, h), if any, its two sides from the variables in order."""
+    """One identity; core(g, h, rel=None, skips=True) returns its positional function of the
+    variables in order (rel used iff takes_relation, h iff takes_companion; only sums skip)."""
 
     variables: tuple
     default_grid: str
     takes_relation: bool
-    build: Callable
+    core: Callable
     takes_companion: bool = True
-    core: Optional[Callable] = None
 
 
 _KERNEL_VARS = ("a", "b", "c", "d", "m", "n")
@@ -341,25 +327,22 @@ _SUM_GRID = "a=-1..2,b=-1..2,c=-1..2,d=-1..2,k=0..5,m=-2..2,n=-2..2"
 
 
 def _lemma(row: str, swapped: bool = False, takes_companion: bool = False) -> IdentitySpec:
-    def build(x, y, rel):
-        return _lemma_outcome(_LEMMAS[row], swapped, x, y if takes_companion else x, rel)
+    def core(x, y, rel, skips=True):
+        return _lemma_pair(_LEMMAS[row], swapped, x, y if takes_companion else x, rel)
 
-    return IdentitySpec(("k", "n"), "k=0..6,n=-5..5", True, build, takes_companion)
+    return IdentitySpec(("k", "n"), "k=0..6,n=-5..5", True, core, takes_companion)
 
 
 def _sum(row: str, swapped: bool = False) -> IdentitySpec:
-    lemma = _LEMMAS[row]
-    return IdentitySpec(_SUM_VARS, _SUM_GRID, False, partial(_sum_outcome, lemma, swapped),
-                        core=partial(_sum_pair, lemma, swapped))
+    return IdentitySpec(_SUM_VARS, _SUM_GRID, False, partial(_sum_pair, _LEMMAS[row], swapped))
 
 
 IDENTITIES = {
     "theorem1": IdentitySpec(
-        _KERNEL_VARS, "a=-2..2,b=-2..2,c=-2..2,d=-2..2,m=-3..3,n=-3..3", False,
-        _theorem1_outcome, core=_theorem1_pair,
+        _KERNEL_VARS, "a=-2..2,b=-2..2,c=-2..2,d=-2..2,m=-3..3,n=-3..3", False, _theorem1_pair
     ),
     "corollary": IdentitySpec(
-        ("a", "b", "m", "n"), "a=-3..3,b=-3..3,m=-4..4,n=-4..4", False, _corollary_outcome
+        ("a", "b", "m", "n"), "a=-3..3,b=-3..3,m=-4..4,n=-4..4", False, _corollary_pair
     ),
     "lemma1": _lemma("telescope", takes_companion=True),
     "lemma2:1": _lemma("telescope"),
@@ -397,7 +380,7 @@ def identity_outcome(
     h: Sequence,
     rel: Optional[ThreeTermRelation] = None,
 ):
-    """Outcome function for one identity bound to concrete sequences.
+    """Outcome function of a dict case for one identity bound to concrete sequences.
 
     Lemmas default rel to the defining recurrence of g, as shifts (1, 2);
     every other identity needs g and h to share one recurrence.
@@ -408,7 +391,8 @@ def identity_outcome(
             rel = ThreeTermRelation(g.params.p, g.params.q, 1, 2)
     else:
         _require_same_params(g, h)
-    return spec.build(g, h, rel)
+    core, values = spec.core(g, h, rel), itemgetter(*spec.variables)
+    return lambda case: core(*values(case))
 
 
 def verify_identity_grid(

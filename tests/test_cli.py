@@ -394,6 +394,16 @@ class TestCheck:
         assert (code, out) == (2, "")
         assert err == f"error: bad --declare {declaration!r}; expected NAME=p,q,g0,g1\n"
 
+    @pytest.mark.parametrize("name", ["sum", "binom"])
+    def test_declared_name_is_not_reserved(self, capsys, name):
+        # sum[n] and binom[n] cannot be read: the DSL takes both words only before '('
+        declaration = f"{name}=1,1,0,1"
+        code, out, err = run(
+            capsys, "check", "--expr", "F[n]=F[n]", "--declare", declaration, "--grid", "n=0..1"
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: bad --declare {declaration!r}; {name!r} is reserved\n"
+
     def test_expr_and_file_mutually_exclusive(self, capsys):
         code, _, _ = run(capsys, "check", "--expr", "F[0]=0", "--file", "x", "--grid", "n=0..0")
         assert code == 2

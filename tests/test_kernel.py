@@ -28,6 +28,7 @@ from horadam import (
     identity_variables,
     make_grid,
     make_sequence,
+    parse_grid,
     run_grid,
     term_fn,
     term_iterative_oracle,
@@ -758,6 +759,37 @@ class TestIdentityDispatch:
         assert identity_variables("sum-ordinary:2") == ("a", "b", "c", "d", "k", "m", "n")
         with pytest.raises(UsageError):
             identity_variables("nosuch")
+
+    @pytest.mark.parametrize("pair", ["fibonacci-lucas", "rational"])
+    @pytest.mark.parametrize("name", IDENTITY_NAMES)
+    def test_one_core_per_identity(self, name, pair):
+        # identity_outcome is core(g, h, rel) read from a dict case; with skips=False
+        # the core skips nothing, and only the sums skip at all, at k > 0.
+        if pair == "rational":
+            g = make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3)
+            h = make_sequence(Fraction(3, 2), Fraction(2, 3), Fraction(-1, 2), 3)
+        else:
+            g, h = F, L
+        spec, rel = IDENTITIES[name], None
+        if spec.takes_relation:  # the default relation holds when Y is X; other lemmas ignore h
+            rel = ThreeTermRelation(g.params.p, g.params.q, 1, 2)
+            h = g if spec.takes_companion else h
+        cases = list(parse_grid(spec.default_grid).cases())
+        outcome = identity_outcome(name, g, h, rel)
+        skipping, full = spec.core(g, h, rel), spec.core(g, h, rel, False)
+        skipped = 0
+        for case in cases[:: max(1, len(cases) // 600)]:
+            values = tuple(case[v] for v in spec.variables)
+            result, unskipped = skipping(*values), full(*values)
+            assert result == outcome(case), case
+            assert unskipped is not None, case
+            if result is None:
+                assert name.startswith("sum-") and case["k"] > 0, case
+                skipped += 1
+            else:
+                assert result == unskipped, case
+        if name.startswith("sum-"):
+            assert skipped > 0  # the cut grid still meets Z = 0
 
     def test_grid_variable_mismatch_rejected(self):
         grid = make_grid({"n": (0, 1)})
