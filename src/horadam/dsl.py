@@ -37,8 +37,9 @@ import math
 import operator
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache, reduce
 from fractions import Fraction
+from functools import lru_cache
+from itertools import count
 from typing import Mapping, NamedTuple, Optional
 
 from .errors import EvalError, ParseError
@@ -414,31 +415,24 @@ def pretty_print(node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation. A pair of sides compiles once, into the text of one Python
-# function of the binding dict; the code object is cached per syntax tree and
-# set of whole sequence names. The text holds only int literals, repr'd
-# variable names, the emitter's own error labels and slot names: a sequence is
-# a slot _tK filled when the code is bound to a registry, a sum's variable is
-# the parameter _vK of its body's lambda. Python's left-to-right evaluation
-# keeps left operands before right ones and a base before its exponent, so the
-# first error raised is the same as a tree walk's.
+# Evaluation. A pair of sides compiles once (cached per syntax tree and set of
+# whole sequence names) into the text of _make(), which returns _f(b), the tuple
+# of the sides' values for the binding dict b. The text holds only int literals,
+# repr'd variable names, error labels and its own names: slots _tK for sequences,
+# filled at bind time, a function _sK(b, _lo, _hi, enclosing sums' variables)
+# with the variable _vK per sum, and locals. Statements run in a tree walk's
+# order, and a text that a later statement would overtake is stored first, so
+# the first error raised is the same as a walk's.
 #
-# Each node is a value or a pair. A value, an int or Fraction computed by
-# Python's operators, is a literal, variable, binom, term of a whole sequence
-# (term_fn's int) or power of a value, or an operation on values. A pair, an
-# unreduced (numerator, denominator > 0) of ints, is a term of any other
-# sequence or an operation with a pair operand, where a value operand is lifted
-# by as_integer_ratio() and a power of a value by its pair form, so that
-# 2^(-j)*J[j] makes no Fraction. Products multiply the parts, a negative power
-# swaps them, and + - and sum() put both operands over the lcm of their
-# denominators, never their product, which a sum would square term by term. A
-# pair side, or a pair used as an integer, is normalised once, into an int or a
-# Fraction, so no pair reaches a result or an error text; a side that is one
-# term reads term_fn's int or Fraction. A sum whose body holds no sum runs its
-# first term as a walk would, filling a slot _hK_N with each largest subtree that
-# does not read its variable; later terms read the slots, and an empty sum none.
-
-_CODE_CACHE_SIZE = 256
+# A node is an int, a value (an int or Fraction by Python's operators) or a
+# pair, an unreduced numerator and denominator > 0 held apart: a term of a
+# sequence that is not whole, or an operation with a pair operand, whose other
+# operands are then pairs too (2^(-j)*J[j] makes no Fraction). Products multiply
+# the parts, powers raise them, and + - and a sum's total use the lcm of the
+# denominators, never their product. A pair side, or a pair used as an integer,
+# is normalised once by _value. A sum whose body holds no sum is peeled: its
+# first term stores each largest subtree that does not read its variable in a
+# local, which the loop over the later terms reads; an empty sum returns first.
 
 
 def default_registry() -> dict:
@@ -447,41 +441,19 @@ def default_registry() -> dict:
 
 
 def _index(value, what: str) -> int:
-    value = _value(value) if type(value) is tuple else value
     if isinstance(value, int) or isinstance(value, Fraction) and value.denominator == 1:
         return int(value)
     raise EvalError(f"{what} did not evaluate to an integer: {value}")
-
-
-def _power(x, e: int):
-    return x ** e if e >= 0 else _value(_pow(x.as_integer_ratio(), e))
-
-
-def _sum(body, lo: int, hi: int):
-    return sum(map(body, range(lo, hi + 1)), 0)
-
-
-def _peeled(total, body, lo: int, hi: int):
-    """total(body, lo, hi) for a body that returns its term and the later terms' body."""
-    if lo > hi:
-        return total(body, lo, hi)
-    first, later = body(lo)
-    return (operator.add if total is _sum else _add)(first, total(later, lo + 1, hi))
 
 
 def _unbound(exc: KeyError) -> EvalError:
     return EvalError(f"unbound variable {exc.args[0]!r}")
 
 
-def _value(x: tuple):
-    """A pair as an int or a normalised Fraction."""
-    num, den = x
+def _value(num: int, den: int):
+    """The pair num/den as an int or a normalised Fraction."""
     g = math.gcd(num, den)
     return num // g if g == den else _coprime_fraction(num // g, den // g)
-
-
-def _mul(x: tuple, y: tuple) -> tuple:
-    return x[0] * y[0], x[1] * y[1]
 
 
 def _pow(x: tuple, e: int) -> tuple:
@@ -493,148 +465,216 @@ def _pow(x: tuple, e: int) -> tuple:
     return (den ** -e, num ** -e) if num > 0 else ((-den) ** -e, (-num) ** -e)
 
 
-def _add(x: tuple, y: tuple) -> tuple:
-    (a, b), (c, d) = x, y
-    if b == d:
-        return a + c, b
-    g = math.gcd(b, d)
-    return a * (d // g) + c * (b // g), b // g * d
-
-
-def _sub(x: tuple, y: tuple) -> tuple:
-    return _add(x, (-y[0], y[1]))
-
-
-def _pair_sum(body, lo: int, hi: int) -> tuple:
-    return reduce(_add, map(body, range(lo, hi + 1)), (0, 1))
-
-
-def _nodes(node, depth: int):
-    """node and the nodes below it, down to depth MAX_DEPTH."""
-    yield node
-    if depth < MAX_DEPTH and isinstance(node, _Node):
-        for child in vars(node).values():
-            yield from _nodes(child, depth + 1)
+def _below(node, test, depth: int, found: set) -> bool:
+    """Whether test holds for node or below it, to depth MAX_DEPTH; adds each such id to found."""
+    if depth > MAX_DEPTH or not isinstance(node, _Node):
+        return False
+    if any([_below(child, test, depth + 1, found) for child in vars(node).values()]) or test(node):
+        found.add(id(node))
+        return True
+    return False
 
 
 _HELPERS = {
-    "__builtins__": {}, "KeyError": KeyError, "type": type, "int": int, "_binom": binom,
-    "_index": _index, "_power": _power, "_sum": _sum, "_unbound": _unbound, "_value": _value,
-    "_add": _add, "_sub": _sub, "_mul": _mul, "_pow": _pow, "_pair_sum": _pair_sum,
-    "_peeled": _peeled,
+    "__builtins__": {}, "KeyError": KeyError, "type": type, "int": int, "range": range,
+    "_binom": binom, "_gcd": math.gcd, "_index": _index, "_pow": _pow, "_unbound": _unbound,
+    "_value": _value,
 }
-_OPS = {Add: ("+", "_add"), Sub: ("-", "_sub"), Mul: ("*", "_mul")}
+_OPS = {Add: "+", Sub: "-", Mul: "*"}
+_ATOM = re.compile(r"\w+")  # a name or a non-negative literal: nothing left to evaluate
 
 
-@lru_cache(maxsize=_CODE_CACHE_SIZE)
+@lru_cache(maxsize=256)
 def _compiled(sides: tuple, whole: frozenset):
-    """Code defining _f(b), which returns the tuple of the sides' values, and the
-    (sequence name, read as values?) of each slot _tK in order of first use. Each
-    tree level adds at most two parentheses and a tree deeper than MAX_DEPTH (only
-    a hand-built one can be) is refused: the compiler allows 200 nested ones."""
+    """Code defining _make(), and the (sequence name, read as values?) of each slot _tK in
+    order of first use. Each tree level adds at most two nested parentheses, and a tree
+    deeper than MAX_DEPTH (only a hand-built one can be) is refused: the compiler allows
+    200. Sums are functions, never nested loops, as Python allows 20 nested blocks."""
     seqs: dict = {}
-    sums: list = []
-    peel: list = []  # in a peeled body: its variable, sum number, slots taken, first term?
+    defs: list = []  # each sum's function, inner sums first
+    out: list = [[]]  # the statements of each function being written, innermost last
+    names = count()
+    peel: list = []  # in a peeled body: ids of nodes reading its variable, stored texts
 
-    def emit(node, scope: dict, depth: int = 1, walrus: str = "({} := {})") -> tuple:
-        """(value text, or None for a pair node; pair text)."""
+    def put(line: str) -> None:
+        out[-1].append(line)
+
+    def local(text: str, pair: bool = False):
+        """A name or literal holding text's value, evaluated here (a pair's two names)."""
+        if not pair and _ATOM.fullmatch(text):
+            return text
+        k = next(names)
+        put(f"_n{k}, _d{k} = {text}" if pair else f"_x{k} = {text}")
+        return (f"_n{k}", f"_d{k}") if pair else f"_x{k}"
+
+    def ordered(*makes) -> list:
+        """Each make()'s text; the texts before one that writes statements are stored first."""
+        texts = []
+        for make in makes:
+            out.append([])
+            text, later = make(), out.pop()
+            texts = [*map(local, texts), text] if later else [*texts, text]
+            out[-1] += later
+        return texts
+
+    def kind(node, scope: dict, depth: int) -> int:
+        """0 for an int, 1 for a value that may be a Fraction, 2 for a pair."""
+        t = type(node)
+        if depth > MAX_DEPTH:
+            return 0
+        if t is Var:
+            return int(node.name not in scope)
+        if t is SeqTerm:
+            return 0 if node.seq in whole else 2
+        if t is Neg or t in _OPS:
+            return max(kind(x, scope, depth + 1) for x in vars(node).values())  # pos counts 0
+        if t is Pow:
+            parity = node.base in (IntLit(-1), Neg(IntLit(1)))
+            return 0 if parity else max(1, kind(node.base, scope, depth + 1))
+        if t is Sum:
+            return kind(node.body, {**scope, node.var: ""}, depth + 1)
+        return 0  # a literal or a binom (or no node, which emit refuses)
+
+    def emit(node, scope: dict, depth: int = 1, pair: bool = False):
+        """node's value text, or with pair=True its numerator's and denominator's."""
         if depth > MAX_DEPTH:
             raise EvalError(_TOO_DEEP)
-        if hoists(node, scope, depth):
-            return hoisted(lambda: emit(node, scope, depth), walrus)
-        depth += 1
+        if text := hoisted(node, scope, lambda: emit(node, scope, depth, pair)):
+            return text
         t = type(node)
         if t is Neg and type(node.operand) is IntLit:  # a negative literal
-            emit(node.operand, scope, depth)  # the operand's depth check
+            emit(node.operand, scope, depth + 1)  # the operand's depth check
             node, t = IntLit(-operator.index(node.operand.value)), IntLit
+        k = kind(node, scope, depth)
+        if pair and not k:
+            return local(emit(node, scope, depth)), "1"
+        if not pair and k == 2 and t is not SeqTerm:
+            return "_value({}, {})".format(*emit(node, scope, depth, True))
+        depth += 1
         if t is IntLit:
-            text = repr(operator.index(node.value))
-            return text, f"({text}, 1)"
+            return repr(operator.index(node.value))
         if t is Var:
-            return lifted(scope.get(node.name) or f"b[{str.__repr__(node.name)}]")
-        if t is Neg:
-            value, pair = emit(node.operand, scope, depth)
-            return value and "-" + value, f"_mul((-1, 1), {pair})"
-        if t in _OPS:
-            op, helper = _OPS[t]
-            (lv, lp), (rv, rp) = emit(node.left, scope, depth), emit(node.right, scope, depth)
-            return lv and rv and f"({lv} {op} {rv})", f"{helper}({lp}, {rp})"
-        if t is SeqTerm:
-            values = node.seq in whole or depth == 2  # or the node is a side
-            slot = seqs.setdefault((node.seq, values), f"_t{len(seqs)}")
+            text = scope.get(node.name) or f"b[{str.__repr__(node.name)}]"
+            return local(f"{text}.as_integer_ratio()", True) if pair else text
+        if t is SeqTerm:  # read as values, or as pairs if not whole
+            slot = seqs.setdefault((node.seq, not pair), f"_t{len(seqs)}")
             text = f"{slot}({integer(node.index, scope, depth, 'sequence index')})"
-            return lifted(text) if values else (None, text)
+            return local(text, True) if pair else text
+        if t is Neg:
+            if not pair:
+                return "-" + emit(node.operand, scope, depth)
+            num, den = emit(node.operand, scope, depth, True)
+            return f"-{num}", den
+        if t in _OPS and not pair:
+            left, right = ordered(
+                lambda: emit(node.left, scope, depth), lambda: emit(node.right, scope, depth)
+            )
+            return f"({left} {_OPS[t]} {right})"
+        if t in _OPS:
+            (ln, ld), (rn, rd) = (emit(x, scope, depth, True) for x in (node.left, node.right))
+            if t is Mul:
+                return [" * ".join(x for x in p if x != "1") or "1" for p in ((ln, rn), (ld, rd))]
+            k = next(names)
+            return added(ln, ld, rn, rd, _OPS[t], f"_n{k}", f"_d{k}")
+        if t is Pow and not pair:
+            base = emit(node.base, scope, depth)
+            if base == "-1":  # a parity sign
+                return f"({integer(node.exponent, scope, depth, 'exponent', '1 - {} % 2 * 2')})"
+            base, e = local(base), local(integer(node.exponent, scope, depth, "exponent"))
+            ratio = f"({base}, 1)" if base.isdigit() else f"{base}.as_integer_ratio()"
+            return f"({base} ** {e} if {e} >= 0 else _value(*_pow({ratio}, {e})))"
         if t is Pow:
-            value, pair = emit(node.base, scope, depth)
-            if value == "-1":  # a parity sign
-                sign = integer(node.exponent, scope, depth, "exponent", "1 - {} % 2 * 2")
-                return f"({sign})", f"({sign}, 1)"
-            e = integer(node.exponent, scope, depth, "exponent")
-            if value is None and type(node.base) in (Add, Sub, Mul, Neg, Sum):
-                pair = f"_value({pair}).as_integer_ratio()"  # raise no common factor
-            return value and f"_power({value}, {e})", f"_pow({pair}, {e})"
+            num, den = map(local, emit(node.base, scope, depth, True))
+            if kind(node.base, scope, depth) == 2 and type(node.base) in (Add, Sub, Mul, Neg, Sum):
+                num, den = local(f"_value({num}, {den}).as_integer_ratio()", True)  # cancel first
+            e, k = local(integer(node.exponent, scope, depth, "exponent")), next(names)
+            power = "1" if den == "1" else f"{den} ** {e}"
+            put(f"if {e} >= 0: _n{k} = {num} ** {e}; _d{k} = {power}")
+            put(f"else: _n{k}, _d{k} = _pow(({num}, {den}), {e})")
+            return f"_n{k}", f"_d{k}"
         if t is Sum:
-            lo = integer(node.lo, scope, depth, "sum lower bound")
-            hi = integer(node.hi, scope, depth, "sum upper bound")
-            var = f"_v{len(sums)}"
-            sums.append(var)
-            scope = {**scope, node.var: var}
-            if not any(type(below) is Sum for below in _nodes(node.body, depth)):
-                peel[:] = node.var, len(sums) - 1, 0, True
-            texts, totals = emit(node.body, scope, depth, "{} := {}"), ("_sum(", "_pair_sum(")
-            if peel and peel[2]:  # the later terms read slots
-                peel[2:] = 0, False
-                later = emit(node.body, scope, depth, "{} := {}")
-                texts = [x and f"({x}, lambda {var}: {rest})" for x, rest in zip(texts, later)]
-                totals = "_peeled(_sum, ", "_peeled(_pair_sum, "
-            peel.clear()
-            return tuple(x and f"{h}lambda {var}: {x}, {lo}, {hi})" for h, x in zip(totals, texts))
+            lo, hi = ints(scope, depth, (node.lo, "sum lower bound"), (node.hi, "sum upper bound"))
+            args = ", ".join(("b", lo, hi, *scope.values()))
+            return local(f"{summed(node, scope, depth, pair)}({args})", pair)
         if t is Binom:
-            first = integer(node.first, scope, depth, "binom argument")
-            second = integer(node.second, scope, depth, "binom argument")
-            return lifted(f"_binom({first}, {second})")
+            args = (node.first, "binom argument"), (node.second, "binom argument")
+            return "_binom({}, {})".format(*ints(scope, depth, *args))
         raise TypeError(f"not a DSL node: {node!r}")
 
-    def lifted(value: str) -> tuple:
-        return value, f"{value}.as_integer_ratio()"  # value is a name, subscript or call
+    def added(ln: str, ld: str, rn: str, rd: str, op: str, num: str, den: str) -> tuple:
+        """num/den = ln/ld op rn/rd, over the lcm of the denominators."""
+        ld, rd = local(ld), local(rd)
+        put(f"if {ld} == {rd}: {num} = {ln} {op} {rn}" + (f"; {den} = {ld}" if den != ld else ""))
+        put(f"else: _g = _gcd({ld}, {rd}); {num} = {ln} * ({rd} // _g) {op} {rn} * ({ld} // _g);"
+            f" {den} = {ld} // _g * {rd}")
+        return num, den
+
+    def summed(node: Sum, scope: dict, depth: int, pair: bool) -> str:
+        """The name of a new function of b, _lo, _hi and the enclosing sums' variables."""
+        k = next(names)
+        var, params = f"_v{k}", ", ".join(("b", "_lo", "_hi", *scope.values()))
+        zero, total = ("0, 1", "_an, _ad") if pair else ("0", "_a")
+        out.append([])
+        if not _below(node.body, lambda below: type(below) is Sum, depth, set()):
+            peel[:] = set(), []
+            _below(node.body, lambda below: below == Var(node.var), depth, peel[0])
+        term, stored = emit(node.body, {**scope, node.var: var}, depth, pair), peel[1:] and peel[1]
+        head, start = [f"{total} = {zero}"], "_lo"
+        if stored:  # the first term, then the later ones reading what it stored
+            put(f"{total} = {', '.join(term) if pair else term}")
+            head, start = [f"if _lo > _hi: return {zero}", f"{var} = _lo", *out.pop()], "_lo + 1"
+            out.append([])
+            peel[1] = iter(stored)
+            term = emit(node.body, {**scope, node.var: var}, depth, pair)
+        peel.clear()
+        added("_an", "_ad", *term, "+", "_an", "_ad") if pair else put(f"_a += {term}")
+        defs.append([
+            f"def _s{k}({params}):", *(" " + line for line in head),
+            f" for {var} in range({start}, _hi + 1):", *("  " + line for line in out.pop()),
+            f" return {total}",
+        ])
+        return f"_s{k}"
 
     def plain(node, scope: dict) -> bool:
         """node's text is an int literal or a sum variable."""
-        if type(node) is Neg:
-            return type(node.operand) is IntLit
-        return type(node) is IntLit or type(node) is Var and node.name in scope
+        t = type(node.operand if type(node) is Neg else node)
+        return t is IntLit or type(node) is Var and node.name in scope
 
-    def hoists(node, scope: dict, depth: int) -> bool:
-        """node is in a peeled body, does not read its variable and is not plain."""
-        return bool(peel) and not plain(node, scope) and Var(peel[0]) not in _nodes(node, depth)
-
-    def hoisted(make, walrus: str) -> tuple:
-        """make()'s texts, hoisting off; the first term assigns them a slot, later ones read it."""
-        var, k, n, first = peel
+    def hoisted(node, scope: dict, make):
+        """None unless node is in a peeled body, does not read its variable and is not
+        plain; else make()'s text, stored by the first term (the later ones read it)."""
+        if not peel or plain(node, scope) or id(node) in peel[0]:
+            return None
+        reads, stored = peel
+        if type(stored) is not list:
+            return next(stored)
         peel.clear()
-        texts = make()
-        peel[:] = var, k, n + 1, first
-        slot = f"_h{k}_{n}"
-        return tuple(text and (walrus.format(slot, text) if first else slot) for text in texts)
+        text = make()
+        peel[:] = reads, stored
+        stored.append(local(text) if type(text) is str else tuple(map(local, text)))
+        return stored[-1]
+
+    def ints(scope: dict, depth: int, *args) -> list:
+        """integer() of each (node, what) in args, in order."""
+        return ordered(*(lambda x=x, what=what: integer(x, scope, depth, what) for x, what in args))
 
     def integer(node, scope: dict, depth: int, what: str, use: str = "{}") -> str:
         """use with node's text as an int, converted by _index unless it is a
         literal or a sum variable; _i holds the value between the test and its use."""
-        if hoists(node, scope, depth):
-            return hoisted(lambda: (integer(node, scope, depth, what, use),), "{} := {}")[0]
-        value, pair = emit(node, scope, depth)
-        if value is None:
-            return use.format(f"_index({pair}, {what!r})")
+        if text := hoisted(node, scope, lambda: integer(node, scope, depth, what, use)):
+            return text
+        value = emit(node, scope, depth)
         if plain(node, scope):
             return use.format(value)
         convert = use.format(f"_index(_i, {what!r})")
         return f"{use.format('_i')} if type(_i := {value}) is int else {convert}"
 
-    values = "".join(f"{v}, " if v else f"_value({p}), " for v, p in (emit(s, {}) for s in sides))
-    source = (
-        f"def _f(b):\n try:\n  return {values}\n"
-        " except KeyError as exc:\n  raise _unbound(exc) from None\n"
-    )
+    texts = ordered(*(lambda side=side: emit(side, {}) for side in sides))
+    source = "\n".join([
+        "def _make():", *(" " + line for lines in defs for line in lines), " def _f(b):", "  try:",
+        *("   " + line for line in out[0]), f"   return {''.join(text + ', ' for text in texts)}",
+        "  except KeyError as exc:", "   raise _unbound(exc) from None", " return _f\n",
+    ])
     return compile(source, "<horadam.dsl>", "exec"), tuple(seqs)
 
 
@@ -650,7 +690,7 @@ def _bind(sides: tuple, registry: Mapping[str, Sequence]):
             raise EvalError(f"unknown sequence name {name!r}")
         namespace[f"_t{k}"] = term_reader(seq, values)
     exec(code, namespace)
-    return namespace.pop("_f")  # so that the function and its globals form no cycle
+    return namespace.pop("_make")()  # so that no function and its globals form a cycle
 
 
 def eval_expr(node, bindings: Mapping[str, int], registry: Mapping[str, Sequence]) -> Rational:

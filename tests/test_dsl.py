@@ -679,6 +679,8 @@ _HOSTILE = (
     "_binom",
     "_unbound", "_value", "_add", "_sub", "_mul", "_pow", "_pair_sum", "as_integer_ratio",
     "KeyError", "exc", "type", "int", "lambda", "None", "__import__", "__builtins__",
+    "_make", "_s0", "_s1", "_v1", "_lo", "_hi", "_a", "_an", "_ad", "_g", "_gcd", "_x0", "_x1",
+    "_n0", "_d0", "_n1", "_d1", "range",
 )
 _TEMPLATE = "{t}[{x}+1]*{x} + sum({s},0,{x},binom({x},{s})*{t}[{s}]) = {t}[{x}+1]*{x} + {t}[2*{x}]"
 
@@ -756,11 +758,27 @@ class TestPairArithmetic:
         if text == "sum(j,0,n,2^(-j))":
             assert eval_expr(node, {"n": n}, REG) == 2 - Fraction(1, 2**n)
 
-    def test_sums_carry_the_lcm_of_the_denominators(self):
-        assert dsl._add((1, 4), (1, 6)) == (5, 12)
-        assert dsl._sub((1, 4), (1, 6)) == (1, 12)
-        assert dsl._pair_sum(lambda j: (1, 2**j), 0, 10) == (2**11 - 1, 2**10)
-        assert dsl._pair_sum(lambda j: (1, 6 if j % 2 else 4), 0, 3) == (10, 12)
+    def test_sums_carry_the_lcm_of_the_denominators(self, monkeypatch):
+        # the generated code normalises a pair side once, by _value: record the
+        # unreduced pair it gets. 2^(-2)*J[1] is the pair (1, 4), 6^(-1)*J[1] is
+        # (1, 6), and H's terms alternate 1/4, 1/6
+        pairs = []
+
+        def recording(num, den):
+            pairs.append((num, den))
+            return dsl._value(num, den)
+
+        monkeypatch.setitem(dsl._HELPERS, "_value", recording)
+        registry = {**REG, "H": make_sequence(0, 1, Fraction(1, 4), Fraction(1, 6))}
+        for text, pair in [
+            ("2^(-2)*J[1] + 6^(-1)*J[1]", (5, 12)),
+            ("2^(-2)*J[1] - 6^(-1)*J[1]", (1, 12)),
+            ("sum(j,0,10,2^(-j)*J[1])", (2**11 - 1, 2**10)),
+            ("sum(j,0,3,H[j])", (10, 12)),
+        ]:
+            pairs.clear()
+            eval_expr(parse_expression(text), {}, registry)
+            assert pairs == [pair], text
 
     @pytest.mark.parametrize("x, e, pair", [((2, 3), 2, (4, 9)), ((-2, 3), -3, (-27, 8)),
                                             ((-1, 1), -1, (-1, 1)), ((0, 5), 0, (1, 1))])
@@ -850,6 +868,17 @@ class TestPeeledSums:
         assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
         # per case: F[m] in the first term, F[1..5] in the others, then the rhs
         assert reads == [i for m in range(-2, 3) for i in (m, 0, 1, 2, 3, 4, 5, m, 7)]
+        # the same with Jacobsthal terms, which are pairs: J[m] is read once
+        reads.clear()
+        ast = parse_identity("2*sum(j,0,5,J[m]*J[j]) = J[m]*(J[7]-1)")
+        assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
+        assert reads == [i for m in range(-2, 3) for i in (m, 0, 1, 2, 3, 4, 5, m, 7)]
+        # an inner sum is peeled and the outer one is not: J[m] is read once per
+        # inner sum, that is once for i = 0, 1 and 2, then by the rhs
+        reads.clear()
+        ast = parse_identity("2*sum(i,0,2,sum(j,0,i,J[m]*J[j])) = 6*J[m]")
+        assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
+        assert reads == [i for m in range(-2, 3) for i in (m, 0, m, 0, 1, m, 0, 1, 2, m)]
 
     def test_power_of_a_pair_operation_cancels_first(self):
         # 2*J[-1] is the pair (2, 2): raising both parts would build two
