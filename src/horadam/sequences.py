@@ -55,9 +55,9 @@ class RecurrenceParams:
 
     @functools.cached_property
     def _engine(self) -> tuple:
-        """Integer constants (s, P, qs, Q) of the scaled fundamental sequence, then
-        (|step|, rest, strip) for n > 0 and for n <= 0; kept on the instance,
-        since a cache keyed by the params would hash two Fractions per term().
+        """Integer constants (s, P, qs, Q) of the scaled fundamental sequence, W's
+        integer roots, then (|step|, rest, strip) for n > 0 and for n <= 0; kept on
+        the instance, since a cache keyed by the params would hash two Fractions per term().
 
         With s = lcm of the coefficient denominators, P = p*s, qs = q*s and
         Q = qs*s are integers. The integer sequence W(k) = P*W(k-1) + Q*W(k-2),
@@ -66,11 +66,17 @@ class RecurrenceParams:
         normalization. G(n) has denominator d0*d1*step**k with step = s for n > 0
         and -qs for n <= 0. Consecutive W terms share only primes of gcd(P, Q);
         strip lists those of step as (r, v), r**v exactly dividing step = rest*prod(r**v).
+        W's characteristic polynomial t**2 - P*t - Q is monic, so its rational roots
+        are integers; it has them when D = P**2 + 4*Q is a square, stored as
+        (R1, R2, sqrt(D)) = ((P + sqrt(D))/2, (P - sqrt(D))/2, sqrt(D)), else None.
         """
         p, q = self.p, self.q
         s = math.lcm(p.denominator, q.denominator)
         qs = int(q * s)
         P, Q = int(p * s), qs * s
+        D = P * P + 4 * Q
+        d = math.isqrt(max(D, 0))
+        roots = ((P + d) // 2, (P - d) // 2, d) if d * d == D else None
         signs = []
         for step in (s, -qs):
             g, rest, strip, r = math.gcd(step, P, Q), step, [], 2
@@ -84,7 +90,7 @@ class RecurrenceParams:
                     g //= math.gcd(g, r**v)
                 r += 1
             signs.append((abs(step), rest, tuple(strip)))
-        return s, P, qs, Q, *signs
+        return s, P, qs, Q, roots, *signs
 
 
 @dataclass(frozen=True)
@@ -112,9 +118,9 @@ def _lucas_pair(P: int, Q: int, m: int, strip: tuple) -> tuple:
     and exps, for m >= 0, walking the bits of m from the top.
 
     The doubling W(2k) = (x+y)**2 - y**2 - (P+1)*x**2, W(2k+1) = y**2 + Q*x**2 at
-    (x, y) = (W(k), W(k+1)) costs three squarings per bit, as in GMP's Fibonacci
-    routine (GMP manual); Joye and Quisquater's W(2k) = x*(2y - P*x) (Electronics
-    Letters 32, 1996) costs a product, and CPython squares in 0.45-0.7 of one.
+    (x, y) = (W(k), W(k+1)) costs three squarings per bit (GMP's mpz_fib2_ui takes
+    two, from Cassini's identity at Q = 1); Joye and Quisquater's W(2k) = x*(2y - P*x)
+    (Electronics Letters 32, 1996) costs a product, and CPython squares in 0.45-0.7 of one.
     Each r is divided out while it divides both members; the doubling is
     homogeneous of degree 2 and the step linear, so a count doubles per bit.
     """
@@ -142,11 +148,16 @@ def _coprime_fraction(num: int, den: int) -> Fraction:
 
 
 def term(s: Sequence, n: int) -> Rational:
-    """Exact G(n) for any integer n in O(log |n|) big-integer squarings.
+    """Exact G(n) for any integer n in O(log |n|) big-integer squarings or powers.
 
     G(n) = g1*U(n) + q*g0*U(n-1) with U the (0, 1)-seeded sequence of (p, q);
     for n <= 0, U(-m) = -U(m) / (-q)**m gives G(-m) = (g0*U(m+1) - g1*U(m)) / (-q)**m.
-    So the numerator is c1*W(k+1) + c0*W(k) (k = n-1 or -n), and at (x, y) =
+    So the numerator is c1*W(k+1) + c0*W(k) (k = n-1 or -n). Where W has integer
+    roots R1 != R2 it is ((c1*R1 + c0)*R1**k - (c1*R2 + c0)*R2**k) / (R1 - R2), and
+    (c1*(k+1)*R + c0*k)*R**(k-1) at a repeated root R: two powers of small integers.
+    That closed form runs only where the walk strips nothing: a stripped prime divides
+    gcd(P, Q), so both roots, and the power of it the walk would have divided out
+    costs the final gcd loop far more than the walk. Else, at (x, y) =
     (W(j), W(j+1)), j = k // 2, it is alpha*x**2 + 2*beta*x*y + gamma*y**2 =
     ((beta*x + gamma*y)**2 + (alpha*gamma - beta**2)*x**2) / gamma: two squarings
     in place of the walk's last doubling (x*(alpha*x + 2*beta*y) when gamma = 0).
@@ -155,21 +166,28 @@ def term(s: Sequence, n: int) -> Rational:
     divide gcd(P, Q), their counts cancel against step**k, and every common
     factor left divides R = d0*d1*|step|, so gcd(num % R, R, den) finds it.
     """
-    scale, P, qs, Q, pos, neg = s.params._engine
+    scale, P, qs, Q, roots, pos, neg = s.params._engine
     a0, d0 = s.g0.numerator, s.g0.denominator
     a1, d1 = s.g1.numerator, s.g1.denominator
     (step, rest, strip), k = (pos, n - 1) if n > 0 else (neg, -n)
     c1, c0 = (a1 * d0, qs * a0 * d1) if n > 0 else (a0 * d1, -scale * a1 * d0)
-    x, y, exps = _lucas_pair(P, Q, k >> 1, strip)
-    if k & 1:
-        alpha, beta, gamma = c0 * Q, c1 * Q, c1 * P + c0
+    if roots and not strip:
+        R1, R2, d = roots
+        if d:
+            num = ((c1 * R1 + c0) * R1**k - (c1 * R2 + c0) * R2**k) // d
+        else:  # W(k) = k*R**(k-1)
+            num = (c1 * (k + 1) * R1 + c0 * k) * R1**k // R1
     else:
-        alpha, beta, gamma = c1 * Q - c0 * P, c0, c1
-    if gamma:
-        u = beta * x + gamma * y
-        num = (u * u + (alpha * gamma - beta * beta) * (x * x)) // gamma
-    else:
-        num = x * (alpha * x + 2 * beta * y)
+        x, y, exps = _lucas_pair(P, Q, k >> 1, strip)
+        if k & 1:
+            alpha, beta, gamma = c0 * Q, c1 * Q, c1 * P + c0
+        else:
+            alpha, beta, gamma = c1 * Q - c0 * P, c0, c1
+        if gamma:
+            u = beta * x + gamma * y
+            num = (u * u + (alpha * gamma - beta * beta) * (x * x)) // gamma
+        else:
+            num = x * (alpha * x + 2 * beta * y)
     den = d0 * d1 * rest**k
     if strip:
         # 2e <= k*v, from Cassini's W(k)**2 - W(k+1)*W(k-1) = (-Q)**(k-1)

@@ -153,6 +153,14 @@ class TestTerm:
             # G(n) = 2**-n: the roots are 1/2 and 1/3, and the power of 3 in
             # s**(n-1) cancels only against the whole numerator
             (make_sequence(Fraction(5, 6), Fraction(-1, 6), 1, Fraction(1, 2)), ()),
+            # integer roots 4 and 2 (gcd 2) in closed form for n > 0; for n <= 0
+            # the walk strips 2
+            (make_sequence(6, -8, 1, 3), (2000, -2000)),
+            (make_sequence(1, 6, 0, 1), (2000, -2000)),  # roots 3 and -2
+            (make_sequence(0, 4, 1, 2), (2000, -2000)),  # p = 0, roots 2 and -2
+            (make_sequence(-2, -1, 1, 3), (2000, -2000)),  # repeated root -1
+            # repeated root 2 of W (s = 4); for n > 0 the walk strips 2
+            (make_sequence(1, Fraction(-1, 4), 1, 3), (2000, -2000)),
         )
         for seq, extra in cases:
             for n in sorted(NEAR_POWERS | {0, 1, -1} | set(extra)):
@@ -169,8 +177,9 @@ class TestTerm:
             (2, 3, 1, 2),  # G(-1) = 0, i.e. g1 = p*g0
             (0, 3, 1, 2),  # p = 0
             (Fraction(3, 2), Fraction(2, 3), 2, -3),  # for n > 0 the walk strips 3
+            (0, Fraction(2, 9), 1, 2),  # p = 0; the walk strips 3 for n > 0, 2 for n <= 0
         ],
-        ids=["g1-zero", "g0-zero", "G2-zero", "Gm1-zero", "p-zero", "strip"],
+        ids=["g1-zero", "g0-zero", "G2-zero", "Gm1-zero", "p-zero", "strip", "p-zero-strip"],
     )
     def test_fused_last_doubling_matches_oracle(self, p, q, g0, g1):
         # gamma, the y**2 coefficient of term()'s last step, is zero exactly
@@ -197,6 +206,44 @@ class TestTerm:
         value = term(seq, n)
         assert _in_lowest_terms(value)
         assert value == term_iterative_oracle(seq, n)
+
+    @given(
+        r1=rationals.filter(lambda v: v != 0),
+        r2=st.none() | rationals.filter(lambda v: v != 0),
+        g0=shared_prime_rationals,
+        g1=shared_prime_rationals,
+        n=st.integers(-300, 300),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_split_polynomials_match_the_oracle(self, r1, r2, g0, g1, n):
+        # x**2 - p*x - q = (x - r1)*(x - r2), with None for a repeated root r1
+        r2 = r1 if r2 is None else r2
+        assume(g0 != 0 or g1 != 0)
+        seq = make_sequence(r1 + r2, -r1 * r2, g0, g1)
+        value = term(seq, n)
+        assert _in_lowest_terms(value)
+        assert value == term_iterative_oracle(seq, n)
+
+    @pytest.mark.parametrize("seq, n, walks", [
+        (get_named("jacobsthal"), 1000, 0),
+        (get_named("jacobsthal"), -1000, 0),
+        (get_named("jacobsthal-lucas"), 1000, 0),
+        (get_named("jacobsthal-lucas"), -1000, 0),
+        (make_sequence(6, -8, 1, 3), 1000, 0),  # roots 4 and 2; the step 1 strips nothing
+        (make_sequence(6, -8, 1, 3), -1000, 1),  # the step 8 shares 2 with P and Q
+        (get_named("fibonacci"), 1000, 1),
+        (get_named("fibonacci"), -1000, 1),
+    ])
+    def test_closed_form_only_where_the_walk_strips_nothing(self, monkeypatch, seq, n, walks):
+        calls, walk = [], sequences._lucas_pair
+
+        def counting(P, Q, m, strip):
+            calls.append(m)
+            return walk(P, Q, m, strip)
+
+        monkeypatch.setattr(sequences, "_lucas_pair", counting)
+        assert term(seq, n) == term_iterative_oracle(seq, n)
+        assert len(calls) == walks, calls
 
     @pytest.mark.parametrize(
         "p, q, g0, g1, indices",
