@@ -118,9 +118,10 @@ def _lucas_pair(P: int, Q: int, m: int, strip: tuple) -> tuple:
     and exps, for m >= 0, walking the bits of m from the top.
 
     The doubling W(2k) = (x+y)**2 - y**2 - (P+1)*x**2, W(2k+1) = y**2 + Q*x**2 at
-    (x, y) = (W(k), W(k+1)) costs three squarings per bit (GMP's mpz_fib2_ui takes
-    two, from Cassini's identity at Q = 1); Joye and Quisquater's W(2k) = x*(2y - P*x)
-    (Electronics Letters 32, 1996) costs a product, and CPython squares in 0.45-0.7 of one.
+    (x, y) = (W(k), W(k+1)) costs three squarings per bit; Joye and Quisquater's
+    W(2k) = x*(2y - P*x) (Electronics Letters 32, 1996) costs a product, and CPython
+    squares in 0.45-0.7 of one. _cassini_pair takes two where |Q| = 1; elsewhere the
+    (-Q)**k it needs costs the squaring it saves.
     Each r is divided out while it divides both members; the doubling is
     homogeneous of degree 2 and the step linear, so a count doubles per bit.
     """
@@ -140,6 +141,24 @@ def _lucas_pair(P: int, Q: int, m: int, strip: tuple) -> tuple:
     return a, b, exps
 
 
+def _cassini_pair(P: int, Q: int, m: int) -> tuple:
+    """(W(m), W(m+1), (-Q)**m) for m >= 0, |Q| = 1 and P != 0, by two squarings
+    per bit of m from the top.
+
+    At (x, y) = (W(j), W(j+1)), Cassini's identity P*x*y = y**2 - Q*x**2 - tau with
+    tau = (-Q)**j gives W(2j) = x*(2y - P*x) = 2*(B - Q*A - tau)/P - P*A, exactly, and
+    W(2j+1) = B + Q*A from A = x**2 and B = y**2 (GMP's mpz_fib2_ui, at P = Q = 1).
+    tau is +-1, so tracking it is free: 1 after a doubling, -Q after a step.
+    """
+    a, b, tau = (1, P, -Q) if m else (0, 1, 1)  # (W(1), W(2), -Q) stands for m's top bit
+    for bit in bin(m)[3:]:
+        A, B = a * a, b * b
+        a, b, tau = 2 * (B - Q * A - tau) // P - P * A, B + Q * A, 1
+        if bit == "1":
+            a, b, tau = b, P * b + Q * a, -Q
+    return a, b, tau
+
+
 def _coprime_fraction(num: int, den: int) -> Fraction:
     """Fraction(num, den) for coprime num and den > 0, without the gcd."""
     f = object.__new__(Fraction)
@@ -155,10 +174,16 @@ def term(s: Sequence, n: int) -> Rational:
     So the numerator is c1*W(k+1) + c0*W(k) (k = n-1 or -n). Where W has integer
     roots R1 != R2 it is ((c1*R1 + c0)*R1**k - (c1*R2 + c0)*R2**k) / (R1 - R2), and
     (c1*(k+1)*R + c0*k)*R**(k-1) at a repeated root R: two powers of small integers.
+    Where c1*R + c0 = 0 for a root, G is geometric, the numerator one power of the
+    other root R (c1*R**k at a repeated root), and G(n) is a small fraction times
+    (R/rest)**k, the ratio reduced before the power, so no big gcd remains.
     That closed form runs only where the walk strips nothing: a stripped prime divides
     gcd(P, Q), so both roots, and the power of it the walk would have divided out
     costs the final gcd loop far more than the walk. Else, at (x, y) =
-    (W(j), W(j+1)), j = k // 2, it is alpha*x**2 + 2*beta*x*y + gamma*y**2 =
+    (W(j), W(j+1)), j = k // 2, it is alpha*x**2 + 2*beta*x*y + gamma*y**2. Where
+    |Q| = 1 and P != 0, adding gamma times Cassini's P*x*y - y**2 + Q*x**2 + (-Q)**j = 0
+    makes it x*((alpha + gamma*Q)*x + (2*beta + gamma*P)*y) + gamma*(-Q)**j: one
+    product after _cassini_pair's two squarings per bit. Otherwise it is
     ((beta*x + gamma*y)**2 + (alpha*gamma - beta**2)*x**2) / gamma: two squarings
     in place of the walk's last doubling (x*(alpha*x + 2*beta*y) when gamma = 0).
     The numerator and denominator d0*d1*step**k are built as integers and
@@ -173,21 +198,31 @@ def term(s: Sequence, n: int) -> Rational:
     c1, c0 = (a1 * d0, qs * a0 * d1) if n > 0 else (a0 * d1, -scale * a1 * d0)
     if roots and not strip:
         R1, R2, d = roots
-        if d:
-            num = ((c1 * R1 + c0) * R1**k - (c1 * R2 + c0) * R2**k) // d
-        else:  # W(k) = k*R**(k-1)
+        e1, e2 = c1 * R1 + c0, c1 * R2 + c0
+        if not d:  # W(k) = k*R**(k-1)
+            if not e1:
+                return Fraction(c1, d0 * d1) * Fraction(R1, rest) ** k
             num = (c1 * (k + 1) * R1 + c0 * k) * R1**k // R1
+        elif not e1 or not e2:
+            e, R = (e1, R1) if e2 == 0 else (-e2, R2)
+            return Fraction(e, d * d0 * d1) * Fraction(R, rest) ** k
+        else:
+            num = (e1 * R1**k - e2 * R2**k) // d
     else:
-        x, y, exps = _lucas_pair(P, Q, k >> 1, strip)
         if k & 1:
             alpha, beta, gamma = c0 * Q, c1 * Q, c1 * P + c0
         else:
             alpha, beta, gamma = c1 * Q - c0 * P, c0, c1
-        if gamma:
-            u = beta * x + gamma * y
-            num = (u * u + (alpha * gamma - beta * beta) * (x * x)) // gamma
+        if Q * Q == 1 and P:
+            x, y, tau = _cassini_pair(P, Q, k >> 1)
+            num = x * ((alpha + gamma * Q) * x + (2 * beta + gamma * P) * y) + gamma * tau
         else:
-            num = x * (alpha * x + 2 * beta * y)
+            x, y, exps = _lucas_pair(P, Q, k >> 1, strip)
+            if gamma:
+                u = beta * x + gamma * y
+                num = (u * u + (alpha * gamma - beta * beta) * (x * x)) // gamma
+            else:
+                num = x * (alpha * x + 2 * beta * y)
     den = d0 * d1 * rest**k
     if strip:
         # 2e <= k*v, from Cassini's W(k)**2 - W(k+1)*W(k-1) = (-Q)**(k-1)

@@ -233,17 +233,78 @@ class TestTerm:
         (make_sequence(6, -8, 1, 3), -1000, 1),  # the step 8 shares 2 with P and Q
         (get_named("fibonacci"), 1000, 1),
         (get_named("fibonacci"), -1000, 1),
+        (get_named("pell-lucas"), -1001, 1),
+        (make_sequence(-3, -1, Fraction(1, 2), -3), 1001, 1),  # Q = -1
+        (make_sequence(0, -1, 1, 3), 1000, 1),  # |Q| = 1 but P = 0
+        (make_sequence(-2, -1, 1, 3), -1000, 0),  # |Q| = 1, repeated root -1
+        (make_sequence(0, 1, 1, 3), 1000, 0),  # |Q| = 1, roots 1 and -1
+        (make_sequence(1, 3, 1, 3), 1000, 1),  # |Q| = 3, no integer roots
     ])
     def test_closed_form_only_where_the_walk_strips_nothing(self, monkeypatch, seq, n, walks):
-        calls, walk = [], sequences._lucas_pair
+        # Each walk counts its calls by name; an integer p with q = +-1 (so |Q| = 1)
+        # and p != 0 takes the Cassini walk, anything else the three-squaring one.
+        calls, lucas, cassini = [], sequences._lucas_pair, sequences._cassini_pair
 
-        def counting(P, Q, m, strip):
-            calls.append(m)
-            return walk(P, Q, m, strip)
+        def counting_lucas(P, Q, m, strip):
+            calls.append("lucas")
+            return lucas(P, Q, m, strip)
 
-        monkeypatch.setattr(sequences, "_lucas_pair", counting)
+        def counting_cassini(P, Q, m):
+            calls.append("cassini")
+            return cassini(P, Q, m)
+
+        monkeypatch.setattr(sequences, "_lucas_pair", counting_lucas)
+        monkeypatch.setattr(sequences, "_cassini_pair", counting_cassini)
         assert term(seq, n) == term_iterative_oracle(seq, n)
-        assert len(calls) == walks, calls
+        p, q = seq.params.p, seq.params.q
+        kind = "cassini" if abs(q) == 1 and p and p.denominator == 1 else "lucas"
+        assert calls == [kind] * walks
+
+    @pytest.mark.parametrize("Q", [1, -1])
+    @pytest.mark.parametrize("P", [1, -1, 2, -2, 3, -3, 5])
+    @pytest.mark.parametrize("g0, g1", [(2, -3), (Fraction(1, 2), Fraction(-5, 3)), (0, 1), (1, 0)])
+    def test_unit_q_walk_matches_oracle(self, P, Q, g0, g1):
+        # _cassini_pair's two-squaring walk and one-product finish; P = +-2 with
+        # Q = -1 has a repeated root and takes the closed form instead. Both signs
+        # of n and NEAR_POWERS give both parities of the walk index and of its
+        # bits, so tau is both +1 and -Q at the last step.
+        seq = make_sequence(P, Q, g0, g1)
+        for n in sorted(set(range(-40, 41)) | NEAR_POWERS):
+            value = term(seq, n)
+            assert _in_lowest_terms(value), n
+            assert value == term_iterative_oracle(seq, n), n
+
+    @given(
+        p=st.integers(-9, 9),
+        q=st.sampled_from((1, -1)),
+        g0=shared_prime_rationals,
+        g1=shared_prime_rationals,
+        n=st.integers(-600, 600),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_unit_q_terms_match_the_oracle(self, p, q, g0, g1, n):
+        assume(g0 != 0 or g1 != 0)
+        seq = make_sequence(p, q, g0, g1)
+        value = term(seq, n)
+        assert _in_lowest_terms(value)
+        assert value == term_iterative_oracle(seq, n)
+
+    @pytest.mark.parametrize("p, q, g0, g1, n, expected", [
+        # G(n) = 3**n: roots 4 and 3, and c1*R2 + c0 = 0 for n <= 0
+        (7, -12, 1, 3, -300000, Fraction(1, 3**300000)),
+        (1, 6, 1, 3, -300000, Fraction(1, 3**300000)),  # roots 3 and -2
+        # G(n) = 2**-n: W's roots 3 and 2 against the step 6 for n > 0
+        (Fraction(5, 6), Fraction(-1, 6), 1, Fraction(1, 2), 300000, Fraction(1, 2**300000)),
+        # repeated roots: G(n) = 2**n (root 2 for n > 0) and 2**-n (W's root 2
+        # against the step 1 for n <= 0)
+        (4, -4, 1, 2, 300000, Fraction(2**300000)),
+        (1, Fraction(-1, 4), 1, Fraction(1, 2), -300000, Fraction(2**300000)),
+        (-4, -4, 3, -6, 300001, Fraction(3 * (-2) ** 300001)),
+    ])
+    def test_geometric_terms_are_single_powers(self, p, q, g0, g1, n, expected):
+        value = term(make_sequence(p, q, g0, g1), n)
+        assert _in_lowest_terms(value)
+        assert value == expected
 
     @pytest.mark.parametrize(
         "p, q, g0, g1, indices",
