@@ -71,8 +71,7 @@ def _fg(gt: Callable[[int], object], u: int, v: int, s: int, t: int):
 def f_g(g: Sequence, args: tuple) -> Rational:
     """Exact kernel value at the index quadruple args = (u, v, s, t)."""
     u, v, s, t = args
-    value = _fg(lambda i: term(g, i), u, v, s, t)
-    return value if isinstance(value, Fraction) else Fraction(value)
+    return _fg(lambda i: term(g, i), u, v, s, t)
 
 
 def _require_same_params(g: Sequence, h: Sequence) -> None:

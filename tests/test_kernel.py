@@ -67,7 +67,9 @@ class TestKernelForm:
     @given(u=idx, v=idx, s=idx, t=idx)
     @settings(max_examples=60)
     def test_matches_literal_transcription(self, u, v, s, t):
-        assert f_g(F, (u, v, s, t)) == _fg_literal(_oracle(F), u, v, s, t)
+        value = f_g(F, (u, v, s, t))
+        assert type(value) is Fraction
+        assert value == _fg_literal(_oracle(F), u, v, s, t)
 
     @given(u=idx, v=idx, s=idx, t=idx)
     @settings(max_examples=60)

@@ -327,6 +327,104 @@ class TestTerm:
             assert value == term_iterative_oracle(seq, n), n
 
 
+# G(n) modulo two Mersenne primes, from a modular power of [[p, q], [1, 0]]: a reference
+# for term() at indices where the iterative oracle would take too long.
+PRIMES = (2**61 - 1, 2**89 - 1)
+
+
+def fingerprint(value: Fraction) -> tuple:
+    value = Fraction(value)
+    return tuple(value.numerator % p * pow(value.denominator % p, -1, p) % p for p in PRIMES)
+
+
+def _mod_mat_mul(x, y, p):
+    return (
+        (x[0] * y[0] + x[1] * y[2]) % p,
+        (x[0] * y[1] + x[1] * y[3]) % p,
+        (x[2] * y[0] + x[3] * y[2]) % p,
+        (x[2] * y[1] + x[3] * y[3]) % p,
+    )
+
+
+def reference_fingerprint(seq, n: int) -> tuple:
+    """G(n) modulo each prime, from [[p, q], [1, 0]]**n (its inverse for n < 0)."""
+    out = []
+    for prime in PRIMES:
+        def mod(f):
+            return f.numerator % prime * pow(f.denominator % prime, -1, prime) % prime
+
+        pm, qm = mod(seq.params.p), mod(seq.params.q)
+        if n >= 0:
+            base = (pm, qm, 1, 0)
+        else:
+            qi = pow(qm, -1, prime)
+            base = (0, 1, qi, (-pm * qi) % prime)
+        result, e = (1, 0, 0, 1), abs(n)
+        while e:
+            if e & 1:
+                result = _mod_mat_mul(result, base, prime)
+            base = _mod_mat_mul(base, base, prime)
+            e >>= 1
+        out.append((result[2] * mod(seq.g1) + result[3] * mod(seq.g0)) % prime)
+    return tuple(out)
+
+
+small_ints = st.integers(-6, 6).filter(bool)
+# (p, q) of each route term() can take at large |n|; see TestModularReference.
+ROUTE_COEFFICIENTS = {
+    # p and q share a prime r with the step -q, which the walk strips for n <= 0
+    "strip": st.builds(lambda r, u, v: (r * u, r * v), st.sampled_from((2, 3, 5)),
+                       st.integers(-4, 4), st.integers(-4, 4).filter(bool)),
+    # |Q| = 1 and no integer roots (P**2 +- 4 is a square only at P = 0, +-2): Cassini
+    "unit-q": st.tuples(st.integers(-9, 9).filter(lambda p: p not in (-2, 0, 2)),
+                        st.sampled_from((1, -1))),
+    # integer roots r1 and r2, or a repeated root r1 (r2 None): the closed form, unless
+    # gcd(r1, r2) > 1 makes the walk strip it for n <= 0
+    "roots": st.tuples(small_ints, st.none() | small_ints),
+    # p or q not an integer
+    "rational": st.tuples(shared_prime_rationals, shared_prime_rationals.filter(bool)).filter(
+        lambda pq: pq[0].denominator > 1 or pq[1].denominator > 1),
+}
+
+
+class TestModularReference:
+    @pytest.mark.parametrize("route", sorted(ROUTE_COEFFICIENTS))
+    @given(data=st.data(), n=st.integers(-10**5, 10**5))
+    @settings(max_examples=40, deadline=None)
+    def test_large_indices_match_the_reference(self, route, data, n):
+        p, q = data.draw(ROUTE_COEFFICIENTS[route])
+        g0, g1 = data.draw(shared_prime_rationals), data.draw(shared_prime_rationals)
+        if route == "strip":
+            n = -abs(n)
+        elif route == "roots":
+            r1, r2 = p, p if q is None else q
+            p, q = r1 + r2, -r1 * r2
+            if data.draw(st.booleans()):  # geometric: G(n) = g0 * r**n for a root r
+                g1 = data.draw(st.sampled_from((r1, r2))) * g0
+        assume(g0 != 0 or g1 != 0)
+        seq = make_sequence(p, q, g0, g1)
+        # Every prime of G(n)'s denominator divides this product, so a gcd with it,
+        # not with the huge denominator, finds any factor left in common.
+        p, q = seq.params.p, seq.params.q
+        primes_of = (p.denominator * q.denominator * q.numerator
+                     * seq.g0.denominator * seq.g1.denominator)
+        assume(all(primes_of % prime for prime in PRIMES))
+        value = term(seq, n)
+        assert type(value) is Fraction and value.denominator > 0
+        assert math.gcd(math.gcd(value.numerator, primes_of), value.denominator) == 1
+        assert fingerprint(value) == reference_fingerprint(seq, n)
+
+    @pytest.mark.parametrize("Q", [1, -1])
+    @pytest.mark.parametrize("P", [1, -1, 2, -2, 3, -5, 12])
+    def test_cassini_walk_matches_the_lucas_walk(self, P, Q):
+        # Where both walks apply, they agree, whichever one term() selects; so a
+        # wrong selection guard cannot hide a wrong walk.
+        for m in sorted(set(range(70)) | {abs(n) for n in NEAR_POWERS}):
+            x, y, tau = sequences._cassini_pair(P, Q, m)
+            assert (x, y, ()) == sequences._lucas_pair(P, Q, m, ()), m
+            assert tau == (-Q) ** m, m
+
+
 class TestNegativeIndexLaws:
     """Closed forms for terms at negated indices of the six named sequences."""
 
