@@ -18,13 +18,12 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import UsageError
 from .grid import parse_grid
 from .kernel import IDENTITIES
-from .report import VerificationReport, run_grid
+from .report import Outcome, VerificationReport, run_grid
 from .scalar import m1
 from .sequences import get_named, make_sequence
 
@@ -77,8 +76,8 @@ class CatalogEntry:
     # None means the base sequence itself.
     companion: Optional[str] = field(default=None, repr=False, compare=False)
 
-    def make_outcome(self, h0=None, h1=None) -> Callable[[dict], tuple]:
-        """Bind the entry to concrete sequences (fresh term caches)."""
+    def make_outcome(self, h0=None, h1=None) -> Outcome:
+        """The entry bound to concrete sequences (fresh term caches), over free_vars."""
         base = get_named(self.family)
         companion = base if self.companion is None else get_named(self.companion)
         if self.generalized:
@@ -86,10 +85,9 @@ class CatalogEntry:
                 base.params.p, base.params.q, 0 if h0 is None else h0, 1 if h1 is None else h1
             )
         pair = IDENTITIES[self.identity].core(base, companion, None, False)
-        values, (head, *rest), sign = itemgetter(*self.free_vars), self.substitutions, self.sign
+        (head, *rest), sign = self.substitutions, self.sign
 
-        def outcome(case: dict) -> tuple:
-            args = values(case)
+        def outcome(*args) -> tuple:
             result = pair(*head(*args))
             for sub in rest:  # the first unbalanced pair, or else the first
                 if result[0] != result[1]:
@@ -102,7 +100,7 @@ class CatalogEntry:
                 return (-lhs,) * 2 if lhs is rhs else (-lhs, -rhs)  # one Fraction for equal sides
             return result
 
-        return outcome
+        return Outcome(outcome, self.free_vars)
 
 
 _FAMILIES = {

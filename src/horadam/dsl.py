@@ -44,7 +44,7 @@ from typing import Mapping, NamedTuple, Optional
 
 from .errors import EvalError, ParseError
 from .grid import NAME, GridSpec
-from .report import VerificationReport, run_grid
+from .report import Outcome, VerificationReport, run_grid
 from .scalar import DIGITS, Rational, binom
 from .sequences import NAME_ALIASES, Sequence, _coprime_fraction, get_named, is_whole, term_reader
 
@@ -415,12 +415,13 @@ def pretty_print(node) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Evaluation. A pair of sides compiles once (cached per syntax tree and set of
-# whole sequence names) into the text of _make(), which returns _f(b), the tuple
-# of the sides' values for the binding dict b. The text holds only int literals,
-# repr'd variable names, error labels and its own names: slots _tK for sequences,
-# filled at bind time, a function _sK(b, _lo, _hi, enclosing sums' variables)
-# with the variable _vK per sum, and locals. Statements run in a tree walk's
+# Evaluation. A pair of sides compiles once (cached per syntax tree, set of whole
+# sequence names and order of variables) into the text of _make(), which returns
+# _f(*b), the tuple of the sides' values for the case's values b, read by slot
+# b[i]. The text holds only int literals, error labels, the repr'd name of any
+# variable left unbound, and its own names: slots _tK for sequences, filled at
+# bind time, a function _sK(b, _lo, _hi, enclosing sums' variables) with the
+# variable _vK per sum, and locals. Statements run in a tree walk's
 # order, and a text that a later statement would overtake is stored first, so
 # the first error raised is the same as a walk's.
 #
@@ -446,8 +447,8 @@ def _index(value, what: str) -> int:
     raise EvalError(f"{what} did not evaluate to an integer: {value}")
 
 
-def _unbound(exc: KeyError) -> EvalError:
-    return EvalError(f"unbound variable {exc.args[0]!r}")
+def _unbound(name: str):
+    raise EvalError(f"unbound variable {name!r}")
 
 
 def _value(num: int, den: int):
@@ -476,7 +477,7 @@ def _below(node, test, depth: int, found: set) -> bool:
 
 
 _HELPERS = {
-    "__builtins__": {}, "KeyError": KeyError, "type": type, "int": int, "range": range,
+    "__builtins__": {}, "type": type, "int": int, "range": range,
     "_binom": binom, "_gcd": math.gcd, "_index": _index, "_pow": _pow, "_unbound": _unbound,
     "_value": _value,
 }
@@ -485,11 +486,12 @@ _ATOM = re.compile(r"\w+")  # a name or a non-negative literal: nothing left to 
 
 
 @lru_cache(maxsize=256)
-def _compiled(sides: tuple, whole: frozenset):
+def _compiled(sides: tuple, whole: frozenset, variables: tuple):
     """Code defining _make(), and the (sequence name, read as values?) of each slot _tK in
-    order of first use. Each tree level adds at most two nested parentheses, and a tree
-    deeper than MAX_DEPTH (only a hand-built one can be) is refused: the compiler allows
-    200. Sums are functions, never nested loops, as Python allows 20 nested blocks."""
+    order of first use; _f(*b) reads a free variable as b[i], i its place in variables.
+    Each tree level adds at most two nested parentheses, and a tree deeper than MAX_DEPTH
+    (only a hand-built one can be) is refused: the compiler allows 200. Sums are
+    functions, never nested loops, as Python allows 20 nested blocks."""
     seqs: dict = {}
     defs: list = []  # each sum's function, inner sums first
     out: list = [[]]  # the statements of each function being written, innermost last
@@ -554,7 +556,8 @@ def _compiled(sides: tuple, whole: frozenset):
         if t is IntLit:
             return repr(operator.index(node.value))
         if t is Var:
-            text = scope.get(node.name) or f"b[{str.__repr__(node.name)}]"
+            text = scope.get(node.name) or (f"b[{variables.index(node.name)}]" if node.name in variables
+                                            else f"_unbound({str.__repr__(node.name)})")
             return local(f"{text}.as_integer_ratio()", True) if pair else text
         if t is SeqTerm:  # read as values, or as pairs if not whole
             slot = seqs.setdefault((node.seq, not pair), f"_t{len(seqs)}")
@@ -671,18 +674,18 @@ def _compiled(sides: tuple, whole: frozenset):
 
     texts = ordered(*(lambda side=side: emit(side, {}) for side in sides))
     source = "\n".join([
-        "def _make():", *(" " + line for lines in defs for line in lines), " def _f(b):", "  try:",
-        *("   " + line for line in out[0]), f"   return {''.join(text + ', ' for text in texts)}",
-        "  except KeyError as exc:", "   raise _unbound(exc) from None", " return _f\n",
+        "def _make():", *(" " + line for lines in defs for line in lines), " def _f(*b):",
+        *("  " + line for line in out[0]), f"  return {''.join(text + ', ' for text in texts)}",
+        " return _f\n",
     ])
     return compile(source, "<horadam.dsl>", "exec"), tuple(seqs)
 
 
-def _bind(sides: tuple, registry: Mapping[str, Sequence]):
-    """The function of the binding dict for sides, with one term reader per
-    sequence name; an unknown name fails here, before any case runs."""
+def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple):
+    """The function of the values of variables, in order, for sides, with one term reader
+    per sequence name; an unknown name fails here, before any case runs."""
     whole = frozenset(name for name, seq in registry.items() if is_whole(seq))
-    code, slots = _compiled(sides, whole)
+    code, slots = _compiled(sides, whole, variables)
     namespace = dict(_HELPERS)
     for k, (name, values) in enumerate(slots):
         seq = registry.get(name)
@@ -695,7 +698,7 @@ def _bind(sides: tuple, registry: Mapping[str, Sequence]):
 
 def eval_expr(node, bindings: Mapping[str, int], registry: Mapping[str, Sequence]) -> Rational:
     """Evaluate one expression tree exactly under integer bindings."""
-    value = _bind((node,), registry)(dict(bindings))[0]
+    value = _bind((node,), registry, tuple(bindings))(*bindings.values())[0]
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -709,6 +712,6 @@ def verify_over_grid(
     if registry is None:
         registry = default_registry()
     grid.require_variables(ast.free_vars, "identity")
-    outcome = _bind((ast.lhs, ast.rhs), registry)
+    outcome = Outcome(_bind((ast.lhs, ast.rhs), registry, grid.var_names), grid.var_names)
     label = identity_label if identity_label is not None else pretty_print(ast)
     return run_grid(label, grid, outcome)

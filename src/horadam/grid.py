@@ -56,22 +56,23 @@ class GridSpec:
                      for word, names in (("missing", want - have), ("unused", have - want)) if names]
             raise UsageError(f"grid variables do not match {subject}: {'; '.join(parts)}")
 
+    def values(self) -> Iterator[tuple]:
+        """Each case as the tuple of its values in sorted-name order, deterministically."""
+        product = itertools.product(*[range(lo, hi + 1) for _, lo, hi in self.ranges])
+        if not self.constraints:
+            return product
+        slots = {name: i for i, name in enumerate(self.var_names)}
+
+        def operand(x):  # a variable's value by its slot, or a literal
+            return (lambda values, i=slots[x]: values[i]) if isinstance(x, str) else lambda values: x
+
+        checks = [(_OPS[op], operand(left), operand(right)) for left, op, right in self.constraints]
+        return (values for values in product if all(fn(lv(values), rv(values)) for fn, lv, rv in checks))
+
     def cases(self) -> Iterator[dict]:
         """Yield {var: int} bindings in deterministic (sorted-name) order."""
         names = self.var_names
-        spans = [range(lo, hi + 1) for _, lo, hi in self.ranges]
-        checks = [(_OPS[op], left, right) for left, op, right in self.constraints]
-        for values in itertools.product(*spans):
-            binding = dict(zip(names, values))
-            ok = True
-            for fn, left, right in checks:
-                lv = binding[left] if isinstance(left, str) else left
-                rv = binding[right] if isinstance(right, str) else right
-                if not fn(lv, rv):
-                    ok = False
-                    break
-            if ok:
-                yield binding
+        return (dict(zip(names, values)) for values in self.values())
 
     def case_count(self) -> int:
         if not self.constraints:
@@ -79,7 +80,7 @@ class GridSpec:
             for _, lo, hi in self.ranges:
                 count *= max(0, hi - lo + 1)
             return count
-        return sum(1 for _ in self.cases())
+        return sum(1 for _ in self.values())
 
 
 def parse_grid(text: str) -> GridSpec:

@@ -30,12 +30,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
-from operator import itemgetter
 from typing import Callable, NamedTuple, Optional
 
 from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
 from .grid import GridSpec, make_grid
-from .report import VerificationReport, run_grid
+from .report import Outcome, VerificationReport, run_grid
 from .scalar import Rational
 from .sequences import Sequence, _coprime_fraction, term, term_fn, term_tables
 
@@ -121,8 +120,9 @@ def basis_coefficients(
 
 # ---------------------------------------------------------------------------
 # Cores. Each returns a function of an identity's variables, in order, giving None
-# for a skipped case or else (lhs, rhs); identity_outcome reads a dict case into
-# it. A relation w0*X(n) = w1*X(n-a) + w2*Y(n-b) is the tuple w = (w0, w1, w2, a, b).
+# for a skipped case or else (lhs, rhs), and run_grid calls it with each case's
+# values (identity_outcome names them). A relation w0*X(n) = w1*X(n-a) + w2*Y(n-b)
+# is the tuple w = (w0, w1, w2, a, b).
 
 
 def _swap(w: tuple) -> tuple:
@@ -379,7 +379,7 @@ def identity_outcome(
     h: Sequence,
     rel: Optional[ThreeTermRelation] = None,
 ):
-    """Outcome function of a dict case for one identity bound to concrete sequences.
+    """The Outcome of one identity bound to concrete sequences.
 
     Lemmas default rel to the defining recurrence of g, as shifts (1, 2);
     every other identity needs g and h to share one recurrence.
@@ -390,8 +390,7 @@ def identity_outcome(
             rel = ThreeTermRelation(g.params.p, g.params.q, 1, 2)
     else:
         _require_same_params(g, h)
-    core, values = spec.core(g, h, rel), itemgetter(*spec.variables)
-    return lambda case: core(*values(case))
+    return Outcome(spec.core(g, h, rel), spec.variables)
 
 
 def verify_identity_grid(

@@ -7,15 +7,28 @@ import io
 import json
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Optional
+from typing import Callable, Mapping, NamedTuple, Optional
 
 from .errors import HoradamError
 from .grid import GridSpec
 from .scalar import rat_text
 
 # Outcome protocol for one case: None means skipped (a stated nonzero
-# hypothesis fails), otherwise an exactly evaluated (lhs, rhs) pair.
+# hypothesis fails), otherwise an exactly evaluated (lhs, rhs) pair; an outcome
+# is an Outcome or any function of a dict case.
 CaseOutcome = Optional[tuple]
+
+
+class Outcome(NamedTuple):
+    """An outcome as a function of a case's values, in the order of names."""
+
+    positional: Callable[..., CaseOutcome]
+    names: tuple
+
+    def __call__(self, case: Mapping) -> CaseOutcome:
+        """The outcome of a dict case: the package's one reader of a case by name."""
+        return self.positional(*[case[name] for name in self.names])
+
 
 _TEXT_COUNTEREXAMPLE_CAP = 20
 
@@ -145,16 +158,20 @@ class VerificationReport:
 
 
 def run_grid(identity: str, grid: GridSpec, outcome: Callable[[dict], CaseOutcome]) -> VerificationReport:
-    """Evaluate one outcome function over every grid case, deterministically."""
+    """Evaluate one outcome over every grid case, deterministically. An Outcome over the
+    grid's names takes each case's values; any other outcome gets a dict case."""
+    names = grid.var_names
+    fast = isinstance(outcome, Outcome) and outcome.names == names
+    call = outcome.positional if fast else lambda *values: outcome(dict(zip(names, values)))
     total = checked = skipped = 0
     counterexamples = []
-    for binding in grid.cases():
+    for values in grid.values():
         total += 1
         try:
-            result = outcome(binding)
+            result = call(*values)
         except HoradamError as exc:
-            if binding:
-                exc.args = (f"{exc} (case {render_bindings(binding)})",)
+            if values:
+                exc.args = (f"{exc} (case {render_bindings(dict(zip(names, values)))})",)
             raise
         if result is None:
             skipped += 1
@@ -162,5 +179,5 @@ def run_grid(identity: str, grid: GridSpec, outcome: Callable[[dict], CaseOutcom
         checked += 1
         lhs, rhs = result
         if lhs is not rhs and lhs != rhs:  # kernel outcomes share one Fraction when equal
-            counterexamples.append((dict(binding), lhs, rhs))
+            counterexamples.append((dict(zip(names, values)), lhs, rhs))
     return VerificationReport(identity, grid.text, total, checked, skipped, tuple(counterexamples))

@@ -1,12 +1,13 @@
 """Grid parsing, enumeration order, and constraint filtering."""
 
 import itertools
+import operator
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horadam import ParseError, make_grid, parse_expression, parse_grid
+from horadam import GridSpec, ParseError, make_grid, parse_expression, parse_grid
 from horadam.dsl import Var
 
 
@@ -69,6 +70,51 @@ class TestEnumeration:
         grid = make_grid({})
         assert grid.case_count() == 1
         assert list(grid.cases()) == [{}]
+
+
+_KEEP = {"<=": operator.le, ">=": operator.ge, "<": operator.lt, ">": operator.gt,
+         "=": operator.eq, "==": operator.eq, "!=": operator.ne}
+
+
+class TestValues:
+    @given(data=st.data())
+    @settings(max_examples=150)
+    def test_values_are_the_cases_values_in_order(self, data):
+        names = data.draw(st.lists(st.sampled_from("abkmn"), min_size=1, max_size=4, unique=True))
+        ranges = {}
+        for name in names:  # a range, an inverted (empty) range or a pinned value
+            lo = data.draw(st.integers(-3, 3))
+            ranges[name] = (lo, data.draw(st.sampled_from((lo, lo - 1, lo + 1, lo + 3))))
+        operand = st.sampled_from(names) | st.integers(-3, 3)
+        constraints = data.draw(st.lists(st.tuples(operand, st.sampled_from(sorted(_KEEP)), operand),
+                                         max_size=3))
+        grid = make_grid(ranges, tuple(f"{left}{op}{right}" for left, op, right in constraints))
+        values = list(grid.values())
+        assert values == [tuple(case.values()) for case in grid.cases()]
+        assert all(list(case) == sorted(names) for case in grid.cases())
+        slot = {name: i for i, name in enumerate(sorted(names))}
+        spans = [range(ranges[name][0], ranges[name][1] + 1) for name in sorted(names)]
+        expected = [
+            v for v in itertools.product(*spans)
+            if all(_KEEP[op](*(v[slot[x]] if isinstance(x, str) else x for x in (left, right)))
+                   for left, op, right in constraints)
+        ]
+        assert values == expected
+        assert grid.case_count() == len(values)
+
+    def test_literals_on_either_side(self):
+        assert list(parse_grid("n=0..4;1<n;n!=3").values()) == [(2,), (4,)]
+        assert list(parse_grid("n=0..2;2<1").values()) == []
+
+    def test_empty_grid_yields_one_empty_tuple(self):
+        assert list(make_grid({}).values()) == [()]
+
+    def test_case_count_counts_values_not_dicts(self, monkeypatch):
+        def no_dicts(self):
+            raise AssertionError("case_count built dict cases")
+
+        monkeypatch.setattr(GridSpec, "cases", no_dicts)
+        assert parse_grid("m=0..5,n=0..5;m<n;n<=3").case_count() == 6
 
 
 class TestConstraints:

@@ -5,12 +5,30 @@ import io
 import json
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from horadam import VerificationReport, make_grid, parse_grid, rat_text, run_grid
+from horadam import (
+    EvalError,
+    VerificationReport,
+    catalog,
+    catalog_list,
+    catalog_run,
+    dsl,
+    get_named,
+    kernel,
+    make_grid,
+    parse_grid,
+    parse_identity,
+    rat_text,
+    report,
+    run_grid,
+    verify_identity_grid,
+    verify_over_grid,
+)
 from horadam.grid import NAME
-from horadam.report import render_bindings
+from horadam.report import Outcome, render_bindings
 
 
 def _failing_outcome(case):
@@ -46,6 +64,96 @@ class TestRunGrid:
         )
         _, lhs, rhs = report.counterexamples[0]
         assert lhs == Fraction(1, 3) and rhs == Fraction(2, 3)
+
+
+# Constraints with literals, a skip at a = 0, and counterexamples with rational sides.
+_CONTRACT_GRID = "n=-3..4,a=-2..2;a!=1;-2<=n"
+
+
+def _positional(a, n):
+    if a == 0:
+        return None
+    return (Fraction(a * n, 3), Fraction(n * a, 3)) if (a + n) % 3 else (a, Fraction(n, 2))
+
+
+def _by_name(case):
+    return _positional(case["a"], case["n"])
+
+
+class TestOutcomeContract:
+    def test_an_outcome_and_a_dict_function_give_one_report(self):
+        grid = parse_grid(_CONTRACT_GRID)
+        fast = run_grid("demo", grid, Outcome(_positional, ("a", "n")))
+        plain = run_grid("demo", grid, _by_name)
+        assert fast.counterexamples and fast.cases_skipped_precondition
+        assert fast == plain
+        assert [b for b, _, _ in fast.counterexamples] == [b for b, _, _ in plain.counterexamples]
+        for fmt in ("json", "csv", "text"):
+            assert fast.render(fmt) == plain.render(fmt)
+
+    def test_an_error_names_its_case_either_way(self):
+        def raising(a, n):
+            if (a, n) == (2, 3):
+                raise EvalError("boom")
+            return 1, 1
+
+        outcomes = Outcome(raising, ("a", "n")), lambda case: raising(case["a"], case["n"])
+        for outcome in outcomes:
+            with pytest.raises(EvalError) as err:
+                run_grid("demo", parse_grid(_CONTRACT_GRID), outcome)
+            assert str(err.value) == "boom (case a=2;n=3)"
+        # the one case of the empty grid binds nothing, so its errors carry no suffix
+        for outcome in Outcome(lambda: raising(2, 3), ()), lambda case: raising(2, 3):
+            with pytest.raises(EvalError) as err:
+                run_grid("demo", make_grid({}), outcome)
+            assert str(err.value) == "boom"
+
+    def test_names_in_the_grids_order_are_called_by_position(self, monkeypatch):
+        def by_name(self, case):
+            raise AssertionError("run_grid built a dict case")
+
+        monkeypatch.setattr(Outcome, "__call__", by_name)
+        grid = parse_grid(_CONTRACT_GRID)
+        assert run_grid("demo", grid, Outcome(_positional, ("a", "n"))).cases_total == 28
+
+    def test_names_in_another_order_go_through_a_dict(self):
+        # called with the grid's (a, n) by position, this outcome would swap them
+        swapped = Outcome(lambda n, a: _positional(a, n), ("n", "a"))
+        grid = parse_grid(_CONTRACT_GRID)
+        assert run_grid("demo", grid, swapped) == run_grid("demo", grid, _by_name)
+
+    def test_an_outcome_reads_a_dict_case_by_name(self):
+        assert Outcome(lambda n, a: (n, a), ("n", "a"))({"a": 1, "n": 2}) == (2, 1)
+
+
+class TestFrontEndsTakeThePositionalPath:
+    def test_variables_are_in_sorted_order(self):
+        # a grid's names are sorted, so an unsorted tuple would fall to the dict path
+        for name, spec in kernel.IDENTITIES.items():
+            assert list(spec.variables) == sorted(spec.variables), name
+        for entry in catalog_list():
+            assert list(entry.free_vars) == sorted(entry.free_vars), entry.id
+
+    def test_run_grid_gets_outcomes_over_the_grids_names(self, monkeypatch):
+        seen = []
+
+        def recording(identity, grid, outcome):
+            seen.append((identity, isinstance(outcome, Outcome) and outcome.names == grid.var_names))
+            return report.run_grid(identity, grid, outcome)
+
+        for module in (kernel, catalog, dsl):
+            monkeypatch.setattr(module, "run_grid", recording)
+        fib, one = get_named("fibonacci"), lambda names: make_grid({v: (1, 1) for v in names})
+        for identity, spec in kernel.IDENTITIES.items():
+            verify_identity_grid(identity, fib, fib, one(spec.variables))
+        for entry in catalog_list():
+            catalog_run(entry.id, one(entry.free_vars))
+            for text in entry.dsl_texts:
+                ast = parse_identity(text)
+                registry = {**dsl.default_registry(), "H": get_named(entry.family)}
+                verify_over_grid(ast, one(ast.free_vars), registry, entry.id)
+        assert len(seen) == len(kernel.IDENTITIES) + sum(1 + len(e.dsl_texts) for e in catalog_list())
+        assert [identity for identity, fast in seen if not fast] == []
 
 
 class TestJson:

@@ -12,6 +12,7 @@ from horadam import (
     ParameterError,
     RangeError,
     RecurrenceParams,
+    Sequence,
     UsageError,
     get_named,
     make_sequence,
@@ -423,6 +424,27 @@ class TestModularReference:
             x, y, tau = sequences._cassini_pair(P, Q, m)
             assert (x, y, ()) == sequences._lucas_pair(P, Q, m, ()), m
             assert tau == (-Q) ** m, m
+
+    @given(roots=ROUTE_COEFFICIENTS["roots"], g0=shared_prime_rationals, g1=shared_prime_rationals,
+           geometric=st.booleans(), data=st.data(),
+           n=st.integers(-10**4, 10**4) | st.sampled_from(sorted(NEAR_POWERS)))
+    @settings(max_examples=150, deadline=None)
+    def test_closed_form_matches_the_lucas_walk(self, roots, g0, g1, geometric, data, n):
+        # Where W has integer roots and the walk strips nothing at n's sign, term()
+        # takes the closed form; the same params with the roots hidden from the
+        # engine take the Lucas walk. Both give the same lowest-terms fraction.
+        r1, r2 = roots[0], roots[0] if roots[1] is None else roots[1]
+        if geometric:  # G(n) = g0 * r**n for a root r
+            g1 = data.draw(st.sampled_from((r1, r2))) * g0
+        assume(g0 != 0 or g1 != 0)
+        seq = make_sequence(r1 + r2, -r1 * r2, g0, g1)
+        engine = seq.params._engine
+        _, P, _, Q, found, pos, neg = engine
+        assume(found and not (pos if n > 0 else neg)[2] and not (Q * Q == 1 and P))
+        walked = RecurrenceParams(seq.params.p, seq.params.q)
+        vars(walked)["_engine"] = (*engine[:4], None, pos, neg)
+        value, expected = term(seq, n), term(Sequence(walked, seq.g0, seq.g1), n)
+        assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
 
 
 class TestNegativeIndexLaws:
