@@ -21,7 +21,10 @@ over that table's scale squared, and each side is divided once at the end. One
 ordinary and one binomial evaluator serve the rows. A summation case with
 k >= 1 and Z = 0 is skipped (rather than failed), since the theorems hypothesize
 Z nonzero. Each identity is one positional core; verify binds it with that skip
-and the catalog, whose statements are all division-free, without.
+and the catalog, whose statements are all division-free, without. A sum core evaluates
+each distinct (evaluator arguments, k, n) once: a translated row (a+e, ..., m+e) has the
+same three kernel values, so it reads results the core stored, in dicts built per core
+(so per sweep) and capped at _RESULTS_CAP entries, so memory does not grow with the grid.
 """
 
 from __future__ import annotations
@@ -131,8 +134,9 @@ def _swap(w: tuple) -> tuple:
     return w0, w2, w1, b, a
 
 
-# Outcomes memoize each relation (a sweep meets it once per n and k) in this much space.
-_MEMO_SIZE = 256
+# Outcomes memoize each relation (a sweep meets it once per n and k) in this much space,
+# and a sum core stores up to this many of its results and interned argument keys.
+_MEMO_SIZE, _RESULTS_CAP = 256, 1 << 16
 
 
 def _theorem1(table, a: int, b: int, c: int, d: int, m: int) -> tuple:
@@ -287,20 +291,30 @@ def _lemma_pair(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
 
 def _sum_pair(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None,
               skips: bool = True) -> Callable:
-    # The lemma at T or swap(T); row(a, b, c, d, m) memoizes the evaluator's arguments.
-    # The theorems hypothesize Z != 0: skips gives None where k > 0 and Z = 0.
+    # The lemma at T or swap(T); row(a, b, c, d, m) memoizes the evaluator's arguments, whether
+    # Z = 0 and their key in results: an int interned in keys, or once keys is full the arguments
+    # themselves. The theorems hypothesize Z != 0: skips gives None where k > 0 and Z = 0.
     relation, ht, z_at = partial(_theorem1, term_tables(g)), term_tables(h), lemma.z_at
+    keys, results = {}, {}
 
     @lru_cache(maxsize=_MEMO_SIZE)
     def row(a: int, b: int, c: int, d: int, m: int) -> tuple:
         *w, scale = relation(a, b, c, d, m)
-        return (*lemma.roles(*(_swap(w) if swapped else w)), scale)
+        values = (*lemma.roles(*(_swap(w) if swapped else w)), scale)
+        key = (keys.setdefault(values, len(keys)) if len(keys) < _RESULTS_CAP
+               else keys.get(values, values))
+        return values, values[z_at] == 0, key
 
     def pair(a: int, b: int, c: int, d: int, k: int, m: int, n: int):
-        values = row(a, b, c, d, m)
-        if skips and k > 0 and values[z_at] == 0:
+        values, z_zero, key = row(a, b, c, d, m)
+        if skips and k > 0 and z_zero:
             return None
-        return lemma.evaluate(ht, ht, n, k, *values)
+        if (result := results.get((key, k, n))) is None:
+            result = lemma.evaluate(ht, ht, n, k, *values)
+            if len(results) < _RESULTS_CAP:  # equal sides that are one Fraction, stored once
+                results[key, k, n] = result[0] if result[0] is result[1] else result
+            return result
+        return result if result.__class__ is tuple else (result, result)
 
     return pair
 

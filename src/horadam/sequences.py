@@ -174,10 +174,10 @@ def term(s: Sequence, n: int) -> Rational:
     So the numerator is c1*W(k+1) + c0*W(k) (k = n-1 or -n). Where W has integer
     roots R1 != R2 it is ((c1*R1 + c0)*R1**k - (c1*R2 + c0)*R2**k) / (R1 - R2), and
     (c1*(k+1)*R + c0*k)*R**(k-1) at a repeated root R: two powers of small integers.
-    Where c1*R + c0 = 0 for a root, G is geometric, the numerator one power of the
-    other root R (c1*R**k at a repeated root), and G(n) is a small fraction times
-    (R/rest)**k, the ratio reduced before the power, so no big gcd remains.
-    That closed form runs only where the walk strips nothing: a stripped prime divides
+    Where c1*R' + c0 = 0 for a root R', G is geometric: the numerator is c1*R**k for
+    the other root R, and G(n) is c1/(d0*d1) times (R/step)**k at the signed step, the
+    ratio reduced before the power, so no big gcd remains at any step. The two-power
+    numerators run only where the walk strips nothing: a stripped prime divides
     gcd(P, Q), so both roots, and the power of it the walk would have divided out
     costs the final gcd loop far more than the walk. Else, at (x, y) =
     (W(j), W(j+1)), j = k // 2, it is alpha*x**2 + 2*beta*x*y + gamma*y**2. Where
@@ -196,18 +196,14 @@ def term(s: Sequence, n: int) -> Rational:
     a1, d1 = s.g1.numerator, s.g1.denominator
     (step, rest, strip), k = (pos, n - 1) if n > 0 else (neg, -n)
     c1, c0 = (a1 * d0, qs * a0 * d1) if n > 0 else (a0 * d1, -scale * a1 * d0)
-    if roots and not strip:
+    if roots:
         R1, R2, d = roots
         e1, e2 = c1 * R1 + c0, c1 * R2 + c0
-        if not d:  # W(k) = k*R**(k-1)
-            if not e1:
-                return Fraction(c1, d0 * d1) * Fraction(R1, rest) ** k
-            num = (c1 * (k + 1) * R1 + c0 * k) * R1**k // R1
-        elif not e1 or not e2:
-            e, R = (e1, R1) if e2 == 0 else (-e2, R2)
-            return Fraction(e, d * d0 * d1) * Fraction(R, rest) ** k
-        else:
-            num = (e1 * R1**k - e2 * R2**k) // d
+        if not e1 or not e2:  # geometric; rest has the sign of the step
+            ratio = Fraction(R2 if e2 else R1, step if rest > 0 else -step)
+            return Fraction(c1, d0 * d1) * ratio**k
+    if roots and not strip:  # W(k) = k*R**(k-1) at a repeated root
+        num = (e1 * R1**k - e2 * R2**k) // d if d else (c1 * (k + 1) * R1 + c0 * k) * R1**k // R1
     else:
         if k & 1:
             alpha, beta, gamma = c0 * Q, c1 * Q, c1 * P + c0

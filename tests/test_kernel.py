@@ -7,9 +7,11 @@ route to an expected value.
 """
 
 import collections
+import inspect
 import itertools
 import math
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,10 +20,14 @@ from hypothesis import strategies as st
 from horadam import (
     DegeneracyError,
     DomainError,
+    HoradamError,
     PreconditionError,
     ThreeTermRelation,
     UsageError,
     basis_coefficients,
+    catalog_entry,
+    catalog_list,
+    catalog_run,
     check_identity,
     f_g,
     get_named,
@@ -742,6 +748,158 @@ class TestRelationMemo:
         grid = make_grid(ranges)
         fresh = run_grid(name, grid, lambda case: identity_outcome(name, F, L)(case))
         assert verify_identity_grid(name, F, L, grid) == fresh
+
+
+SUM_NAMES = tuple(name for name in IDENTITY_NAMES if name.startswith("sum-"))
+MEMO_PAIRS = {
+    "fibonacci-lucas": (F, L),
+    "jacobsthal": (J, get_named("jacobsthal-lucas")),
+    "rational": (make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3), RATIONAL),
+}
+CATALOG_SUM_IDS = [entry.id for entry in catalog_list() if entry.identity.startswith("sum-")]
+
+
+def _per_case(outcome, grid) -> list:
+    """Each case's (lhs, rhs) or None, or the error it raised as (type, message)."""
+    results = []
+    for values in grid.values():
+        try:
+            results.append(outcome.positional(*values))
+        except HoradamError as exc:
+            results.append((type(exc), str(exc)))
+    return results
+
+
+def _rendered(report) -> tuple:
+    return tuple(report.render(fmt) for fmt in ("json", "csv", "text"))
+
+
+class TestSumResultMemo:
+    """A sum core stores the result of each distinct (evaluator arguments, k, n), up to
+    kernel._RESULTS_CAP of them, in dicts that each core call builds afresh. With the
+    cap at 0 nothing is stored: that sweep is the reference."""
+
+    # k = -1 raises DomainError, which is never stored; the reports need k >= 0.
+    CASES = parse_grid("a=-1..1,b=0..1,c=-1..1,d=0..1,k=-1..3,m=-1..1,n=-1..1")
+    GRID = parse_grid("a=-1..1,b=0..1,c=-1..1,d=0..1,k=0..3,m=-1..1,n=-1..1")
+    CATALOG_CASES = parse_grid("a=-2..1,b=-1..1,k=-1..3,m=-1..1,n=-1..1")
+    CATALOG_GRID = parse_grid("a=-2..1,b=-1..1,k=0..3,m=-1..1,n=-1..1")
+
+    def sweep(self, name: str, pair: str, cases=CASES, grid=GRID) -> tuple:
+        g, h = MEMO_PAIRS[pair]
+        return (_per_case(identity_outcome(name, g, h), cases),
+                _rendered(verify_identity_grid(name, g, h, grid)))
+
+    @pytest.mark.parametrize("pair", sorted(MEMO_PAIRS))
+    @pytest.mark.parametrize("name", SUM_NAMES)
+    def test_every_case_and_report_equal_the_unmemoized_sweep(self, name, pair, monkeypatch):
+        memoized = self.sweep(name, pair)
+        monkeypatch.setattr(kernel, "_RESULTS_CAP", 0)
+        assert memoized == self.sweep(name, pair)
+
+    @pytest.mark.parametrize("entry_id", CATALOG_SUM_IDS)
+    def test_catalog_sum_entries_equal_the_unmemoized_sweep(self, entry_id, monkeypatch):
+        entry = catalog_entry(entry_id)
+
+        def sweep():
+            return (_per_case(entry.make_outcome(), self.CATALOG_CASES),
+                    _rendered(catalog_run(entry_id, self.CATALOG_GRID)))
+
+        memoized = sweep()
+        monkeypatch.setattr(kernel, "_RESULTS_CAP", 0)
+        assert memoized == sweep()
+
+    @pytest.mark.parametrize("name", SUM_NAMES)
+    def test_a_full_memo_changes_nothing(self, name, monkeypatch):
+        # Every row at a = b = 0 has Z = 0, so its cases are skipped and store nothing:
+        # keys fills before results does, and later rows are keyed by their arguments.
+        full = parse_grid("a=0..1,b=0..1,c=-1..1,d=0..1,k=1..3,m=-1..1,n=-1..1")
+        monkeypatch.setattr(kernel, "_RESULTS_CAP", 0)
+        reference = self.sweep(name, "rational", full, full)
+        monkeypatch.setattr(kernel, "_RESULTS_CAP", 5)
+        assert self.sweep(name, "rational", full, full) == reference
+
+    @staticmethod
+    def install(monkeypatch, name: str, wrap) -> None:
+        """Bind the identity's core to wrap(its evaluator) instead of its evaluator."""
+        spec = IDENTITIES[name]
+        lemma, swapped = spec.core.args
+        core = partial(kernel._sum_pair, lemma._replace(evaluate=wrap(lemma.evaluate)), swapped)
+        monkeypatch.setitem(IDENTITIES, name, spec._replace(core=core))
+
+    @pytest.mark.parametrize("pair", ["fibonacci-lucas", "rational"])
+    @pytest.mark.parametrize("name", SUM_NAMES)
+    def test_counterexamples_are_reported_alike(self, name, pair, monkeypatch):
+        # Off by one on the right at odd k, so that stored results hold both equal sides
+        # (one Fraction for a rational pair) and unequal ones, and the reports list them.
+        def off_by_one(evaluate):
+            def wrapped(st_, rt_, n, k, *values):
+                lhs, rhs = evaluate(st_, rt_, n, k, *values)
+                return (lhs, rhs + 1) if k % 2 else (lhs, rhs)
+            return wrapped
+
+        self.install(monkeypatch, name, off_by_one)
+        g, h = MEMO_PAIRS[pair]
+        memoized = verify_identity_grid(name, g, h, self.GRID)
+        assert 0 < len(memoized.counterexamples) < memoized.cases_checked
+        monkeypatch.setattr(kernel, "_RESULTS_CAP", 0)
+        reference = verify_identity_grid(name, g, h, self.GRID)
+        assert memoized == reference and _rendered(memoized) == _rendered(reference)
+
+    @pytest.mark.parametrize("name", SUM_NAMES)
+    def test_each_distinct_input_is_evaluated_once_per_sweep(self, name, monkeypatch):
+        calls = []
+
+        def recording(evaluate):
+            def wrapped(st_, rt_, n, k, *values):
+                calls.append((values, k, n))
+                return evaluate(st_, rt_, n, k, *values)
+            return wrapped
+
+        self.install(monkeypatch, name, recording)
+
+        def sweep() -> tuple:
+            calls.clear()
+            return verify_identity_grid(name, F, L, self.GRID), list(calls)
+
+        with monkeypatch.context() as unmemoized:
+            unmemoized.setattr(kernel, "_RESULTS_CAP", 0)
+            reference, every = sweep()
+        # one evaluation per checked case, none for a skipped one; the grid repeats inputs
+        assert len(every) == reference.cases_checked
+        assert reference.cases_skipped_precondition > 0
+        distinct = set(every)
+        assert len(distinct) < len(every)
+        for _ in range(2):  # each sweep builds a fresh core, so nothing carries over
+            report, evaluated = sweep()
+            assert report == reference
+            assert len(evaluated) == len(distinct) and set(evaluated) == distinct
+
+    def test_both_stores_stay_within_the_cap(self, monkeypatch):
+        # The grid meets far more than 5 distinct rows and (row, k, n) inputs.
+        monkeypatch.setattr(kernel, "_RESULTS_CAP", 5)
+        pair = identity_outcome("sum-ordinary:1", F, L).positional
+        for values in self.GRID.values():
+            pair(*values)
+        stores = inspect.getclosurevars(pair).nonlocals
+        keys = inspect.getclosurevars(inspect.unwrap(stores["row"])).nonlocals["keys"]
+        assert len(stores["results"]) == len(keys) == 5
+
+    def test_rows_that_differ_only_in_scale_keep_their_own_results(self, monkeypatch):
+        # A translated row has the same weights and shifts, and here a scale twice as large
+        # where a is odd; a key that left out the scale would hand it the other's results.
+        relation = kernel._theorem1
+
+        def rescaled(table, a, b, c, d, m):
+            *row, scale = relation(table, a, b, c, d, m)
+            return (*row, scale * (1 + a % 2))
+
+        monkeypatch.setattr(kernel, "_theorem1", rescaled)
+        for name in SUM_NAMES:
+            memoized = _per_case(identity_outcome(name, F, L), self.GRID)
+            with monkeypatch.context() as unmemoized:
+                unmemoized.setattr(kernel, "_RESULTS_CAP", 0)
+                assert _per_case(identity_outcome(name, F, L), self.GRID) == memoized, name
 
 
 class TestIdentityDispatch:

@@ -301,6 +301,9 @@ class TestTerm:
         (4, -4, 1, 2, 300000, Fraction(2**300000)),
         (1, Fraction(-1, 4), 1, Fraction(1, 2), -300000, Fraction(2**300000)),
         (-4, -4, 3, -6, 300001, Fraction(3 * (-2) ** 300001)),
+        # G(n) = 2**n: roots 4 and 2 share the prime 2 with the step 8, which the walk
+        # strips for n <= 0; the ratio 2/8 is reduced before its power
+        (6, -8, 1, 2, -200000, Fraction(1, 2**200000)),
     ])
     def test_geometric_terms_are_single_powers(self, p, q, g0, g1, n, expected):
         value = term(make_sequence(p, q, g0, g1), n)
@@ -382,6 +385,10 @@ ROUTE_COEFFICIENTS = {
     # integer roots r1 and r2, or a repeated root r1 (r2 None): the closed form, unless
     # gcd(r1, r2) > 1 makes the walk strip it for n <= 0
     "roots": st.tuples(small_ints, st.none() | small_ints),
+    # integer roots sharing a prime r with the step -q = -r1*r2, which the walk strips
+    # for n <= 0; drawn geometric, so term() takes the one-power form at both signs
+    "shared-roots": st.builds(lambda r, u, v: (r * u, r * v), st.sampled_from((2, 3, 5)),
+                              small_ints, small_ints),
     # p or q not an integer
     "rational": st.tuples(shared_prime_rationals, shared_prime_rationals.filter(bool)).filter(
         lambda pq: pq[0].denominator > 1 or pq[1].denominator > 1),
@@ -397,10 +404,10 @@ class TestModularReference:
         g0, g1 = data.draw(shared_prime_rationals), data.draw(shared_prime_rationals)
         if route == "strip":
             n = -abs(n)
-        elif route == "roots":
+        elif route in ("roots", "shared-roots"):
             r1, r2 = p, p if q is None else q
             p, q = r1 + r2, -r1 * r2
-            if data.draw(st.booleans()):  # geometric: G(n) = g0 * r**n for a root r
+            if route == "shared-roots" or data.draw(st.booleans()):  # G(n) = g0 * r**n, r a root
                 g1 = data.draw(st.sampled_from((r1, r2))) * g0
         assume(g0 != 0 or g1 != 0)
         seq = make_sequence(p, q, g0, g1)

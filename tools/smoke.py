@@ -61,6 +61,8 @@ ROWS = [(f"eval {words} -n {n}", 0, prints(walk, *pqg, n)) for words, pqg, ns in
 ] for n in ns] + [
     # G(n) = 3^n: one power, so no gcd of huge integers and no timeout
     ("eval --p 7 --q -12 --g0 1 --g1 3 -n -300000", 0, prints(Fraction, 1, 3**300000)),
+    # G(n) = 2^n, whose roots 4 and 2 share the prime 2 with the step 8: one power as well
+    ("eval --p 6 --q -8 --g0 1 --g1 2 -n -200000", 0, prints(Fraction, 1, 2**200000)),
     ('check --expr "F[n+1] = F[n] + F[n-1]" --grid n=-5..5', 0, None),
     ('check --expr "F[n] =\n ²"', 2,
      lambda out, err: err == "error: unexpected character '²' (line 2, column 2)\n"),
