@@ -16,8 +16,6 @@ written once, as templates that one str.format call per family fills in.
 
 from __future__ import annotations
 
-import difflib
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Optional
 
 from .errors import UsageError
@@ -54,8 +52,7 @@ def _alternating(a: int, b: int, k: int, m: int, n: int) -> int:
 # Entry table.
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One registered identity: metadata, the kernel identity it instantiates, and its DSL form.
 
     Each substitution, and the sign if any, takes the binding's values in free_vars
@@ -69,12 +66,12 @@ class CatalogEntry:
     citation: str
     default_grid: str
     dsl_texts: tuple
-    identity: str = field(repr=False, compare=False)
-    substitutions: tuple = field(repr=False, compare=False)
-    sign: Optional[Callable] = field(default=None, repr=False, compare=False)
+    identity: str
+    substitutions: tuple
+    sign: Optional[Callable] = None
     # Named sequence in the companion slot of a non-generalized entry;
     # None means the base sequence itself.
-    companion: Optional[str] = field(default=None, repr=False, compare=False)
+    companion: Optional[str] = None
 
     def make_outcome(self, h0=None, h1=None) -> Outcome:
         """The entry bound to concrete sequences (fresh term caches), over free_vars."""
@@ -292,6 +289,8 @@ def catalog_entry(entry_id: str) -> CatalogEntry:
     """Look up one entry; unknown ids get a nearest-match hint."""
     entry = _ENTRIES.get(entry_id)
     if entry is None:
+        import difflib  # loaded by a failed lookup only, not by every import
+
         close = difflib.get_close_matches(entry_id, sorted(_ENTRIES), n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise UsageError(f"unknown catalog id {entry_id!r}{hint}")

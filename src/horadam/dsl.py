@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import count
@@ -65,75 +65,43 @@ _TOO_DEEP = f"expression is nested too deeply (more than {MAX_DEPTH} levels)"
 # it never takes part in equality, so round-tripped trees compare equal.
 
 
-@dataclass(frozen=True)
-class _Node:
-    pos: tuple = field(default=(1, 1), compare=False, repr=False, kw_only=True)
+class _Node(tuple):
+    """A node: a named tuple whose last field is pos. Two nodes are equal when they are
+    of one class with equal fields before pos, which hash and repr show alone."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self[:-1] == other[:-1]
+
+    def __ne__(self, other):  # else tuple's, which compares pos too
+        return not self == other
+
+    def __hash__(self):
+        return hash(self[:-1])
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self[:-1]))
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True)
-class IntLit(_Node):
-    value: int
+def _node(name: str, fields: str) -> type:
+    """A node class: a _Node whose named tuple has these fields, then pos."""
+    base = namedtuple(name, f"{fields} pos", defaults=[(1, 1)])
+    return type(name, (_Node, base), {"__slots__": ()})
 
 
-@dataclass(frozen=True)
-class Var(_Node):
-    name: str
-
-
-@dataclass(frozen=True)
-class Neg(_Node):
-    operand: object
-
-
-@dataclass(frozen=True)
-class Add(_Node):
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Sub(_Node):
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Mul(_Node):
-    left: object
-    right: object
-
-
-@dataclass(frozen=True)
-class Pow(_Node):
-    base: object
-    exponent: object
-
-
-@dataclass(frozen=True)
-class SeqTerm(_Node):
-    seq: str
-    index: object
-
-
-@dataclass(frozen=True)
-class Binom(_Node):
-    first: object
-    second: object
-
-
-@dataclass(frozen=True)
-class Sum(_Node):
-    var: str
-    lo: object
-    hi: object
-    body: object
-
-
-@dataclass(frozen=True)
-class IdentityAst(_Node):
-    lhs: object
-    rhs: object
-    free_vars: tuple
+IntLit = _node("IntLit", "value")
+Var = _node("Var", "name")
+Neg = _node("Neg", "operand")
+Add = _node("Add", "left right")
+Sub = _node("Sub", "left right")
+Mul = _node("Mul", "left right")
+Pow = _node("Pow", "base exponent")
+SeqTerm = _node("SeqTerm", "seq index")
+Binom = _node("Binom", "first second")
+Sum = _node("Sum", "var lo hi body")
+IdentityAst = _node("IdentityAst", "lhs rhs free_vars")
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +438,7 @@ def _below(node, test, depth: int, found: set) -> bool:
     """Whether test holds for node or below it, to depth MAX_DEPTH; adds each such id to found."""
     if depth > MAX_DEPTH or not isinstance(node, _Node):
         return False
-    if any([_below(child, test, depth + 1, found) for child in vars(node).values()]) or test(node):
+    if any([_below(child, test, depth + 1, found) for child in node]) or test(node):
         found.add(id(node))
         return True
     return False
@@ -529,7 +497,7 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple):
         if t is SeqTerm:
             return 0 if node.seq in whole else 2
         if t is Neg or t in _OPS:
-            return max(kind(x, scope, depth + 1) for x in vars(node).values())  # pos counts 0
+            return max(kind(x, scope, depth + 1) for x in node)  # pos counts 0
         if t is Pow:
             parity = node.base in (IntLit(-1), Neg(IntLit(1)))
             return 0 if parity else max(1, kind(node.base, scope, depth + 1))

@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import re
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .errors import ParseError, UsageError
 from .scalar import BLANK, BLANKS, INTEGER
@@ -36,8 +35,7 @@ _OPS = {
 }
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(NamedTuple):
     """Finite integer grid: inclusive per-variable ranges plus filter constraints."""
 
     ranges: tuple  # ((name, lo, hi), ...) sorted by name

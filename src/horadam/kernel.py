@@ -30,7 +30,6 @@ same three kernel values, so it reads results the core stored, in dicts built pe
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial
 from typing import Callable, NamedTuple, Optional
@@ -48,22 +47,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ThreeTermRelation:
+class ThreeTermRelation(
+    NamedTuple("_Relation", [("f1", Rational), ("f2", Rational), ("a", int), ("b", int)])
+):
     """Relation X(n) = f1*X(n-a) + f2*Y(n-b), f1 and f2 nonzero, a != b; Y = X but in lemma1."""
 
-    f1: Rational
-    f2: Rational
-    a: int
-    b: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "f1", Fraction(self.f1))
-        object.__setattr__(self, "f2", Fraction(self.f2))
-        if self.f1 == 0 or self.f2 == 0:
+    def __new__(cls, f1: Rational, f2: Rational, a: int, b: int):
+        f1, f2 = Fraction(f1), Fraction(f2)
+        if f1 == 0 or f2 == 0:
             raise UsageError("relation coefficients f1 and f2 must be nonzero")
-        if self.a == self.b:
+        if a == b:
             raise UsageError("relation shifts a and b must differ")
+        return super().__new__(cls, f1, f2, a, b)
 
 
 def _fg(gt: Callable[[int], object], u: int, v: int, s: int, t: int):

@@ -5,7 +5,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Callable, Mapping, NamedTuple, Optional
 
@@ -73,8 +72,7 @@ def render_bindings(bindings: dict) -> str:
     return ";".join(f"{k}={bindings[k]}" for k in sorted(bindings))
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking one identity over one binding or grid."""
 
     identity: str

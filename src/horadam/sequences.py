@@ -8,10 +8,8 @@ q is required to be nonzero.
 
 from __future__ import annotations
 
-import difflib
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -36,22 +34,54 @@ __all__ = [
 _TRIAL_BOUND = 1 << 10
 
 
-@dataclass(frozen=True)
-class RecurrenceParams:
+class _Frozen:
+    """A value of the fields _fields, set once by _set: equal to a value of its own class
+    with equal fields, hashed and repr'd by them; no attribute can be assigned or deleted."""
+
+    __slots__ = ()
+    _fields: tuple = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(map("{}={!r}".format, self._fields, self._values()))
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):  # copy and pickle call the class, as restoring slots would assign
+        return type(self), self._values()
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class RecurrenceParams(_Frozen):
     """The coefficient pair (p, q); q must be nonzero.
 
     Negative indices come from G(n-2) = (G(n) - p*G(n-1))/q, so a zero q
     would make the extension undefined; p may be anything, including zero.
     """
 
-    p: Rational
-    q: Rational
+    _fields = ("p", "q")
+    __slots__ = (*_fields, "__dict__")  # __dict__ holds the cached _engine
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        object.__setattr__(self, "q", Fraction(self.q))
-        if self.q == 0:
+    def __init__(self, p: Rational, q: Rational):
+        p, q = Fraction(p), Fraction(q)
+        if q == 0:
             raise ParameterError("recurrence coefficient q must be nonzero")
+        self._set(p, q)
 
     @functools.cached_property
     def _engine(self) -> tuple:
@@ -93,20 +123,18 @@ class RecurrenceParams:
         return s, P, qs, Q, roots, *signs
 
 
-@dataclass(frozen=True)
-class Sequence:
+class Sequence(_Frozen):
     """Immutable sequence handle: coefficients plus initial terms (not both zero)."""
 
-    params: RecurrenceParams
-    g0: Rational
-    g1: Rational
-    name: Optional[str] = None
+    __slots__ = _fields = ("params", "g0", "g1", "name")
 
-    def __post_init__(self):
-        object.__setattr__(self, "g0", Fraction(self.g0))
-        object.__setattr__(self, "g1", Fraction(self.g1))
-        if self.g0 == 0 and self.g1 == 0:
+    def __init__(self, params: RecurrenceParams, g0: Rational, g1: Rational,
+                 name: Optional[str] = None):
+        g0, g1 = Fraction(g0), Fraction(g1)
+        if g0 == 0 and g1 == 0:
             raise ParameterError("initial terms must not both be zero")
+        self._set(params, g0, g1, name)
+
 
 def make_sequence(p, q, g0, g1, name: Optional[str] = None) -> Sequence:
     """Validate and build a Sequence from rational-like inputs."""
@@ -322,6 +350,8 @@ def get_named(name: str) -> Sequence:
     """Look up a built-in sequence by canonical name or alias."""
     canonical = NAME_ALIASES.get(name)
     if canonical is None:
+        import difflib  # loaded by a failed lookup only, not by every import
+
         close = difflib.get_close_matches(name, sorted(NAME_ALIASES), n=1)
         hint = f"; did you mean {close[0]!r}?" if close else ""
         raise UsageError(f"unknown sequence name {name!r}{hint}")

@@ -28,7 +28,7 @@ from horadam import (
 from horadam import dsl
 from horadam.sequences import term_reader
 from horadam.dsl import (
-    MAX_DEPTH, Add, Binom, IdentityAst, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var,
+    MAX_DEPTH, Add, Binom, IdentityAst, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var, _Node,
 )
 
 REG = default_registry()
@@ -88,7 +88,7 @@ def _nest(depth: int, wrap, leaf):
 
 
 def _tree_depth(node) -> int:
-    children = [v for v in vars(node).values() if not isinstance(v, (int, str, tuple))]
+    children = [v for v in node if isinstance(v, _Node)]
     return 1 + max(map(_tree_depth, children), default=0)
 
 

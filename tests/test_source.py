@@ -1,6 +1,8 @@
 """Source hygiene of the package modules, read with the stdlib ast module."""
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -86,3 +88,20 @@ def test_the_check_sees_a_dead_helper():
         "b.py": "from a import LIMIT\nimport a\nprint(a._attr)\n",
     }
     assert _dead_names(sources) == [("a.py", "_Gone"), ("a.py", "_SPARE"), ("a.py", "_dead")]
+
+
+def test_import_loads_no_dataclasses_inspect_or_difflib():
+    # each would cost every fresh process (each CLI call) milliseconds before it does any work
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); before = set(sys.modules); "
+            "import horadam, horadam.cli; print(*sorted(set(sys.modules) - before))")
+    done = subprocess.run([sys.executable, "-c", code, str(PACKAGE.parent)],
+                          capture_output=True, text=True, check=True, timeout=60)
+    loaded = set(done.stdout.split())
+    assert "horadam.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "difflib"})
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+                   for alias in node.names}
+        modules |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+        assert "dataclasses" not in modules, path.name
