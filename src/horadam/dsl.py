@@ -46,7 +46,7 @@ from .errors import EvalError, ParseError
 from .grid import NAME, GridSpec
 from .report import Outcome, VerificationReport, run_grid
 from .scalar import DIGITS, Rational, binom
-from .sequences import NAME_ALIASES, Sequence, _coprime_fraction, get_named, is_whole, term_reader
+from .sequences import NAME_ALIASES, Sequence, _coprime_fraction, _Terms, get_named, is_whole
 
 __all__ = [
     "IntLit", "Var", "Neg", "Add", "Sub", "Mul", "Pow", "SeqTerm", "Binom",
@@ -266,33 +266,23 @@ def _validate(lhs, rhs) -> tuple:
     def walk(node, bound: tuple, depth: int = 1):
         if depth > MAX_DEPTH:
             raise ParseError(_TOO_DEEP, *node.pos)
-        depth += 1
-        t = type(node)
-        if t is Var:
-            if node.name not in bound and node.name not in free:
-                free.append(node.name)
-        elif t is Neg:
-            walk(node.operand, bound, depth)
-        elif t in (Add, Sub, Mul):
-            walk(node.left, bound, depth)
-            walk(node.right, bound, depth)
-        elif t is Pow:
-            walk(node.base, bound, depth)
-            walk(node.exponent, bound, depth)
-        elif t is SeqTerm:
-            walk(node.index, bound, depth)
-        elif t is Binom:
-            walk(node.first, bound, depth)
-            walk(node.second, bound, depth)
+        t, inner = type(node), bound
+        if t is Var and node.name not in bound and node.name not in free:
+            free.append(node.name)
         elif t is Sum:
             if node.var in bound:
                 raise ParseError(
                     f"sum variable {node.var!r} shadows an enclosing sum variable",
                     *node.pos,
                 )
-            walk(node.lo, bound, depth)
-            walk(node.hi, bound, depth)
-            walk(node.body, bound + (node.var,), depth)
+            inner = bound + (node.var,)  # for the body, the last field
+        *fields, last = node[:-1]
+        for child in fields:
+            if isinstance(child, _Node):
+                walk(child, bound, depth + 1)
+        if isinstance(last, _Node):
+            walk(last, inner, depth + 1)
+        if t is Sum:
             sum_vars.append((node.var, node.pos))
 
     walk(lhs, ())
@@ -455,8 +445,8 @@ _ATOM = re.compile(r"\w+")  # a name or a non-negative literal: nothing left to 
 
 @lru_cache(maxsize=256)
 def _compiled(sides: tuple, whole: frozenset, variables: tuple):
-    """Code defining _make(), and the (sequence name, read as values?) of each slot _tK in
-    order of first use; _f(*b) reads a free variable as b[i], i its place in variables.
+    """Code defining _make(), and the sequence name of each slot _tK in order of first use;
+    _f(*b) reads a free variable as b[i], i its place in variables.
     Each tree level adds at most two nested parentheses, and a tree deeper than MAX_DEPTH
     (only a hand-built one can be) is refused: the compiler allows 200. Sums are
     functions, never nested loops, as Python allows 20 nested blocks."""
@@ -518,7 +508,7 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple):
         k = kind(node, scope, depth)
         if pair and not k:
             return local(emit(node, scope, depth)), "1"
-        if not pair and k == 2 and t is not SeqTerm:
+        if not pair and k == 2:
             return "_value({}, {})".format(*emit(node, scope, depth, True))
         depth += 1
         if t is IntLit:
@@ -527,8 +517,8 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple):
             text = scope.get(node.name) or (f"b[{variables.index(node.name)}]" if node.name in variables
                                             else f"_unbound({str.__repr__(node.name)})")
             return local(f"{text}.as_integer_ratio()", True) if pair else text
-        if t is SeqTerm:  # read as values, or as pairs if not whole
-            slot = seqs.setdefault((node.seq, not pair), f"_t{len(seqs)}")
+        if t is SeqTerm:  # an int if the sequence is whole, else a pair
+            slot = seqs.setdefault(node.seq, f"_t{len(seqs)}")
             text = f"{slot}({integer(node.index, scope, depth, 'sequence index')})"
             return local(text, True) if pair else text
         if t is Neg:
@@ -650,16 +640,16 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple):
 
 
 def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple):
-    """The function of the values of variables, in order, for sides, with one term reader
+    """The function of the values of variables, in order, for sides, with one term store
     per sequence name; an unknown name fails here, before any case runs."""
     whole = frozenset(name for name, seq in registry.items() if is_whole(seq))
     code, slots = _compiled(sides, whole, variables)
     namespace = dict(_HELPERS)
-    for k, (name, values) in enumerate(slots):
+    for k, name in enumerate(slots):
         seq = registry.get(name)
         if seq is None:
             raise EvalError(f"unknown sequence name {name!r}")
-        namespace[f"_t{k}"] = term_reader(seq, values)
+        namespace[f"_t{k}"] = _Terms(seq).__getitem__
     exec(code, namespace)
     return namespace.pop("_make")()  # so that no function and its globals form a cycle
 

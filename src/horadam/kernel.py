@@ -15,9 +15,11 @@ Every outcome evaluates both sides exactly and no statement divides: each
 row is stated multiplied through by Z^k, where Z is the weight the paper
 divides by. Every statement is homogeneous in its weights and linear in its
 terms, so it runs on integers: each case reads a sequence's terms as ints
-G(i)*scale from a cached table keyed by its index bounds (sequences.term_tables),
-Theorem 1's relation reads G from G's table over its six indices, as integers
-over that table's scale squared, and each side is divided once at the end. One
+G(i)*scale from a cached table keyed by its index bounds (sequences.term_tables).
+A core builds one term store per sequence (one when g is h), which fills all its
+tables, and a lemma's relation check reads that store's values. Theorem 1's
+relation reads G from G's table over its six indices, as integers over that
+table's scale squared, and each side is divided once at the end. One
 ordinary and one binomial evaluator serve the rows. A summation case with
 k >= 1 and Z = 0 is skipped (rather than failed), since the theorems hypothesize
 Z nonzero. Each identity is one positional core; verify binds it with that skip
@@ -38,7 +40,7 @@ from .errors import DegeneracyError, DomainError, PreconditionError, UsageError
 from .grid import GridSpec, make_grid
 from .report import Outcome, VerificationReport, run_grid
 from .scalar import Rational
-from .sequences import Sequence, _coprime_fraction, term, term_fn, term_tables
+from .sequences import Sequence, _coprime_fraction, _Terms, term, term_fn, term_tables
 
 __all__ = [
     "ThreeTermRelation", "f_g", "basis_coefficients", "IdentitySpec", "IDENTITIES",
@@ -145,9 +147,15 @@ def _theorem1(table, a: int, b: int, c: int, d: int, m: int) -> tuple:
             scale * scale)
 
 
+def _stores(g: Sequence, h: Sequence) -> tuple:
+    """(store, its term_tables) of g, then of h: the same pair when h is g."""
+    first = (store := _Terms(g)), term_tables(store)
+    return first, first if h is g else _stores(h, h)[0]
+
+
 def _theorem1_pair(g: Sequence, h: Sequence, rel=None, skips: bool = True) -> Callable:
-    relation = lru_cache(maxsize=_MEMO_SIZE)(partial(_theorem1, term_tables(g)))
-    table = term_tables(h)
+    (_, gt), (_, table) = _stores(g, h)
+    relation = lru_cache(maxsize=_MEMO_SIZE)(partial(_theorem1, gt))
 
     def pair(a: int, b: int, c: int, d: int, m: int, n: int) -> tuple:
         w0, w1, w2, s, t, scale = relation(a, b, c, d, m)
@@ -272,12 +280,13 @@ def _check_relation_window(xt, yt, w: tuple, anchors, y_name: str, passed: set) 
 def _lemma_pair(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
                 rel: ThreeTermRelation) -> Callable:
     # The lemma at the relation X(n) = f1*X(n-a) + f2*Y(n-b), or at its swap;
-    # it sums Y and puts X on the other side.
-    xt, xs = term_fn(x), term_tables(x)
-    yt, ys, y_name = (xt, xs, "X") if y is x else (term_fn(y), term_tables(y), "Y")
+    # it sums Y and puts X on the other side. The relation check reads each sequence's
+    # store as values and the sums read that store's tables.
+    (x_terms, xs), (y_terms, ys) = _stores(x, y)
     w = (1, rel.f1, rel.f2, rel.a, rel.b)
     w = _swap(w) if swapped else w
     values, passed = _scaled_row(lemma.roles(*w)), set()
+    xt, yt, y_name = x_terms.value, y_terms.value, "X" if y is x else "Y"
 
     def pair(k: int, n: int) -> tuple:
         _check_relation_window(xt, yt, w, lemma.anchors(n, k, *w[3:]), y_name, passed)
@@ -291,7 +300,8 @@ def _sum_pair(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None,
     # The lemma at T or swap(T); row(a, b, c, d, m) memoizes the evaluator's arguments, whether
     # Z = 0 and their key in results: an int interned in keys, or once keys is full the arguments
     # themselves. The theorems hypothesize Z != 0: skips gives None where k > 0 and Z = 0.
-    relation, ht, z_at = partial(_theorem1, term_tables(g)), term_tables(h), lemma.z_at
+    (_, gt), (_, ht) = _stores(g, h)
+    relation, z_at = partial(_theorem1, gt), lemma.z_at
     keys, results = {}, {}
 
     @lru_cache(maxsize=_MEMO_SIZE)

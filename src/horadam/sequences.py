@@ -358,14 +358,20 @@ def get_named(name: str) -> Sequence:
     return _REGISTRY[canonical]
 
 
-class _Terms(dict):
-    """G(i) by index i, as an int when integral else a Fraction, or as a lowest-terms
-    pair (numerator, denominator > 0). A miss at i takes one integer step from two
-    stored neighbours, scale*G(i) = P*G(i-1) + qs*G(i-2) forwards, else
-    qs*G(i) = scale*G(i+2) - P*G(i+1) backwards, reduced by one gcd; else term()."""
+def is_whole(s: Sequence) -> bool:
+    """Every term is an integer: q = +-1 and p, G(0) and G(1) are integers."""
+    return abs(s.params.q) == 1 == s.params.p.denominator == s.g0.denominator == s.g1.denominator
 
-    def __init__(self, s: Sequence, pairs: bool):
-        self.seq, self.pairs = s, pairs
+
+class _Terms(dict):
+    """G(i) by index i, as the sequence fixes: an int if it is whole, else the lowest-terms
+    pair (numerator, denominator > 0). A miss at i takes one integer step from two stored
+    neighbours, scale*G(i) = P*G(i-1) + qs*G(i-2) forwards, else
+    qs*G(i) = scale*G(i+2) - P*G(i+1) backwards, reduced by one gcd (none if whole, as
+    there scale = 1 and qs = +-1); else term()."""
+
+    def __init__(self, s: Sequence):
+        self.seq, self.whole = s, is_whole(s)
         self.scale, self.P, self.qs = s.params._engine[:3]
 
     def __missing__(self, i: int):
@@ -376,33 +382,25 @@ class _Terms(dict):
             P, qs, scale = -self.P, self.scale, self.qs  # G(i) = (-P*G(i+1) + scale*G(i+2)) / qs
         else:
             f = term(self.seq, i)
-            return self.setdefault(i, f.as_integer_ratio() if self.pairs else
-                                   f.numerator if f.denominator == 1 else f)
-        (an, ad), (bn, bd) = (a, b) if self.pairs else (a.as_integer_ratio(), b.as_integer_ratio())
+            return self.setdefault(i, f.numerator if self.whole else f.as_integer_ratio())
+        if self.whole:  # scale = +-1 (qs in the backward step), so dividing is multiplying
+            return self.setdefault(i, (P * a + qs * b) * scale)
+        (an, ad), (bn, bd) = a, b
         num, den = P * an * bd + qs * bn * ad, scale * ad * bd
         g = math.gcd(num, den) if den > 0 else -math.gcd(num, den)
-        num, den = num // g, den // g
-        return self.setdefault(i, (num, den) if self.pairs else
-                               num if den == 1 else _coprime_fraction(num, den))
+        return self.setdefault(i, (num // g, den // g))
+
+    def value(self, i: int):
+        """G(i) as an int or a Fraction."""
+        v = self[i]
+        return v if v.__class__ is int else v[0] if v[1] == 1 else _coprime_fraction(*v)
 
 
 def term_fn(s: Sequence) -> Callable[[int], object]:
-    """Memoized accessor n -> G(n); integral values are stored as ints.
-
-    Grid sweeps revisit the same few indices many times; plain-int values keep
-    the inner arithmetic on the fast integer path.
-    """
-    return _Terms(s, False).__getitem__
-
-
-def is_whole(s: Sequence) -> bool:
-    """Every term is an integer: q = +-1 and p, G(0) and G(1) are integers."""
-    return abs(s.params.q) == 1 == s.params.p.denominator == s.g0.denominator == s.g1.denominator
-
-
-def term_reader(s: Sequence, whole: bool) -> Callable:
-    """i -> G(i): term_fn's int or Fraction if whole, else a cached (numerator, denominator)."""
-    return _Terms(s, not whole).__getitem__
+    """Memoized accessor n -> G(n), an int when integral else a Fraction: a new store's
+    __getitem__ if the sequence is whole, else its value, which builds a Fraction per read."""
+    store = _Terms(s)
+    return store.__getitem__ if store.whole else store.value
 
 
 class _Table(dict):
@@ -419,21 +417,21 @@ class _Table(dict):
         return self.setdefault(i, value)
 
 
-def term_tables(s: Sequence) -> Callable:
-    """table(lo, hi) -> (read, scale), read(i) the int G(i)*scale for lo <= i <= hi: one
-    table per (A, B), A = hi-1 and B = -lo rounded up to multiples of 8 (0 if negative),
-    at scale d0*d1 * lcm**A * |q*lcm|**B (lcm that of p's and q's denominators), which
-    term()'s denominator d0*d1*step**k divides; a whole sequence has one, at scale 1.
-    All tables fill from one stepping pair store, so each index is computed once."""
-    lcm, _, qs, *_ = s.params._engine
-    dens, terms = s.g0.denominator * s.g1.denominator, _Terms(s, True)
+def term_tables(terms: _Terms) -> Callable:
+    """table(lo, hi) -> (read, scale), read(i) the int G(i)*scale for lo <= i <= hi, over the
+    store terms. A whole sequence's table is the store itself, at scale 1; else there is one
+    table per (A, B), A = hi-1 and B = -lo rounded up to multiples of 8 (0 if negative), at
+    scale d0*d1 * lcm**A * |q*lcm|**B (lcm that of p's and q's denominators), which term()'s
+    denominator d0*d1*step**k divides. All fill from the store, so each index is computed once;
+    the store does not hold its tables, so the two form no reference cycle."""
+    if terms.whole:
+        one = terms.__getitem__, 1
+        return lambda lo, hi: one
+    dens = terms.seq.g0.denominator * terms.seq.g1.denominator
 
     @functools.cache
     def keyed(a: int, b: int) -> tuple:
-        t = _Table(terms, dens * lcm ** (8 * a) * abs(qs) ** (8 * b))
+        t = _Table(terms, dens * terms.scale ** (8 * a) * abs(terms.qs) ** (8 * b))
         return t.__getitem__, t.scale
 
-    if is_whole(s):
-        one = keyed(0, 0)
-        return lambda lo, hi: one
     return lambda lo, hi: keyed(hi + 6 >> 3 if hi > 1 else 0, 7 - lo >> 3 if lo < 0 else 0)

@@ -26,7 +26,7 @@ from horadam import (
     verify_over_grid,
 )
 from horadam import dsl
-from horadam.sequences import term_reader
+from horadam.sequences import _Terms
 from horadam.dsl import (
     MAX_DEPTH, Add, Binom, IdentityAst, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var, _Node,
 )
@@ -859,11 +859,12 @@ class TestPeeledSums:
     def test_invariant_term_read_once_per_case(self, monkeypatch):
         reads = []
 
-        def counting(seq, values):
-            read = term_reader(seq, values)
-            return lambda i: reads.append(i) or read(i)
+        class Counting(_Terms):
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
 
-        monkeypatch.setattr(dsl, "term_reader", counting)
+        monkeypatch.setattr(dsl, "_Terms", Counting)
         ast = parse_identity("sum(j,0,5,F[m]*F[j]) = F[m]*(F[7]-1)")
         assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
         # per case: F[m] in the first term, F[1..5] in the others, then the rhs

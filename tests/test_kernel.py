@@ -42,7 +42,7 @@ from horadam import (
 )
 from horadam import kernel
 from horadam.kernel import IDENTITIES, IDENTITY_NAMES, identity_outcome
-from horadam.sequences import term_tables
+from horadam.sequences import _Terms, term_tables
 from conftest import random_pair
 
 F = get_named("fibonacci")
@@ -51,6 +51,11 @@ P = get_named("pell")
 J = get_named("jacobsthal")
 
 idx = st.integers(min_value=-5, max_value=5)
+
+
+def _tables_of(seq):
+    """term_tables over a new store of seq."""
+    return term_tables(_Terms(seq))
 
 
 def _oracle(seq):
@@ -374,17 +379,13 @@ class TestRelationAnchors:
     def test_each_anchor_is_checked_once(self, name, monkeypatch):
         reads = collections.Counter()
 
-        def counting(seq):
-            read = term_fn(seq)
-
-            def counted(i):
+        class Counting(_Terms):
+            def value(self, i):
                 reads[i] += 1
-                return read(i)
+                return super().value(i)
 
-            return counted
-
-        # The relation check reads terms through term_fn; the sums read term tables.
-        monkeypatch.setattr(kernel, "term_fn", counting)
+        # The relation check reads the store's values; the sums read its term tables.
+        monkeypatch.setattr(kernel, "_Terms", Counting)
         grid = make_grid({"k": (0, 6), "n": (-5, 5)})
         assert verify_identity_grid(name, J, J, grid).holds
         row, swapped = self.LEMMAS[name]
@@ -537,7 +538,7 @@ class TestSkippedCasesBalance:
             g, h = random_pair(rng)
         else:
             g, h = (get_named(name) for name in pair.split("/"))
-        gt, table = _oracle(g), term_tables(h)
+        gt, table = _oracle(g), _tables_of(h)
         outcomes = {name: identity_outcome(name, g, h) for name in self.SUMS}
         balanced = dict.fromkeys(outcomes, 0)
         for a, b, c, d, m in itertools.product(range(-1, 3), repeat=5):
@@ -627,7 +628,7 @@ class TestIntegerSumEvaluators:
     def test_ordinary(self, st_, rt_, weights, k, n, s, t, sign):
         (sg, s_int), (rg, r_int) = st_, rt_
         row = kernel._scaled_row((*weights, s, t, sign))
-        got = kernel._ordinary_sum(term_tables(sg), term_tables(rg), n, k, *row)
+        got = kernel._ordinary_sum(_tables_of(sg), _tables_of(rg), n, k, *row)
         assert got == _ordinary_sum_reference(term_fn(sg), term_fn(rg), n, k, *weights, s, t, sign)
         if s_int and r_int and all(type(w) is int for w in weights):
             assert all(type(side) is int for side in got)
@@ -641,14 +642,14 @@ class TestIntegerSumEvaluators:
     def test_binomial(self, st_, rt_, weights, k, n, s, t):
         (sg, s_int), (rg, r_int) = st_, rt_
         row = kernel._scaled_row((*weights, s, t))
-        got = kernel._binomial_sum(term_tables(sg), term_tables(rg), n, k, *row)
+        got = kernel._binomial_sum(_tables_of(sg), _tables_of(rg), n, k, *row)
         assert got == _binomial_sum_reference(term_fn(sg), term_fn(rg), n, k, *weights, s, t)
         if s_int and r_int and all(type(w) is int for w in weights):
             assert all(type(side) is int for side in got)
 
     def test_two_sequences_at_different_scales(self):
         weights = (2, Fraction(-1, 3), Fraction(3, 2))
-        jt, rt = term_tables(J), term_tables(RATIONAL)
+        jt, rt = _tables_of(J), _tables_of(RATIONAL)
         ja, ra = _oracle(J), _oracle(RATIONAL)
         for n in range(-9, 10):
             assert jt(n - 9, n + 9)[1] != rt(n - 9, n + 9)[1]

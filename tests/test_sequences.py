@@ -1,7 +1,9 @@
 """Sequence construction, the term engine, and the iterative oracle."""
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,7 +24,7 @@ from horadam import (
     term_iterative_oracle,
     term_range,
 )
-from horadam import catalog_run, kernel, parse_grid, sequences
+from horadam import catalog_run, dsl, kernel, parse_grid, parse_identity, sequences, verify_over_grid
 from conftest import EXPECTED_TABLE, TABLE_COLUMNS, random_pair, random_sequence
 
 rationals = st.fractions(
@@ -533,7 +535,7 @@ def _outward(indices: list) -> list:
 
 
 class TestTermCaches:
-    """term_fn and term_reader fill a miss by one recurrence step from two stored
+    """term_fn and the term store fill a miss by one recurrence step from two stored
     neighbours, forwards or backwards, or else by term()."""
 
     @settings(max_examples=150, deadline=None)
@@ -555,13 +557,16 @@ class TestTermCaches:
             rnd.shuffle(indices)
         elif order == "outward":
             indices = _outward(indices)
-        values, pairs = term_fn(s), sequences.term_reader(s, False)
+        values, store = term_fn(s), sequences._Terms(s)
         for i in indices:
             want = term(s, i)
             got = values(i)
             # Fraction equality compares numerator and denominator as stored.
             assert got == want and type(got) is (int if want.denominator == 1 else Fraction), i
-            assert pairs(i) == want.as_integer_ratio(), i
+            # The sequence fixes the store's form: ints if whole, else lowest-terms pairs.
+            stored = store[i]
+            assert stored == (want.numerator if store.whole else want.as_integer_ratio()), i
+            assert type(store.value(i)) is type(got), i
 
     def test_a_sweep_calls_term_only_to_start(self, monkeypatch, capsys):
         from horadam.cli import main
@@ -599,6 +604,27 @@ class TestTermCaches:
         report = run()
         assert report.holds and len(calls) <= limit, calls
 
+    @pytest.mark.parametrize("seq", [
+        get_named("jacobsthal"), make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3),
+    ], ids=["jacobsthal", "rational"])
+    @pytest.mark.parametrize("name, limit", [
+        ("lemma1", 2), ("lemma2:1", 2), ("lemma2:2", 9), ("lemma2:3", 2),
+        ("lemma3:1", 2), ("lemma3:2", 2), ("lemma3:3", 2),
+    ])
+    def test_a_lemma_sweep_walks_twice(self, monkeypatch, seq, name, limit):
+        # The relation check and the sums read one store: term() for its first two
+        # reads, then steps (lemma2:2's swapped relation reads a gap that steps cannot fill).
+        calls = []
+
+        def counting(s, n):
+            calls.append(n)
+            return term(s, n)
+
+        monkeypatch.setattr(sequences, "term", counting)
+        grid = parse_grid(kernel.IDENTITIES[name].default_grid)
+        assert kernel.verify_identity_grid(name, seq, seq, grid).holds
+        assert len(calls) <= limit, calls
+
 # Index bounds at and around multiples of 8, where a table's key changes.
 KEY_EDGES = st.sampled_from(sorted({8 * j + e for j in range(-3, 4) for e in (-1, 0, 1)}))
 
@@ -615,22 +641,53 @@ class TestTermTables:
         assume(g0 != 0 or g1 != 0)
         s = make_sequence(p, q, g0, g1)
         lo, hi = sorted(bounds)
-        read, scale = sequences.term_tables(s)(lo, hi)
+        read, scale = sequences.term_tables(sequences._Terms(s))(lo, hi)
         for i in range(lo, hi + 1):
             value = read(i)
             assert type(value) is int, i
             assert value == term_iterative_oracle(s, i) * scale, i
 
     def test_whole_sequences_read_ints_at_scale_one(self):
-        table = sequences.term_tables(get_named("pell"))
+        store = sequences._Terms(get_named("pell"))
+        table = sequences.term_tables(store)
         read, scale = table(-40, 40)
         assert scale == 1 and table(0, 1)[0] == read
         assert [read(i) for i in (-3, 0, 5)] == [5, 0, 29]
+        assert read == store.__getitem__ and store[5] == 29  # the store itself, not a copy
 
     def test_a_scale_that_does_not_clear_raises(self):
         # J(-1) = 1/2 and J(-2) = -1/4: scale 2 clears the first and not the second.
-        table = sequences._Table(sequences._Terms(get_named("jacobsthal"), True), 2)
+        table = sequences._Table(sequences._Terms(get_named("jacobsthal")), 2)
         assert table[-1] == 1
         with pytest.raises(ArithmeticError, match=r"does not clear G\(-2\) = -1/4"):
             table[-2]
         assert -2 not in table
+
+    def test_a_dropped_store_is_freed_without_the_cycle_collector(self, monkeypatch):
+        # A store that held its tables, or a bound method of its own, would live on
+        # in a reference cycle until the collector ran.
+        made = []
+
+        class Recorded(sequences._Terms):
+            def __init__(self, s):
+                super().__init__(s)
+                made.append(weakref.ref(self))
+
+        for module in (kernel, dsl):
+            monkeypatch.setattr(module, "_Terms", Recorded)
+        jac, rational = get_named("jacobsthal"), make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3)
+        gc.disable()
+        try:
+            for identity in ("lemma1", "theorem1", "sum-ordinary:1"):
+                grid = parse_grid(kernel.IDENTITIES[identity].default_grid.replace("-2..2", "0..1"))
+                assert kernel.verify_identity_grid(identity, rational, rational, grid).holds
+            ast = parse_identity("J[n+2] = J[n+1] + 2*J[n] + 0*F[n]")
+            assert verify_over_grid(ast, parse_grid("n=-9..9")).holds
+            for seq in (get_named("pell"), jac, rational):
+                store = Recorded(seq)
+                read, scale = sequences.term_tables(store)(-9, 9)
+                assert read(4) == store.value(4) * scale and store.value(-3) == term(seq, -3)
+                del store, read
+            assert len(made) == 8 and all(ref() is None for ref in made)
+        finally:
+            gc.enable()
