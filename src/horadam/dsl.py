@@ -379,9 +379,15 @@ def pretty_print(node) -> str:
 # b[i]. The text holds only int literals, error labels, the repr'd name of any
 # variable left unbound, and its own names: slots _tK for sequences, filled at
 # bind time, a function _sK(b, _lo, _hi, enclosing sums' variables) with the
-# variable _vK per sum, and locals. Statements run in a tree walk's
-# order, and a text that a later statement would overtake is stored first, so
-# the first error raised is the same as a walk's.
+# variable _vK per sum, and locals.
+#
+# Each side is lowered once, in a tree walk's order, to statements of its
+# function; one equal to an earlier statement there gives that one's local. A
+# statement moves if it reads its sum's variable or a local that moves: a sum's
+# function returns zero for an empty range, else runs every statement for its
+# first term and those that move for the others. A value that cannot raise, read
+# once by a statement of its own variance, is written into it; as only such
+# values are evaluated later than a walk would, the first error is a walk's.
 #
 # A node is an int, a value (an int or Fraction by Python's operators) or a
 # pair, an unreduced numerator and denominator > 0 held apart: a term of a
@@ -389,9 +395,7 @@ def pretty_print(node) -> str:
 # operands are then pairs too (2^(-j)*J[j] makes no Fraction). Products multiply
 # the parts, powers raise them, and + - and a sum's total use the lcm of the
 # denominators, never their product. A pair side, or a pair used as an integer,
-# is normalised once by _value. A sum whose body holds no sum is peeled: its
-# first term stores each largest subtree that does not read its variable in a
-# local, which the loop over the later terms reads; an empty sum returns first.
+# is normalised once by _value.
 
 
 def default_registry() -> dict:
@@ -424,14 +428,21 @@ def _pow(x: tuple, e: int) -> tuple:
     return (den ** -e, num ** -e) if num > 0 else ((-den) ** -e, (-num) ** -e)
 
 
-def _below(node, test, depth: int, found: set) -> bool:
-    """Whether test holds for node or below it, to depth MAX_DEPTH; adds each such id to found."""
-    if depth > MAX_DEPTH or not isinstance(node, _Node):
-        return False
-    if any([_below(child, test, depth + 1, found) for child in node]) or test(node):
-        found.add(id(node))
-        return True
-    return False
+def _too_deep(node) -> bool:
+    """Whether node's tree has more than MAX_DEPTH levels, found a level at a time."""
+    level = [node] if isinstance(node, _Node) else []
+    for _ in range(MAX_DEPTH):
+        level = [child for above in level for child in above[:-1] if isinstance(child, _Node)]
+        if not level:
+            return False
+    return True
+
+
+def _added(n: str, d: str, ln: str, ld: str, rn: str, rd: str, op: str) -> str:
+    """Code for n/d = ln/ld op rn/rd over the lcm of the denominators: an if and its else."""
+    same = f"; {d} = {ld}" if d != ld else ""
+    return (f"if {ld} == {rd}: {n} = {ln} {op} {rn}{same}\nelse: _g = _gcd({ld}, {rd});"
+            f" {n} = {ln} * ({rd} // _g) {op} {rn} * ({ld} // _g); {d} = {ld} // _g * {rd}")
 
 
 _HELPERS = {
@@ -439,209 +450,193 @@ _HELPERS = {
     "_binom": binom, "_gcd": math.gcd, "_index": _index, "_pow": _pow, "_unbound": _unbound,
     "_value": _value,
 }
-_OPS = {Add: "+", Sub: "-", Mul: "*"}
-_ATOM = re.compile(r"\w+")  # a name or a non-negative literal: nothing left to evaluate
+_PARITY = (IntLit(-1), Neg(IntLit(1)))  # the bases of a parity sign (-1)^(e), 1 - e % 2 * 2
+# each operator's template over two values, and over two pairs (a product's parts multiply)
+_OPS = {t: (f"({{0}} {op} {{1}})", _added("{n}", "{d}", "{0}", "{1}", "{2}", "{3}", op))
+        for t, op in ((Add, "+"), (Sub, "-"), (Mul, "*"))}
+# by whether a sum is a pair: its zero, its total and the total's templates at its terms
+_TOTALS = (("0", "_a", "_a = {0}", "_a += {0}"), ("0, 1", "_an, _ad", "_an, _ad = {0}, {1}",
+                                                  _added("_an", "_ad", "_an", "_ad", "{0}", "{1}", "+")))
+# a function being lowered: its statements, each local by (template, operands), the locals
+# that move, and each local's uses (2 for any read by a statement of the other variance). A
+# statement is (its local, or a pair's two: {n} and {d} in its template; its template over
+# operands, literals or locals that are {0}, {1}, ...; whether it moves; whether it can raise).
+_Fn = namedtuple("_Fn", "stmts numbers moving uses")
+
+
+@lru_cache(maxsize=1024)
+def _uses(template: str, operands: int) -> tuple:
+    """How many times template evaluates each operand: the most on one of its lines, which run
+    apart (an if and its else, or a sum's total at its first term and at the later ones)."""
+    lines = template.split("\n")
+    return tuple(max(line.count(f"{{{i}}}") for line in lines) for i in range(operands))
+
+
+def _written(fn: _Fn, operands: tuple, moves: bool, *tails: str) -> tuple:
+    """(whether it moves, its line) for each statement of fn not written into its reader, and
+    the text of each of tails, templates over operands that read them with the variance moves."""
+    _count(fn, "\n".join(tails), operands, moves)
+    texts, lines = {}, []
+    for targets, template, ops, moved, raises in fn.stmts:
+        text = template.format(*map(texts.get, ops, ops), n=targets[0], d=targets[-1])
+        if len(targets) == 2:
+            lines.append((moved, text))
+        elif raises or fn.uses.get(targets[0]) != 1:
+            lines.append((moved, f"{targets[0]} = {text}"))
+        else:
+            texts[targets[0]] = text
+    return lines, [tail.format(*map(texts.get, operands, operands)) for tail in tails]
+
+
+def _count(fn: _Fn, template: str, operands: tuple, moves: bool) -> None:
+    """Count the uses of operands by template, a statement of fn with the variance moves."""
+    for op, n in zip(operands, _uses(template, len(operands))):
+        fn.uses[op] = fn.uses.get(op, 0) + (n if moves == (op in fn.moving) else 2)
+
+
+def _block(pad: str, *texts) -> list:
+    """The lines of texts, each after pad."""
+    return [pad + line for text in texts for line in text.split("\n")]
 
 
 @lru_cache(maxsize=256)
 def _compiled(sides: tuple, whole: frozenset, variables: tuple):
     """Code defining _make(), and the sequence name of each slot _tK in order of first use;
-    _f(*b) reads a free variable as b[i], i its place in variables.
-    Each tree level adds at most two nested parentheses, and a tree deeper than MAX_DEPTH
-    (only a hand-built one can be) is refused: the compiler allows 200. Sums are
-    functions, never nested loops, as Python allows 20 nested blocks."""
+    _f(*b) reads a free variable as b[i], i its place in variables. A value written into its
+    reader nests one parenthesis per tree level, and _bind refuses a tree deeper than
+    MAX_DEPTH (only a hand-built one can be): the compiler allows 200. Sums are functions,
+    never nested loops, as Python allows 20 nested blocks."""
     seqs: dict = {}
     defs: list = []  # each sum's function, inner sums first
-    out: list = [[]]  # the statements of each function being written, innermost last
+    fns: list = [_Fn([], {}, set(), {})]  # the functions being lowered, innermost last
     names = count()
-    peel: list = []  # in a peeled body: ids of nodes reading its variable, stored texts
 
-    def put(line: str) -> None:
-        out[-1].append(line)
+    def stmt(template: str, *operands: str, pair: bool = False, raises: bool = False):
+        """The local (a pair's two) of template over operands: a new statement's, or an equal
+        earlier one's."""
+        fn = fns[-1]
+        if (template, operands) not in fn.numbers:
+            k = next(names)
+            targets = (f"_n{k}", f"_d{k}") if pair else (f"_x{k}",)
+            moves = not fn.moving.isdisjoint(operands)
+            _count(fn, template, operands, moves)
+            fn.moving.update(targets if moves else ())
+            fn.stmts.append((targets, template, operands, moves, raises))
+            fn.numbers[template, operands] = targets if pair else targets[0]
+        return fn.numbers[template, operands]
 
-    def local(text: str, pair: bool = False):
-        """A name or literal holding text's value, evaluated here (a pair's two names)."""
-        if not pair and _ATOM.fullmatch(text):
-            return text
-        k = next(names)
-        put(f"_n{k}, _d{k} = {text}" if pair else f"_x{k} = {text}")
-        return (f"_n{k}", f"_d{k}") if pair else f"_x{k}"
-
-    def ordered(*makes) -> list:
-        """Each make()'s text; the texts before one that writes statements are stored first."""
-        texts = []
-        for make in makes:
-            out.append([])
-            text, later = make(), out.pop()
-            texts = [*map(local, texts), text] if later else [*texts, text]
-            out[-1] += later
-        return texts
-
-    def kind(node, scope: dict, depth: int) -> int:
+    def kind(node, scope: dict) -> int:
         """0 for an int, 1 for a value that may be a Fraction, 2 for a pair."""
         t = type(node)
-        if depth > MAX_DEPTH:
-            return 0
-        if t is Var:
-            return int(node.name not in scope)
-        if t is SeqTerm:
-            return 0 if node.seq in whole else 2
-        if t is Neg or t in _OPS:
-            return max(kind(x, scope, depth + 1) for x in node)  # pos counts 0
-        if t is Pow:
-            parity = node.base in (IntLit(-1), Neg(IntLit(1)))
-            return 0 if parity else max(1, kind(node.base, scope, depth + 1))
-        if t is Sum:
-            return kind(node.body, {**scope, node.var: ""}, depth + 1)
-        return 0  # a literal or a binom (or no node, which emit refuses)
+        return (int(node.name not in scope) if t is Var
+                else 2 * (node.seq not in whole) if t is SeqTerm
+                else max(kind(x, scope) for x in node[:-1]) if t is Neg or t in _OPS
+                else kind(node.body, {**scope, node.var: ""}) if t is Sum
+                else max(1, kind(node.base, scope)) if t is Pow and node.base not in _PARITY
+                else 0)  # a literal, a binom or a parity sign (or no node, which lower refuses)
 
-    def emit(node, scope: dict, depth: int = 1, pair: bool = False):
-        """node's value text, or with pair=True its numerator's and denominator's."""
-        if depth > MAX_DEPTH:
-            raise EvalError(_TOO_DEEP)
-        if text := hoisted(node, scope, lambda: emit(node, scope, depth, pair)):
-            return text
+    def lower(node, scope: dict, pair: bool = False):
+        """The operand (a literal or a local) of node's value, or with pair=True the operands
+        of its numerator and denominator."""
         t = type(node)
-        if t is Neg and type(node.operand) is IntLit:  # a negative literal
-            emit(node.operand, scope, depth + 1)  # the operand's depth check
-            node, t = IntLit(-operator.index(node.operand.value)), IntLit
-        k = kind(node, scope, depth)
+        if t is IntLit or t is Neg and type(node.operand) is IntLit:  # a literal
+            value = operator.index(node.value) if t is IntLit else -operator.index(node.operand.value)
+            text = repr(value) if value >= 0 else f"({value})"
+            return (text, "1") if pair else text
+        k = kind(node, scope)
         if pair and not k:
-            return local(emit(node, scope, depth)), "1"
+            return lower(node, scope), "1"
         if not pair and k == 2:
-            return "_value({}, {})".format(*emit(node, scope, depth, True))
-        depth += 1
-        if t is IntLit:
-            return repr(operator.index(node.value))
+            return stmt("_value({0}, {1})", *lower(node, scope, True))
         if t is Var:
-            text = scope.get(node.name) or (f"b[{variables.index(node.name)}]" if node.name in variables
-                                            else f"_unbound({str.__repr__(node.name)})")
-            return local(f"{text}.as_integer_ratio()", True) if pair else text
+            text = scope.get(node.name) or (
+                stmt("b[{0}]", str(variables.index(node.name))) if node.name in variables
+                else stmt("_unbound({0})", str.__repr__(node.name), raises=True))
+            return stmt("{n}, {d} = {0}.as_integer_ratio()", text, pair=True) if pair else text
         if t is SeqTerm:  # an int if the sequence is whole, else a pair
             slot = seqs.setdefault(node.seq, f"_t{len(seqs)}")
-            text = f"{slot}({integer(node.index, scope, depth, 'sequence index')})"
-            return local(text, True) if pair else text
+            index = integer(node.index, scope, "sequence index")
+            return stmt(("{n}, {d} = " if pair else "") + slot + "({0})", index, pair=pair)
         if t is Neg:
-            if not pair:
-                return "-" + emit(node.operand, scope, depth)
-            num, den = emit(node.operand, scope, depth, True)
-            return f"-{num}", den
+            operand = lower(node.operand, scope, pair)
+            return (stmt("(-{0})", operand[0]), operand[1]) if pair else stmt("(-{0})", operand)
         if t in _OPS and not pair:
-            left, right = ordered(
-                lambda: emit(node.left, scope, depth), lambda: emit(node.right, scope, depth)
-            )
-            return f"({left} {_OPS[t]} {right})"
+            return stmt(_OPS[t][0], lower(node.left, scope), lower(node.right, scope))
         if t in _OPS:
-            (ln, ld), (rn, rd) = (emit(x, scope, depth, True) for x in (node.left, node.right))
-            if t is Mul:
-                return [" * ".join(x for x in p if x != "1") or "1" for p in ((ln, rn), (ld, rd))]
-            k = next(names)
-            return added(ln, ld, rn, rd, _OPS[t], f"_n{k}", f"_d{k}")
+            (ln, ld), (rn, rd) = lower(node.left, scope, True), lower(node.right, scope, True)
+            if t is not Mul:
+                return stmt(_OPS[t][1], ln, ld, rn, rd, pair=True)
+            return [y if x == "1" else x if y == "1" else stmt(_OPS[Mul][0], x, y)
+                    for x, y in ((ln, rn), (ld, rd))]
+        if t is Pow and node.base in _PARITY:  # an int, so never a pair
+            return stmt("(1 - {0} % 2 * 2)", integer(node.exponent, scope, "exponent"))
         if t is Pow and not pair:
-            base = emit(node.base, scope, depth)
-            if base == "-1":  # a parity sign
-                return f"({integer(node.exponent, scope, depth, 'exponent', '1 - {} % 2 * 2')})"
-            base, e = local(base), local(integer(node.exponent, scope, depth, "exponent"))
-            ratio = f"({base}, 1)" if base.isdigit() else f"{base}.as_integer_ratio()"
-            return f"({base} ** {e} if {e} >= 0 else _value(*_pow({ratio}, {e})))"
+            ratio = "{0}.as_integer_ratio()" if kind(node.base, scope) else "({0}, 1)"
+            return stmt(f"({{0}} ** {{1}} if {{1}} >= 0 else _value(*_pow({ratio}, {{1}})))",
+                        lower(node.base, scope), integer(node.exponent, scope, "exponent"),
+                        raises=True)
         if t is Pow:
-            num, den = map(local, emit(node.base, scope, depth, True))
-            if kind(node.base, scope, depth) == 2 and type(node.base) in (Add, Sub, Mul, Neg, Sum):
-                num, den = local(f"_value({num}, {den}).as_integer_ratio()", True)  # cancel first
-            e, k = local(integer(node.exponent, scope, depth, "exponent")), next(names)
-            power = "1" if den == "1" else f"{den} ** {e}"
-            put(f"if {e} >= 0: _n{k} = {num} ** {e}; _d{k} = {power}")
-            put(f"else: _n{k}, _d{k} = _pow(({num}, {den}), {e})")
-            return f"_n{k}", f"_d{k}"
+            num, den = lower(node.base, scope, True)
+            if kind(node.base, scope) == 2 and type(node.base) in (Add, Sub, Mul, Neg, Sum):
+                num, den = stmt("{n}, {d} = _value({0}, {1}).as_integer_ratio()", num, den,
+                                pair=True)  # cancel first
+            power = "1" if den == "1" else "{1} ** {2}"
+            return stmt(f"if {{2}} >= 0: {{n}} = {{0}} ** {{2}}; {{d}} = {power}\n"
+                        "else: {n}, {d} = _pow(({0}, {1}), {2})",
+                        num, den, integer(node.exponent, scope, "exponent"), pair=True, raises=True)
         if t is Sum:
-            lo, hi = ints(scope, depth, (node.lo, "sum lower bound"), (node.hi, "sum upper bound"))
-            args = ", ".join(("b", lo, hi, *scope.values()))
-            return local(f"{summed(node, scope, depth, pair)}({args})", pair)
+            lo = integer(node.lo, scope, "sum lower bound")
+            hi = integer(node.hi, scope, "sum upper bound")
+            args = "".join(f", {{{i}}}" for i in range(2 + len(scope)))
+            return stmt(("{n}, {d} = " if pair else "") + summed(node, scope, pair) + f"(b{args})",
+                        lo, hi, *scope.values(), pair=pair, raises=True)
         if t is Binom:
-            args = (node.first, "binom argument"), (node.second, "binom argument")
-            return "_binom({}, {})".format(*ints(scope, depth, *args))
+            args = (integer(x, scope, "binom argument") for x in (node.first, node.second))
+            return stmt("_binom({0}, {1})", *args, raises=True)
         raise TypeError(f"not a DSL node: {node!r}")
 
-    def added(ln: str, ld: str, rn: str, rd: str, op: str, num: str, den: str) -> tuple:
-        """num/den = ln/ld op rn/rd, over the lcm of the denominators."""
-        ld, rd = local(ld), local(rd)
-        put(f"if {ld} == {rd}: {num} = {ln} {op} {rn}" + (f"; {den} = {ld}" if den != ld else ""))
-        put(f"else: _g = _gcd({ld}, {rd}); {num} = {ln} * ({rd} // _g) {op} {rn} * ({ld} // _g);"
-            f" {den} = {ld} // _g * {rd}")
-        return num, den
+    def integer(node, scope: dict, what: str) -> str:
+        """The operand of node's value as an int: converted by _index unless node is an int,
+        once per value, as only the first conversion of it can raise (_i holds the value
+        between the test and its use)."""
+        value, numbers = lower(node, scope), fns[-1].numbers
+        if kind(node, scope) and value not in numbers:
+            numbers[value] = stmt("_i if type(_i := {0}) is int else _index(_i, {1})", value,
+                                  repr(what), raises=True)
+        return numbers.get(value, value)
 
-    def summed(node: Sum, scope: dict, depth: int, pair: bool) -> str:
+    def summed(node: Sum, scope: dict, pair: bool) -> str:
         """The name of a new function of b, _lo, _hi and the enclosing sums' variables."""
         k = next(names)
         var, params = f"_v{k}", ", ".join(("b", "_lo", "_hi", *scope.values()))
-        zero, total = ("0, 1", "_an, _ad") if pair else ("0", "_a")
-        out.append([])
-        if not _below(node.body, lambda below: type(below) is Sum, depth, set()):
-            peel[:] = set(), []
-            _below(node.body, lambda below: below == Var(node.var), depth, peel[0])
-        term, stored = emit(node.body, {**scope, node.var: var}, depth, pair), peel[1:] and peel[1]
-        head, start = [f"{total} = {zero}"], "_lo"
-        if stored:  # the first term, then the later ones reading what it stored
-            put(f"{total} = {', '.join(term) if pair else term}")
-            head, start = [f"if _lo > _hi: return {zero}", f"{var} = _lo", *out.pop()], "_lo + 1"
-            out.append([])
-            peel[1] = iter(stored)
-            term = emit(node.body, {**scope, node.var: var}, depth, pair)
-        peel.clear()
-        added("_an", "_ad", *term, "+", "_an", "_ad") if pair else put(f"_a += {term}")
+        fns.append(_Fn([], {}, {var}, {}))
+        term = lower(node.body, {**scope, node.var: var}, pair)
+        zero, total, *tails = _TOTALS[pair]
+        lines, (first, later) = _written(fns.pop(), term if pair else (term,), True, *tails)
         defs.append([
-            f"def _s{k}({params}):", *(" " + line for line in head),
-            f" for {var} in range({start}, _hi + 1):", *("  " + line for line in out.pop()),
-            f" return {total}",
+            f"def _s{k}({params}):", f" if _lo > _hi: return {zero}", f" {var} = _lo",
+            *_block(" ", *(line for _, line in lines), first),
+            f" for {var} in range(_lo + 1, _hi + 1):",
+            *_block("  ", *(line for moves, line in lines if moves), later), f" return {total}",
         ])
         return f"_s{k}"
 
-    def plain(node, scope: dict) -> bool:
-        """node's text is an int literal or a sum variable."""
-        t = type(node.operand if type(node) is Neg else node)
-        return t is IntLit or type(node) is Var and node.name in scope
-
-    def hoisted(node, scope: dict, make):
-        """None unless node is in a peeled body, does not read its variable and is not
-        plain; else make()'s text, stored by the first term (the later ones read it)."""
-        if not peel or plain(node, scope) or id(node) in peel[0]:
-            return None
-        reads, stored = peel
-        if type(stored) is not list:
-            return next(stored)
-        peel.clear()
-        text = make()
-        peel[:] = reads, stored
-        stored.append(local(text) if type(text) is str else tuple(map(local, text)))
-        return stored[-1]
-
-    def ints(scope: dict, depth: int, *args) -> list:
-        """integer() of each (node, what) in args, in order."""
-        return ordered(*(lambda x=x, what=what: integer(x, scope, depth, what) for x, what in args))
-
-    def integer(node, scope: dict, depth: int, what: str, use: str = "{}") -> str:
-        """use with node's text as an int, converted by _index unless it is a
-        literal or a sum variable; _i holds the value between the test and its use."""
-        if text := hoisted(node, scope, lambda: integer(node, scope, depth, what, use)):
-            return text
-        value = emit(node, scope, depth)
-        if plain(node, scope):
-            return use.format(value)
-        convert = use.format(f"_index(_i, {what!r})")
-        return f"{use.format('_i')} if type(_i := {value}) is int else {convert}"
-
-    texts = ordered(*(lambda side=side: emit(side, {}) for side in sides))
+    texts = [lower(side, {}) for side in sides]
+    lines, (ret,) = _written(fns[0], texts, False, "return " + "".join(
+        f"{{{i}}}, " for i in range(len(texts))))
     source = "\n".join([
-        "def _make():", *(" " + line for lines in defs for line in lines), " def _f(*b):",
-        *("  " + line for line in out[0]), f"  return {''.join(text + ', ' for text in texts)}",
-        " return _f\n",
+        "def _make():", *_block(" ", *(line for lines in defs for line in lines)),
+        " def _f(*b):", *_block("  ", *(line for _, line in lines), ret), " return _f\n",
     ])
     return compile(source, "<horadam.dsl>", "exec"), tuple(seqs)
 
 
 def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple):
     """The function of the values of variables, in order, for sides, with one term store
-    per sequence name; an unknown name fails here, before any case runs."""
+    per sequence name; an unknown name fails here, before any case runs, and a tree deeper
+    than MAX_DEPTH before anything, the code cache's hash included, recurses over it."""
+    if any(map(_too_deep, sides)):
+        raise EvalError(_TOO_DEEP)
     whole = frozenset(name for name, seq in registry.items() if is_whole(seq))
     code, slots = _compiled(sides, whole, variables)
     namespace = dict(_HELPERS)
@@ -655,7 +650,10 @@ def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple):
 
 
 def eval_expr(node, bindings: Mapping[str, int], registry: Mapping[str, Sequence]) -> Rational:
-    """Evaluate one expression tree exactly under integer bindings."""
+    """Evaluate one expression tree exactly under bindings that are ints or Fractions."""
+    for name, bound in bindings.items():
+        if not isinstance(bound, (int, Fraction)):
+            raise EvalError(f"variable {name!r} is bound to {bound!r}, not an int or a Fraction")
     value = _bind((node,), registry, tuple(bindings))(*bindings.values())[0]
     return value if isinstance(value, Fraction) else Fraction(value)
 

@@ -1,6 +1,7 @@
 """DSL tokenizer, parser, pretty printer, and evaluator."""
 
 import math
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -429,6 +430,12 @@ class TestEval:
         with pytest.raises(EvalError):
             eval_expr(parse_expression("F[n]"), {}, REG)
 
+    def test_unbound_variable_reported_before_a_later_error(self):
+        # a walk meets m first; the generated code must not put off reading it
+        for text in ("m + 0^(-1)", "m*binom(-1, 0)", "-m - F[n]^(-1)*0^(-1)"):
+            with pytest.raises(EvalError, match="unbound variable 'm'"):
+                eval_expr(parse_expression(text), {"n": 0}, REG)
+
     def test_unknown_sequence_rejected(self):
         with pytest.raises(EvalError):
             eval_expr(parse_expression("X[0]"), {}, REG)
@@ -457,6 +464,14 @@ class TestEval:
         bindings = {"n": 3}
         assert eval_expr(parse_expression("sum(j, 0, n, j)"), bindings, REG) == 6
         assert bindings == {"n": 3}
+
+    def test_binding_that_is_not_an_int_or_a_fraction_rejected(self):
+        # a str would be repeated by 3*n, and a float would reach an exact result
+        node = parse_expression("3*n")
+        for bound, shown in (("3", "'3'"), (0.1, "0.1")):
+            with pytest.raises(EvalError) as err:
+                eval_expr(node, {"n": bound}, REG)
+            assert str(err.value) == f"variable 'n' is bound to {shown}, not an int or a Fraction"
 
     def test_rational_index_rejected(self):
         with pytest.raises(EvalError) as err:
@@ -670,6 +685,16 @@ class TestCompilerAgainstWalker:
         with pytest.raises(EvalError, match="nested too deeply"):
             verify_over_grid(IdentityAst(deeper, IntLit(0), ("n",)), make_grid({"n": (2, 2)}), REG)
 
+    def test_hand_built_tree_past_the_recursion_limit_refused(self):
+        # its depth is checked before anything recurses over it, the code cache's hash included
+        node = Var("n")
+        for _ in range(5 * sys.getrecursionlimit()):
+            node = Neg(node)
+        with pytest.raises(EvalError, match="nested too deeply"):
+            eval_expr(node, {"n": 2}, REG)
+        with pytest.raises(EvalError, match="nested too deeply"):
+            verify_over_grid(IdentityAst(node, IntLit(0), ("n",)), make_grid({"n": (2, 2)}), REG)
+
 
 # Names spelled like the generated code's own identifiers and helpers. The
 # template holds a free variable x, a sum variable s and a sequence name t;
@@ -813,8 +838,8 @@ class TestPairArithmetic:
 
 
 class TestPeeledSums:
-    """A sum whose body holds no sum computes what its body does not read of
-    the sum's variable once, in its first term, and reads it in the others."""
+    """A sum computes what its body does not read of the sum's variable once,
+    in its first term, and reads it in the others."""
 
     @pytest.mark.parametrize(
         "text, bindings, message",
@@ -874,12 +899,26 @@ class TestPeeledSums:
         ast = parse_identity("2*sum(j,0,5,J[m]*J[j]) = J[m]*(J[7]-1)")
         assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
         assert reads == [i for m in range(-2, 3) for i in (m, 0, 1, 2, 3, 4, 5, m, 7)]
-        # an inner sum is peeled and the outer one is not: J[m] is read once per
-        # inner sum, that is once for i = 0, 1 and 2, then by the rhs
+        # J[m] is in the inner sum, whose function runs once for each i: it is read
+        # once per inner sum, that is once for i = 0, 1 and 2, then by the rhs
         reads.clear()
         ast = parse_identity("2*sum(i,0,2,sum(j,0,i,J[m]*J[j])) = 6*J[m]")
         assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
         assert reads == [i for m in range(-2, 3) for i in (m, 0, m, 0, 1, m, 0, 1, 2, m)]
+        # a sum whose body holds a sum reads its invariant J[m] in its first term
+        reads.clear()
+        ast = parse_identity("sum(i,0,2,J[m]*sum(j,0,i,J[j])) = 3*J[m]")
+        assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
+        assert reads == [i for m in range(-2, 3) for i in (m, 0, 0, 1, 0, 1, 2, m)]
+        # equal terms in one function, the sides' included, are read once
+        reads.clear()
+        ast = parse_identity("F[m]*F[m] = F[m]^(2)")
+        assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
+        assert reads == [-2, -1, 0, 1, 2]
+        reads.clear()
+        ast = parse_identity("J[m]*J[m+1] - J[m+1]*J[m] = 0")
+        assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
+        assert reads == [i for m in range(-2, 3) for i in (m, m + 1)]
 
     def test_power_of_a_pair_operation_cancels_first(self):
         # 2*J[-1] is the pair (2, 2): raising both parts would build two

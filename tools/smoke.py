@@ -87,6 +87,11 @@ ROWS = [(f"eval {words} -n {n}", 0, prints(walk, *pqg, n)) for words, pqg, ns in
      lambda out, err: "cases: total=1 checked=1 skipped=0" in out.splitlines()),
     ("verify --identity lemma1 --seq fibonacci --h lucas --f1 3 --f2 -1 --rel-a 1 --rel-b 2", 0,
      None),
+    # the deepest trees the parser admits compile on this Python; a 101-term chain is refused
+    (f'check --expr "{"+".join(["1"] * 100)} = 100"', 0, None),
+    (f'check --expr "{"*".join(["J[n]"] * 99)} = J[n]^(99)" --grid n=-3..3', 0, None),
+    (f'check --expr "{"+".join(["1"] * 101)} = 101"', 2,
+     lambda out, err: "nested too deeply" in err),
 ] + [  # written without the json and csv modules, each as those modules write it
     (args + f" --format {fmt}", code, same)
     for fmt, same in (("json", json_as_stdlib), ("csv", csv_as_stdlib)) for args, code in [
