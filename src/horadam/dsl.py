@@ -494,19 +494,28 @@ def _count(fn: _Fn, template: str, operands: tuple, moves: bool) -> None:
         fn.uses[op] = fn.uses.get(op, 0) + (n if moves == (op in fn.moving) else 2)
 
 
+def _reads(node, names) -> bool:
+    """Whether node reads a variable of names."""
+    return node.name in names if type(node) is Var else any(
+        _reads(x, names) for x in node[:-1] if isinstance(x, _Node))
+
+
 def _block(pad: str, *texts) -> list:
     """The lines of texts, each after pad."""
     return [pad + line for text in texts for line in text.split("\n")]
 
 
 @lru_cache(maxsize=256)
-def _compiled(sides: tuple, whole: frozenset, variables: tuple):
+def _compiled(sides: tuple, whole: frozenset, variables: tuple, ints: bool):
     """Code defining _make(), and the sequence name of each slot _tK in order of first use;
-    _f(*b) reads a free variable as b[i], i its place in variables. A value written into its
-    reader nests one parenthesis per tree level, and _bind refuses a tree deeper than
-    MAX_DEPTH (only a hand-built one can be): the compiler allows 200. Sums are functions,
-    never nested loops, as Python allows 20 nested blocks."""
+    _f(*b) reads a free variable as b[i], i its place in variables, an int if ints is set. A
+    value written into its reader nests one parenthesis per tree level, and _bind refuses a
+    tree deeper than MAX_DEPTH (only a hand-built one can be): the compiler allows 200. Sums
+    are functions, never nested loops, as Python allows 20 nested blocks. With ints set no index
+    is converted; an exponent known >= 0 (a literal, j of a sum from a literal >= 0, or hi - j)
+    has no sign test; binom(hi, j) in a sum of j from 0 to hi is a running product."""
     seqs: dict = {}
+    sums: dict = {}  # by each sum's variable's local: its lo's operand, its hi, their scope
     defs: list = []  # each sum's function, inner sums first
     fns: list = [_Fn([], {}, set(), {})]  # the functions being lowered, innermost last
     names = count()
@@ -528,12 +537,21 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple):
     def kind(node, scope: dict) -> int:
         """0 for an int, 1 for a value that may be a Fraction, 2 for a pair."""
         t = type(node)
-        return (int(node.name not in scope) if t is Var
+        return (int(not ints and node.name not in scope) if t is Var
                 else 2 * (node.seq not in whole) if t is SeqTerm
                 else max(kind(x, scope) for x in node[:-1]) if t is Neg or t in _OPS
                 else kind(node.body, {**scope, node.var: ""}) if t is Sum
                 else max(1, kind(node.base, scope)) if t is Pow and node.base not in _PARITY
                 else 0)  # a literal, a binom or a parity sign (or no node, which lower refuses)
+
+    def ranged(node, scope: dict) -> str:
+        """The operand of the lower bound of the sum over j, for node j, hi - j or binom(hi, j)
+        with hi that sum's upper bound read alike in scope (only a hand-built tree rebinds a
+        name); else ""."""
+        j, hi = (node[1], node[0]) if type(node) in (Sub, Binom) else (node, None)
+        lo, bound, outer = sums.get(type(j) is Var and scope.get(j.name), ("", None, {}))
+        moved = {name for name in scope if outer.get(name) != scope[name]}
+        return lo if hi is None or hi == bound and not _reads(hi, moved) else ""
 
     def lower(node, scope: dict, pair: bool = False):
         """The operand (a literal or a local) of node's value, or with pair=True the operands
@@ -570,26 +588,32 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple):
                     for x, y in ((ln, rn), (ld, rd))]
         if t is Pow and node.base in _PARITY:  # an int, so never a pair
             return stmt("(1 - {0} % 2 * 2)", integer(node.exponent, scope, "exponent"))
-        if t is Pow and not pair:
-            ratio = "{0}.as_integer_ratio()" if kind(node.base, scope) else "({0}, 1)"
-            return stmt(f"({{0}} ** {{1}} if {{1}} >= 0 else _value(*_pow({ratio}, {{1}})))",
-                        lower(node.base, scope), integer(node.exponent, scope, "exponent"),
-                        raises=True)
-        if t is Pow:
-            num, den = lower(node.base, scope, True)
+        if t is Pow:  # over (num, den, exponent); a value's den is 1
+            num, den = lower(node.base, scope, True) if pair else (lower(node.base, scope), "1")
             if kind(node.base, scope) == 2 and type(node.base) in (Add, Sub, Mul, Neg, Sum):
                 num, den = stmt("{n}, {d} = _value({0}, {1}).as_integer_ratio()", num, den,
                                 pair=True)  # cancel first
-            power = "1" if den == "1" else "{1} ** {2}"
-            return stmt(f"if {{2}} >= 0: {{n}} = {{0}} ** {{2}}; {{d}} = {power}\n"
-                        "else: {n}, {d} = _pow(({0}, {1}), {2})",
-                        num, den, integer(node.exponent, scope, "exponent"), pair=True, raises=True)
+            e, lo = integer(node.exponent, scope, "exponent"), ranged(node.exponent, scope)
+            power = "{n} = {0} ** {2}; {d} = " + ("1" if den == "1" else "{1} ** {2}")
+            if e.isdigit() or lo.isdigit() or type(node.exponent) is Sub and lo:  # known >= 0
+                return stmt(power if pair else "({0} ** {2})", num, den, e, pair=pair)
+            if pair:
+                return stmt(f"if {{2}} >= 0: {power}\n"
+                            "else: {n}, {d} = _pow(({0}, {1}), {2})", num, den, e, pair=True,
+                            raises=True)
+            ratio = "{0}.as_integer_ratio()" if kind(node.base, scope) else "({0}, {1})"
+            return stmt(f"({{0}} ** {{2}} if {{2}} >= 0 else _value(*_pow({ratio}, {{2}})))",
+                        num, den, e, raises=True)
         if t is Sum:
             lo = integer(node.lo, scope, "sum lower bound")
             hi = integer(node.hi, scope, "sum upper bound")
-            args = "".join(f", {{{i}}}" for i in range(2 + len(scope)))
-            return stmt(("{n}, {d} = " if pair else "") + summed(node, scope, pair) + f"(b{args})",
+            args = "(b" + "".join(f", {{{i}}}" for i in range(2 + len(scope))) + ")"
+            return stmt(("{n}, {d} = " if pair else "") + summed(node, scope, pair, lo) + args,
                         lo, hi, *scope.values(), pair=pair, raises=True)
+        if t is Binom and ranged(node, scope) == "0" and scope[node.second.name] in fns[-1].moving:
+            c = "_c" + scope[node.second.name][2:]  # in j's own function, a running product
+            fns[-1].moving.add(c)
+            return c
         if t is Binom:
             args = (integer(x, scope, "binom argument") for x in (node.first, node.second))
             return stmt("_binom({0}, {1})", *args, raises=True)
@@ -605,18 +629,22 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple):
                                   repr(what), raises=True)
         return numbers.get(value, value)
 
-    def summed(node: Sum, scope: dict, pair: bool) -> str:
+    def summed(node: Sum, scope: dict, pair: bool, lo: str) -> str:
         """The name of a new function of b, _lo, _hi and the enclosing sums' variables."""
         k = next(names)
         var, params = f"_v{k}", ", ".join(("b", "_lo", "_hi", *scope.values()))
+        sums[var] = lo, node.hi, scope
         fns.append(_Fn([], {}, {var}, {}))
         term = lower(node.body, {**scope, node.var: var}, pair)
         zero, total, *tails = _TOTALS[pair]
-        lines, (first, later) = _written(fns.pop(), term if pair else (term,), True, *tails)
+        fn, c = fns.pop(), f"_c{k}"  # c: binom(hi, j), if the body reads it
+        lines, (first, later) = _written(fn, term if pair else (term,), True, *tails)
         defs.append([
-            f"def _s{k}({params}):", f" if _lo > _hi: return {zero}", f" {var} = _lo",
+            f"def _s{k}({params}):", f" if _lo > _hi: return {zero}",
+            f" {var} = _lo" + f"; {c} = 1" * (c in fn.moving),
             *_block(" ", *(line for _, line in lines), first),
             f" for {var} in range(_lo + 1, _hi + 1):",
+            *[f"  {c} = {c} * (_hi - {var} + 1) // {var}"] * (c in fn.moving),
             *_block("  ", *(line for moves, line in lines if moves), later), f" return {total}",
         ])
         return f"_s{k}"
@@ -631,14 +659,14 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple):
     return compile(source, "<horadam.dsl>", "exec"), tuple(seqs)
 
 
-def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple):
+def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple, ints: bool):
     """The function of the values of variables, in order, for sides, with one term store
     per sequence name; an unknown name fails here, before any case runs, and a tree deeper
     than MAX_DEPTH before anything, the code cache's hash included, recurses over it."""
     if any(map(_too_deep, sides)):
         raise EvalError(_TOO_DEEP)
     whole = frozenset(name for name, seq in registry.items() if is_whole(seq))
-    code, slots = _compiled(sides, whole, variables)
+    code, slots = _compiled(sides, whole, variables, ints)
     namespace = dict(_HELPERS)
     for k, name in enumerate(slots):
         seq = registry.get(name)
@@ -650,11 +678,13 @@ def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple):
 
 
 def eval_expr(node, bindings: Mapping[str, int], registry: Mapping[str, Sequence]) -> Rational:
-    """Evaluate one expression tree exactly under bindings that are ints or Fractions."""
+    """Evaluate one expression tree exactly under bindings that are ints or Fractions. Unless
+    all are ints, the code checks that each index expression's value is whole."""
     for name, bound in bindings.items():
         if not isinstance(bound, (int, Fraction)):
             raise EvalError(f"variable {name!r} is bound to {bound!r}, not an int or a Fraction")
-    value = _bind((node,), registry, tuple(bindings))(*bindings.values())[0]
+    ints = all(type(bound) is int for bound in bindings.values())
+    value = _bind((node,), registry, tuple(bindings), ints)(*bindings.values())[0]
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -668,6 +698,6 @@ def verify_over_grid(
     if registry is None:
         registry = default_registry()
     grid.require_variables(ast.free_vars, "identity")
-    outcome = Outcome(_bind((ast.lhs, ast.rhs), registry, grid.var_names), grid.var_names)
+    outcome = Outcome(_bind((ast.lhs, ast.rhs), registry, grid.var_names, True), grid.var_names)
     label = identity_label if identity_label is not None else pretty_print(ast)
     return run_grid(label, grid, outcome)

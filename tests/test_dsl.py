@@ -21,6 +21,7 @@ from horadam import (
     make_grid,
     make_sequence,
     parse_expression,
+    parse_grid,
     parse_identity,
     pretty_print,
     term,
@@ -644,6 +645,23 @@ class TestCompilerAgainstWalker:
             actual = type(exc), str(exc)
         assert actual == expected
 
+    @given(
+        lo=st.integers(-1, 2),
+        hi=st.sampled_from(["n", "n+1", "-1", "0", "1", "2", "3"]),
+        n=st.integers(-3, 3),
+        m=st.integers(-3, 3),
+        form=st.sampled_from([int, Fraction, lambda x: Fraction(2 * x + 1, 2)]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_sum_shape_of_the_grammar_facts(self, lo, hi, n, m, form):
+        # binom(H, j) over j from 0 is a running product, F[..]^(j) and J[..]^(H-j) need no
+        # sign test where j >= 0, 2^(j-H) keeps it, and int bindings go unconverted: from lo
+        # in -1..2 and H from -1 to n+1, with empty sums, whole Fractions and halves
+        text = f"sum(j,{lo},{hi},binom({hi},j)*F[n+j]^(j)*J[m-j]^({hi}-j)*2^(j-({hi})))"
+        node = parse_expression(text)
+        bindings = {"n": form(n), "m": form(m)}
+        expected = _outcome(lambda: _walk(node, bindings, _WALK_REG))
+        assert _outcome(lambda: eval_expr(node, bindings, _WALK_REG)) == expected
 
     @pytest.mark.parametrize(
         "wrap",
@@ -705,7 +723,7 @@ _HOSTILE = (
     "_unbound", "_value", "_add", "_sub", "_mul", "_pow", "_pair_sum", "as_integer_ratio",
     "KeyError", "exc", "type", "int", "lambda", "None", "__import__", "__builtins__",
     "_make", "_s0", "_s1", "_v1", "_lo", "_hi", "_a", "_an", "_ad", "_g", "_gcd", "_x0", "_x1",
-    "_n0", "_d0", "_n1", "_d1", "range",
+    "_n0", "_d0", "_n1", "_d1", "_c0", "_c1", "range",
 )
 _TEMPLATE = "{t}[{x}+1]*{x} + sum({s},0,{x},binom({x},{s})*{t}[{s}]) = {t}[{x}+1]*{x} + {t}[2*{x}]"
 
@@ -931,6 +949,56 @@ class TestPeeledSums:
         finally:
             tracemalloc.stop()
         assert value == 1 and peak < 2**20
+
+
+class TestGrammarFacts:
+    """Code compiled for int bindings converts no index expression, and a sum of j from 0 to
+    hi reads binom(hi, j) as a running product."""
+
+    def test_int_and_fraction_bindings_get_their_own_code(self):
+        ast = parse_identity("F[n] = F[n]")
+        assert verify_over_grid(ast, make_grid({"n": (-2, 2)}), REG).holds
+        assert eval_expr(ast.lhs, {"n": 2}, REG) == 1
+        with pytest.raises(EvalError) as err:
+            eval_expr(ast.lhs, {"n": Fraction(1, 2)}, REG)
+        assert str(err.value) == "sequence index did not evaluate to an integer: 1/2"
+        node = parse_expression("sum(j,0,n,binom(n,j)*F[j]*2^(j-n))")
+        assert eval_expr(node, {"n": Fraction(2)}, REG) == eval_expr(node, {"n": 2}, REG) == 2
+
+    @pytest.mark.parametrize(
+        "node",
+        [
+            # an inner sum rebinds n, which the outer sum's upper bound reads: n - j may be < 0
+            Sum("j", IntLit(0), Var("n"), Sum("n", IntLit(0), IntLit(2), Pow(IntLit(3), Sub(
+                Var("n"), Var("j"))))),
+            # the sum rebinds j, which its upper bound reads: binom(j, j) is 1 at every term
+            Sum("j", IntLit(0), Var("j"), Binom(Var("j"), Var("j"))),
+        ],
+    )
+    def test_a_rebound_name_is_not_the_upper_bound(self, node):
+        # only a hand-built tree can rebind a name
+        for n in range(-1, 4):
+            b = {"n": n, "j": n}
+            assert _outcome(lambda: eval_expr(node, b, REG)) == _outcome(lambda: _walk(node, b, REG))
+
+    def test_catalog_sweeps_call_no_conversion_and_no_binom(self, monkeypatch):
+        # a conversion tests its value's type first, and calls _index only for a non-int
+        calls = []
+        for name in ("type", "_index", "_binom"):
+            helper = dsl._HELPERS[name]
+            monkeypatch.setitem(
+                dsl._HELPERS, name, lambda *a, f=helper, n=name: calls.append(n) or f(*a)
+            )
+        for entry in catalog_list():
+            registry = dict(REG)
+            if entry.generalized:
+                base = get_named(entry.family)
+                registry["H"] = make_sequence(base.params.p, base.params.q, 3, -5)
+            for text in entry.dsl_texts:
+                grid = parse_grid(entry.default_grid)
+                report = verify_over_grid(parse_identity(text), grid, registry)
+                assert report.holds and report.cases_checked > 0, text
+        assert calls == []
 
 
 class TestVerifyOverGrid:

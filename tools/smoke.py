@@ -70,6 +70,11 @@ ROWS = [(f"eval {words} -n {n}", 0, prints(walk, *pqg, n)) for words, pqg, ns in
     ('check --expr "J[n+1] = J[n] + 2*J[n-1]" --grid n=-60..60', 0, None),
     ('check --expr "sum(j,0,k,F[m]*F[j]) = F[m]*(F[k+2]-1)" --grid k=-1..6,m=-3..3', 0, None),
     ('check --expr "2*sum(j,0,k,J[m]*J[j]) = J[m]*(J[k+2]-1)" --grid k=-1..6,m=-3..3', 0, None),
+    # binom(k, j) over j from 0 as a running product; an exponent j-k < 0 keeps its sign test
+    ('check --expr "sum(j,0,k,binom(k,j)*F[j]) = F[2*k]" --grid k=0..40', 0, None),
+    ('check --expr "sum(j,0,k,2^(j-k)) = 2 - 2^(0-k)" --grid k=-2..6', 1,
+     lambda out, err: json.loads(out)["counterexamples"] == [
+         {"bindings": {"k": -2}, "lhs": "0", "rhs": "-2"}]),
     ('check --expr "J[n+1]=2*J[n]" --grid n=-3..-3', 1,
      lambda out, err: [json.loads(out)["counterexamples"][0][side] for side in ("lhs", "rhs")]
      == [str(walk(*JAC, -2)), str(2 * walk(*JAC, -3))]),
