@@ -375,18 +375,19 @@ def pretty_print(node) -> str:
 # ---------------------------------------------------------------------------
 # Evaluation. A pair of sides compiles once (cached per syntax tree, set of whole
 # sequence names and order of variables) into the text of _make(), which returns
-# _f(*b), the tuple of the sides' values for the case's values b, read by slot
-# b[i]. The text holds only int literals, error labels, the repr'd name of any
-# variable left unbound, and its own names: slots _tK for sequences, filled at
-# bind time, a function _sK(b, _lo, _hi, enclosing sums' variables) with the
-# variable _vK per sum, and locals.
+# _f(b, _ns, _out): it appends to _out, and returns, the tuple of the sides' values
+# for each case whose last variable _w takes a value of _ns, the others' being b,
+# read by slot b[i]. The text holds only int literals, error labels, the repr'd
+# name of any variable left unbound, and its own names: slots _tK for sequences,
+# filled at bind time, a function _sK(b, _lo, _hi, enclosing loops' variables)
+# with the variable _vK per sum, and locals.
 #
-# Each side is lowered once, in a tree walk's order, to statements of its
-# function; one equal to an earlier statement there gives that one's local. A
-# statement moves if it reads its sum's variable or a local that moves: a sum's
-# function returns zero for an empty range, else runs every statement for its
-# first term and those that move for the others. A value that cannot raise, read
-# once by a statement of its own variance, is written into it; as only such
+# Each side is lowered once, in a tree walk's order, to statements of its function;
+# one equal to an earlier statement there gives that one's local. A statement moves
+# if it reads its loop's variable (a sum's, or _w) or a local that moves: a sum's
+# function returns zero for an empty range, else, as _f does, runs every statement
+# for its first value and those that move for the others. A value that cannot raise,
+# read once by a statement of its own variance, is written into it; as only such
 # values are evaluated later than a walk would, the first error is a walk's.
 #
 # A node is an int, a value (an int or Fraction by Python's operators) or a
@@ -395,7 +396,7 @@ def pretty_print(node) -> str:
 # operands are then pairs too (2^(-j)*J[j] makes no Fraction). Products multiply
 # the parts, powers raise them, and + - and a sum's total use the lcm of the
 # denominators, never their product. A pair side, or a pair used as an integer,
-# is normalised once by _value.
+# is normalised once by _value, and two equal pair sides once, to one shared value.
 
 
 def default_registry() -> dict:
@@ -457,6 +458,8 @@ _OPS = {t: (f"({{0}} {op} {{1}})", _added("{n}", "{d}", "{0}", "{1}", "{2}", "{3
 # by whether a sum is a pair: its zero, its total and the total's templates at its terms
 _TOTALS = (("0", "_a", "_a = {0}", "_a += {0}"), ("0, 1", "_an, _ad", "_an, _ad = {0}, {1}",
                                                   _added("_an", "_ad", "_an", "_ad", "{0}", "{1}", "+")))
+_PAIRED = ("_out.append((_l := _value({0}, {1}), _l if {0} * {3} == {2} * {1}"  # pair sides
+           " else _value({2}, {3})))")  # {0}/{1}, {2}/{3}: denominators > 0
 # a function being lowered: its statements, each local by (template, operands), the locals
 # that move, and each local's uses (2 for any read by a statement of the other variance). A
 # statement is (its local, or a pair's two: {n} and {d} in its template; its template over
@@ -508,17 +511,18 @@ def _block(pad: str, *texts) -> list:
 @lru_cache(maxsize=256)
 def _compiled(sides: tuple, whole: frozenset, variables: tuple, ints: bool):
     """Code defining _make(), and the sequence name of each slot _tK in order of first use;
-    _f(*b) reads a free variable as b[i], i its place in variables, an int if ints is set. A
-    value written into its reader nests one parenthesis per tree level, and _bind refuses a
-    tree deeper than MAX_DEPTH (only a hand-built one can be): the compiler allows 200. Sums
-    are functions, never nested loops, as Python allows 20 nested blocks. With ints set no index
-    is converted; an exponent known >= 0 (a literal, j of a sum from a literal >= 0, or hi - j)
-    has no sign test; binom(hi, j) in a sum of j from 0 to hi is a running product."""
+    _f(b, _ns, _out) lowers the last of variables as a sum's variable, _w over _ns, and reads
+    another as b[i], i its place in variables, each an int if ints is set. A value written
+    into its reader nests one parenthesis per tree level, and _bind refuses a tree deeper than
+    MAX_DEPTH (only a hand-built one can be): the compiler allows 200. Sums are functions,
+    never nested loops, as Python allows 20 nested blocks. With ints set no index is converted;
+    an exponent known >= 0 (a literal, j of a sum from a literal >= 0, or hi - j) has no sign
+    test; binom(hi, j) in a sum of j from 0 to hi is a running product."""
     seqs: dict = {}
     sums: dict = {}  # by each sum's variable's local: its lo's operand, its hi, their scope
     defs: list = []  # each sum's function, inner sums first
-    fns: list = [_Fn([], {}, set(), {})]  # the functions being lowered, innermost last
-    names = count()
+    fns: list = [_Fn([], {}, {"_w"}, {})]  # the functions being lowered, innermost last
+    names, last = count(), variables[-1:]
 
     def stmt(template: str, *operands: str, pair: bool = False, raises: bool = False):
         """The local (a pair's two) of template over operands: a new statement's, or an equal
@@ -567,7 +571,7 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple, ints: bool):
         if not pair and k == 2:
             return stmt("_value({0}, {1})", *lower(node, scope, True))
         if t is Var:
-            text = scope.get(node.name) or (
+            text = scope.get(node.name) or ("_w" if node.name in last else
                 stmt("b[{0}]", str(variables.index(node.name))) if node.name in variables
                 else stmt("_unbound({0})", str.__repr__(node.name), raises=True))
             return stmt("{n}, {d} = {0}.as_integer_ratio()", text, pair=True) if pair else text
@@ -596,7 +600,8 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple, ints: bool):
             e, lo = integer(node.exponent, scope, "exponent"), ranged(node.exponent, scope)
             power = "{n} = {0} ** {2}; {d} = " + ("1" if den == "1" else "{1} ** {2}")
             if e.isdigit() or lo.isdigit() or type(node.exponent) is Sub and lo:  # known >= 0
-                return stmt(power if pair else "({0} ** {2})", num, den, e, pair=pair)
+                value = stmt("({0} ** {2})" if den == "1" else power, num, den, e, pair=den != "1")
+                return (value, "1") if pair and den == "1" else value
             if pair:
                 return stmt(f"if {{2}} >= 0: {power}\n"
                             "else: {n}, {d} = _pow(({0}, {1}), {2})", num, den, e, pair=True,
@@ -607,9 +612,10 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple, ints: bool):
         if t is Sum:
             lo = integer(node.lo, scope, "sum lower bound")
             hi = integer(node.hi, scope, "sum upper bound")
-            args = "(b" + "".join(f", {{{i}}}" for i in range(2 + len(scope))) + ")"
-            return stmt(("{n}, {d} = " if pair else "") + summed(node, scope, pair, lo) + args,
-                        lo, hi, *scope.values(), pair=pair, raises=True)
+            outer = (*scope.values(), *["_w"] * _reads(node.body, last))
+            args = "(b" + "".join(f", {{{i}}}" for i in range(2 + len(outer))) + ")"
+            return stmt(("{n}, {d} = " if pair else "") + summed(node, scope, pair, lo, outer)
+                        + args, lo, hi, *outer, pair=pair, raises=True)
         if t is Binom and ranged(node, scope) == "0" and scope[node.second.name] in fns[-1].moving:
             c = "_c" + scope[node.second.name][2:]  # in j's own function, a running product
             fns[-1].moving.add(c)
@@ -629,10 +635,10 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple, ints: bool):
                                   repr(what), raises=True)
         return numbers.get(value, value)
 
-    def summed(node: Sum, scope: dict, pair: bool, lo: str) -> str:
-        """The name of a new function of b, _lo, _hi and the enclosing sums' variables."""
+    def summed(node: Sum, scope: dict, pair: bool, lo: str, outer: tuple) -> str:
+        """The name of a new function of b, _lo, _hi and the enclosing loops' variables outer."""
         k = next(names)
-        var, params = f"_v{k}", ", ".join(("b", "_lo", "_hi", *scope.values()))
+        var, params = f"_v{k}", ", ".join(("b", "_lo", "_hi", *outer))
         sums[var] = lo, node.hi, scope
         fns.append(_Fn([], {}, {var}, {}))
         term = lower(node.body, {**scope, node.var: var}, pair)
@@ -649,20 +655,26 @@ def _compiled(sides: tuple, whole: frozenset, variables: tuple, ints: bool):
         ])
         return f"_s{k}"
 
-    texts = [lower(side, {}) for side in sides]
-    lines, (ret,) = _written(fns[0], texts, False, "return " + "".join(
-        f"{{{i}}}, " for i in range(len(texts))))
+    if len(sides) == 2 and kind(sides[0], {}) == kind(sides[1], {}) == 2:
+        texts, tail = [x for side in sides for x in lower(side, {}, True)], _PAIRED
+    else:
+        texts = [lower(side, {}) for side in sides]
+        tail = "_out.append((" + "".join(f"{{{i}}}, " for i in range(len(texts))) + "))"
+    lines, (tail,) = _written(fns[0], texts, True, tail)
     source = "\n".join([
         "def _make():", *_block(" ", *(line for lines in defs for line in lines)),
-        " def _f(*b):", *_block("  ", *(line for _, line in lines), ret), " return _f\n",
+        " def _f(b, _ns, _out):", "  _w = _ns[0]", *_block("  ", *(line for _, line in lines), tail),
+        "  for _w in _ns[1:]:", *_block("   ", *(line for moves, line in lines if moves), tail),
+        "  return _out", " return _f\n",
     ])
     return compile(source, "<horadam.dsl>", "exec"), tuple(seqs)
 
 
-def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple, ints: bool):
-    """The function of the values of variables, in order, for sides, with one term store
-    per sequence name; an unknown name fails here, before any case runs, and a tree deeper
-    than MAX_DEPTH before anything, the code cache's hash included, recurses over it."""
+def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple, ints: bool) -> Outcome:
+    """The Outcome of sides over variables, which carries their line function (see _compiled),
+    with one term store per sequence name; its one case is a line of one value. An unknown name
+    fails here, before any case runs, and a tree deeper than MAX_DEPTH before anything, the
+    code cache's hash included, recurses over it."""
     if any(map(_too_deep, sides)):
         raise EvalError(_TOO_DEEP)
     whole = frozenset(name for name, seq in registry.items() if is_whole(seq))
@@ -674,7 +686,8 @@ def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple, ints
             raise EvalError(f"unknown sequence name {name!r}")
         namespace[f"_t{k}"] = _Terms(seq).__getitem__
     exec(code, namespace)
-    return namespace.pop("_make")()  # so that no function and its globals form a cycle
+    line = namespace.pop("_make")()  # so that no function and its globals form a cycle
+    return Outcome(lambda *values: line(values[:-1], values[-1:] or (0,), [])[0], variables, line)
 
 
 def eval_expr(node, bindings: Mapping[str, int], registry: Mapping[str, Sequence]) -> Rational:
@@ -684,7 +697,7 @@ def eval_expr(node, bindings: Mapping[str, int], registry: Mapping[str, Sequence
         if not isinstance(bound, (int, Fraction)):
             raise EvalError(f"variable {name!r} is bound to {bound!r}, not an int or a Fraction")
     ints = all(type(bound) is int for bound in bindings.values())
-    value = _bind((node,), registry, tuple(bindings), ints)(*bindings.values())[0]
+    value = _bind((node,), registry, tuple(bindings), ints).positional(*bindings.values())[0]
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
@@ -698,6 +711,6 @@ def verify_over_grid(
     if registry is None:
         registry = default_registry()
     grid.require_variables(ast.free_vars, "identity")
-    outcome = Outcome(_bind((ast.lhs, ast.rhs), registry, grid.var_names, True), grid.var_names)
+    outcome = _bind((ast.lhs, ast.rhs), registry, grid.var_names, True)
     label = identity_label if identity_label is not None else pretty_print(ast)
     return run_grid(label, grid, outcome)

@@ -57,15 +57,34 @@ class GridSpec(NamedTuple):
     def values(self) -> Iterator[tuple]:
         """Each case as the tuple of its values in sorted-name order, deterministically."""
         product = itertools.product(*[range(lo, hi + 1) for _, lo, hi in self.ranges])
+        kept = self._kept()
+        return product if kept is None else filter(kept, product)
+
+    def lines(self, size: int) -> Iterator[tuple]:
+        """The cases of values(), in order, as lines (prefix, last): prefix is the values of
+        every variable but the last, and last a sequence of those of the last variable in at
+        most size consecutive cases that share prefix. A grid of no variables has one case, a
+        line of the value 0 (unless a constraint fails)."""
+        *head, (_, lo, hi) = self.ranges or (("", 0, 0),)
+        kept = self._kept()
+        for prefix in itertools.product(*[range(first, end + 1) for _, first, end in head]):
+            for start in range(lo, hi + 1, size):
+                last = range(start, min(start + size, hi + 1))
+                last = last if kept is None else tuple(v for v in last if kept((*prefix, v)))
+                if last:
+                    yield prefix, last
+
+    def _kept(self):
+        """Whether a tuple of values meets every constraint, or None if there is none."""
         if not self.constraints:
-            return product
+            return None
         slots = {name: i for i, name in enumerate(self.var_names)}
 
         def operand(x):  # a variable's value by its slot, or a literal
             return (lambda values, i=slots[x]: values[i]) if isinstance(x, str) else lambda values: x
 
         checks = [(_OPS[op], operand(left), operand(right)) for left, op, right in self.constraints]
-        return (values for values in product if all(fn(lv(values), rv(values)) for fn, lv, rv in checks))
+        return lambda values: all(fn(lv(values), rv(values)) for fn, lv, rv in checks)
 
     def cases(self) -> Iterator[dict]:
         """Yield {var: int} bindings in deterministic (sorted-name) order."""

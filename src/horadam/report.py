@@ -6,7 +6,7 @@ import csv
 import io
 import json
 from json.encoder import encode_basestring_ascii as _quote
-from typing import Callable, Mapping, NamedTuple, Optional
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import HoradamError
 from .grid import GridSpec
@@ -19,10 +19,13 @@ CaseOutcome = Optional[tuple]
 
 
 class Outcome(NamedTuple):
-    """An outcome as a function of a case's values, in the order of names."""
+    """An outcome as a function of a case's values, in the order of names; line, if set, is it
+    as line(prefix, last, out), which appends each (lhs, rhs) of a line of cases to out, and
+    returns out."""
 
     positional: Callable[..., CaseOutcome]
     names: tuple
+    line: Optional[Callable[[tuple, Sequence, list], list]] = None
 
     def __call__(self, case: Mapping) -> CaseOutcome:
         """The outcome of a dict case: the package's one reader of a case by name."""
@@ -30,6 +33,7 @@ class Outcome(NamedTuple):
 
 
 _TEXT_COUNTEREXAMPLE_CAP = 20
+_LINE = 64  # the most values of a line per call: a passing sweep holds no more results
 
 # Leading fields of every JSON object and CSV row, in output order.
 _SUMMARY_FIELDS = ("identity", "grid", "cases_total", "cases_checked", "cases_skipped_precondition")
@@ -156,26 +160,37 @@ class VerificationReport(NamedTuple):
 
 
 def run_grid(identity: str, grid: GridSpec, outcome: Callable[[dict], CaseOutcome]) -> VerificationReport:
-    """Evaluate one outcome over every grid case, deterministically. An Outcome over the
-    grid's names takes each case's values; any other outcome gets a dict case."""
+    """Evaluate one outcome over every grid case, deterministically. An Outcome over the grid's
+    names gets each line of it (GridSpec.lines) if it carries a line function, else each case's
+    values; any other outcome gets a dict case. An error names its case, if it has variables."""
     names = grid.var_names
     fast = isinstance(outcome, Outcome) and outcome.names == names
-    call = outcome.positional if fast else lambda *values: outcome(dict(zip(names, values)))
-    total = checked = skipped = 0
-    counterexamples = []
-    for values in grid.values():
-        total += 1
-        try:
-            result = call(*values)
-        except HoradamError as exc:
-            if values:
-                exc.args = (f"{exc} (case {render_bindings(dict(zip(names, values)))})",)
-            raise
-        if result is None:
-            skipped += 1
-            continue
-        checked += 1
-        lhs, rhs = result
-        if lhs is not rhs and lhs != rhs:  # kernel outcomes share one Fraction when equal
-            counterexamples.append((dict(zip(names, values)), lhs, rhs))
-    return VerificationReport(identity, grid.text, total, checked, skipped, tuple(counterexamples))
+    line = outcome.line if fast else None
+    case = lambda values: dict(zip(names, values))  # a case by name, from its values
+    call = outcome.positional if fast else lambda *values: outcome(case(values))
+    total, skipped, counterexamples, out = 0, 0, [], []
+    try:
+        if line is not None:  # kernel and catalog outcomes carry none: a line costs them more
+            for prefix, last in grid.lines(_LINE):
+                for value, (lhs, rhs) in zip(last, line(prefix, last, out)):
+                    if lhs is not rhs and lhs != rhs:  # equal pair sides share one value
+                        counterexamples.append((case((*prefix, value)), lhs, rhs))
+                total += len(out)
+                out.clear()
+        else:
+            for values in grid.values():
+                total += 1
+                result = call(*values)
+                if result is None:
+                    skipped += 1
+                    continue
+                lhs, rhs = result
+                if lhs is not rhs and lhs != rhs:  # kernel outcomes share one Fraction when equal
+                    counterexamples.append((case(values), lhs, rhs))
+    except HoradamError as exc:
+        if names:
+            values = (*prefix, last[len(out)]) if line is not None else values
+            exc.args = (f"{exc} (case {render_bindings(case(values))})",)
+        raise
+    return VerificationReport(identity, grid.text, total, total - skipped, skipped,
+                              tuple(counterexamples))

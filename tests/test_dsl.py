@@ -1,6 +1,7 @@
 """DSL tokenizer, parser, pretty printer, and evaluator."""
 
 import math
+import re
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -28,7 +29,8 @@ from horadam import (
     verify_over_grid,
 )
 from horadam import dsl
-from horadam.sequences import _Terms
+from horadam.report import _LINE, Outcome, render_bindings, run_grid
+from horadam.sequences import _Terms, is_whole
 from horadam.dsl import (
     MAX_DEPTH, Add, Binom, IdentityAst, IntLit, Mul, Neg, Pow, SeqTerm, Sub, Sum, Var, _Node,
 )
@@ -560,6 +562,28 @@ def _outcome(evaluate):
         return type(exc), str(exc)
 
 
+def _walked_sweep(lhs, rhs, grid, registry):
+    """A sweep by the walker, case by case: its counterexamples' sides, or the type of its
+    first error and its text with the case's."""
+    pairs = []
+    for case in grid.cases():
+        try:
+            pair = (_walk(lhs, case, registry), _walk(rhs, case, registry))
+        except (DomainError, EvalError) as exc:
+            return type(exc), f"{exc} (case {render_bindings(case)})"
+        pairs += [pair] if pair[0] != pair[1] else []
+    return tuple(pairs)
+
+
+def _swept(lhs, rhs, grid, registry):
+    """The same of verify_over_grid, which sweeps a line at a time."""
+    try:
+        swept = verify_over_grid(IdentityAst(lhs, rhs, grid.var_names), grid, registry)
+    except (DomainError, EvalError) as exc:
+        return type(exc), str(exc)
+    return tuple((left, right) for _, left, right in swept.counterexamples)
+
+
 # Random trees for the compiler-against-walker property. Variables n and m are
 # bound to -3..3, i and j only inside sums over them (elsewhere they are
 # unbound, an error both routes must report alike); sum bounds and exponents
@@ -645,6 +669,15 @@ class TestCompilerAgainstWalker:
             actual = type(exc), str(exc)
         assert actual == expected
 
+    @given(lhs=_walk_exprs, rhs=_walk_exprs, m=st.integers(-3, 3), n=st.integers(-3, 2),
+           wide=st.booleans(), width=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_line_sweep_matches_walker(self, lhs, rhs, m, n, wide, width):
+        # lines of two to four values of n, for one or two values of m: a statement that does
+        # not move runs once per line, and a value at which the tree raises names its case
+        grid = make_grid({"m": (m, m + wide), "n": (n, n + width)})
+        assert _swept(lhs, rhs, grid, _WALK_REG) == _walked_sweep(lhs, rhs, grid, _WALK_REG)
+
     @given(
         lo=st.integers(-1, 2),
         hi=st.sampled_from(["n", "n+1", "-1", "0", "1", "2", "3"]),
@@ -723,7 +756,7 @@ _HOSTILE = (
     "_unbound", "_value", "_add", "_sub", "_mul", "_pow", "_pair_sum", "as_integer_ratio",
     "KeyError", "exc", "type", "int", "lambda", "None", "__import__", "__builtins__",
     "_make", "_s0", "_s1", "_v1", "_lo", "_hi", "_a", "_an", "_ad", "_g", "_gcd", "_x0", "_x1",
-    "_n0", "_d0", "_n1", "_d1", "_c0", "_c1", "range",
+    "_n0", "_d0", "_n1", "_d1", "_c0", "_c1", "range", "_w", "_ns", "_out", "_l", "append",
 )
 _TEMPLATE = "{t}[{x}+1]*{x} + sum({s},0,{x},binom({x},{s})*{t}[{s}]) = {t}[{x}+1]*{x} + {t}[2*{x}]"
 
@@ -910,13 +943,16 @@ class TestPeeledSums:
         monkeypatch.setattr(dsl, "_Terms", Counting)
         ast = parse_identity("sum(j,0,5,F[m]*F[j]) = F[m]*(F[7]-1)")
         assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
-        # per case: F[m] in the first term, F[1..5] in the others, then the rhs
-        assert reads == [i for m in range(-2, 3) for i in (m, 0, 1, 2, 3, 4, 5, m, 7)]
+        # per case: F[m] in the first term, F[1..5] in the others, then the rhs, whose F[7]
+        # is read once per line, at its first case (before F[m], which is written into the
+        # product that reads it)
+        later = [i for m in range(-1, 3) for i in (m, 0, 1, 2, 3, 4, 5, m)]
+        assert reads == [-2, 0, 1, 2, 3, 4, 5, 7, -2] + later
         # the same with Jacobsthal terms, which are pairs: J[m] is read once
         reads.clear()
         ast = parse_identity("2*sum(j,0,5,J[m]*J[j]) = J[m]*(J[7]-1)")
         assert verify_over_grid(ast, make_grid({"m": (-2, 2)}), REG).holds
-        assert reads == [i for m in range(-2, 3) for i in (m, 0, 1, 2, 3, 4, 5, m, 7)]
+        assert reads == [-2, 0, 1, 2, 3, 4, 5, -2, 7] + later
         # J[m] is in the inner sum, whose function runs once for each i: it is read
         # once per inner sum, that is once for i = 0, 1 and 2, then by the rhs
         reads.clear()
@@ -980,6 +1016,19 @@ class TestGrammarFacts:
         for n in range(-1, 4):
             b = {"n": n, "j": n}
             assert _outcome(lambda: eval_expr(node, b, REG)) == _outcome(lambda: _walk(node, b, REG))
+
+    def test_a_power_known_nonnegative_of_a_value_has_no_denominator(self, monkeypatch):
+        # F[n+j]^(j) is a value beside pairs: its denominator is the literal 1, so no local
+        # is 1 and no product multiplies by it; 2^(j-(n+1)) keeps its sign test, whose
+        # branch for e >= 0 sets its denominator to 1
+        sources = []
+        monkeypatch.setattr(dsl, "compile", lambda source, *args: sources.append(source)
+                            or compile(source, *args), raising=False)
+        node = parse_expression("sum(j,0,n+1,binom(n+1,j)*F[n+j]^(j)*J[m-j]^(n+1-j)*2^(j-(n+1)))")
+        whole = frozenset(name for name, seq in REG.items() if is_whole(seq))
+        dsl._compiled.__wrapped__((node,), whole, ("m", "n"), True)
+        assert "; _d" in sources[0]
+        assert not re.search(r"^ *_n\d+ = [^\n]*; _d\d+ = 1$", sources[0], re.MULTILINE)
 
     def test_catalog_sweeps_call_no_conversion_and_no_binom(self, monkeypatch):
         # a conversion tests its value's type first, and calls _index only for a non-int
@@ -1051,3 +1100,98 @@ class TestVerifyOverGrid:
         ast = parse_identity("H[n+m] = F[m]*H[n+1] + F[m-1]*H[n]")
         report = verify_over_grid(ast, make_grid({"n": (-3, 3), "m": (-3, 3)}), registry)
         assert report.holds
+
+
+class TestLineSweeps:
+    """A sweep calls the generated function once per line of the grid: the cases that share
+    the values of every variable but the last."""
+
+    def test_a_later_value_names_its_case_and_raises_the_walkers_error(self):
+        # the base is 0 at m = 1, n = 2 only: the third value of the second line
+        ast = parse_identity("F[m]*(n - 2 - 5*(1 - m))^(-1) = J[n]")
+        grid = make_grid({"m": (0, 1), "n": (0, 4)})
+        message = "zero raised to a negative power (case m=1;n=2)"
+        assert _walked_sweep(ast.lhs, ast.rhs, grid, REG) == (EvalError, message)
+        assert _swept(ast.lhs, ast.rhs, grid, REG) == (EvalError, message)
+
+    def test_what_does_not_read_the_last_variable_is_read_once_per_line(self, monkeypatch):
+        reads = []
+
+        class Counting(_Terms):
+            def __getitem__(self, i):
+                reads.append(i)
+                return super().__getitem__(i)
+
+        monkeypatch.setattr(dsl, "_Terms", Counting)
+        ast = parse_identity("sum(j,0,2,F[j+m]) + F[n] = F[m+4] - F[m+1] + F[n]")
+        assert verify_over_grid(ast, make_grid({"m": (0, 1), "n": (0, 2)}), REG).holds
+        # per line: the sum's terms F[m..m+2], F[n], then the rhs's F[m+4] and F[m+1] at the
+        # first value of n; only F[n] at the later ones
+        assert reads == [i for m in (0, 1) for i in (m, m + 1, m + 2, 0, m + 4, m + 1, 1, 2)]
+
+    def test_pair_sides_compare_by_cross_products(self):
+        # at n = 1 the sides are the pairs (1, 2) and (2, 1), whose parts have equal products
+        ast = parse_identity("J[-n] = 2*J[n]")
+        grid = make_grid({"n": (-3, 3)})
+        swept = _swept(ast.lhs, ast.rhs, grid, REG)
+        assert swept == _walked_sweep(ast.lhs, ast.rhs, grid, REG)
+        assert (Fraction(1, 2), 2) in swept
+
+    @pytest.mark.parametrize("text", ["F[n+m] = F[n+1]*F[m] + F[n]*F[m-1]",
+                                      "J[n+m] = J[n+1]*J[m] + 2*J[n]*J[m-1]",
+                                      "F[n+m] = F[n]*L[m]", "J[n] = 2^(m)*J[n-m]"])
+    def test_constraints_with_holes_give_the_dict_paths_report(self, text):
+        ast = parse_identity(text)
+        grid = parse_grid("m=-3..3,n=-3..3;m<=n;n!=0")
+        swept = verify_over_grid(ast, grid, REG)
+        by_dict = run_grid(pretty_print(ast), grid, lambda case: (
+            eval_expr(ast.lhs, case, REG), eval_expr(ast.rhs, case, REG)))
+        assert swept.cases_total == 24
+        for fmt in ("json", "csv", "text"):
+            assert swept.render(fmt) == by_dict.render(fmt)
+
+    def test_a_text_with_no_variables_is_one_case(self):
+        for text in ("F[5] = 5", "F[5] = 4", "J[-3] = J[-3]*1"):
+            ast = parse_identity(text)
+            for grid in map(parse_grid, ("", ";1<0", ";0<1")):
+                by_dict = run_grid(text, grid, lambda case: (
+                    eval_expr(ast.lhs, case, REG), eval_expr(ast.rhs, case, REG)))
+                assert verify_over_grid(ast, grid, REG) == by_dict
+        text_report = verify_over_grid(parse_identity("F[5] = 4"), parse_grid(""), REG).to_text()
+        assert text_report == ("identity: F[5] = 4\ngrid: \ncases: total=1 checked=1 skipped=0\n"
+                               "counterexamples: 1\n  : lhs=5 rhs=4\nresult: FAIL\n")
+        with pytest.raises(EvalError) as err:
+            verify_over_grid(parse_identity("0^(-1) = 0"), parse_grid(""), REG)
+        assert str(err.value) == "zero raised to a negative power"
+
+    def test_a_long_line_comes_in_chunks_of_the_bound(self):
+        ast = parse_identity("F[n+1] = F[n] + F[n-1]")
+        grid = make_grid({"n": (-100, 200)})
+        line = dsl._bind((ast.lhs, ast.rhs), REG, ("n",), True).line
+        calls = []
+
+        def recording(prefix, last, out):
+            calls.append((len(last), len(out)))
+            return line(prefix, last, out)
+
+        swept = run_grid("x", grid, Outcome(None, ("n",), recording))
+        assert swept == verify_over_grid(ast, grid, REG, identity_label="x")
+        assert swept.holds
+        # a passing sweep holds at most the bound's results: no call gets more than the
+        # bound's values, and each starts from an empty list
+        assert max(size for size, _ in calls) == _LINE < 301 == sum(s for s, _ in calls)
+        assert {held for _, held in calls} == {0}
+
+    def test_a_dsl_outcome_called_on_a_dict_case_gives_the_sweeps_values(self):
+        # a traced sweep wraps each outcome as a function of a dict case
+        for text in ("J[n+m] = J[n]*J[m]", "F[n]*F[m] = F[n+m] - F[n-1]*F[m-1] + n*m*0"):
+            ast = parse_identity(text)
+            grid = make_grid({"m": (-2, 2), "n": (-3, 3)})
+            failed = {render_bindings(b): (lhs, rhs)
+                      for b, lhs, rhs in verify_over_grid(ast, grid, REG).counterexamples}
+            outcome = dsl._bind((ast.lhs, ast.rhs), REG, grid.var_names, True)
+            for case in grid.cases():
+                lhs, rhs = outcome(case)
+                expected = failed.get(render_bindings(case), (lhs, lhs))
+                assert (lhs, rhs) == expected
+                assert list(map(type, (lhs, rhs))) == list(map(type, expected))

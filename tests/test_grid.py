@@ -101,6 +101,12 @@ class TestValues:
         ]
         assert values == expected
         assert grid.case_count() == len(values)
+        # the same cases as lines: runs of at most size values of the last variable
+        size = data.draw(st.integers(1, 3))
+        lines = [(prefix, tuple(last)) for prefix, last in grid.lines(size)]
+        assert [(*prefix, value) for prefix, last in lines for value in last] == values
+        assert all(0 < len(last) <= size for _, last in lines)
+        assert all(len(prefix) == len(names) - 1 for prefix, _ in lines)
 
     def test_literals_on_either_side(self):
         assert list(parse_grid("n=0..4;1<n;n!=3").values()) == [(2,), (4,)]
@@ -108,6 +114,9 @@ class TestValues:
 
     def test_empty_grid_yields_one_empty_tuple(self):
         assert list(make_grid({}).values()) == [()]
+        # as a line: no prefix, and one value that no variable takes
+        assert [(prefix, list(last)) for prefix, last in make_grid({}).lines(64)] == [((), [0])]
+        assert list(parse_grid(";1<0").lines(64)) == []
 
     def test_case_count_counts_values_not_dicts(self, monkeypatch):
         def no_dicts(self):

@@ -78,6 +78,11 @@ ROWS = [(f"eval {words} -n {n}", 0, prints(walk, *pqg, n)) for words, pqg, ns in
     ('check --expr "J[n+1]=2*J[n]" --grid n=-3..-3', 1,
      lambda out, err: [json.loads(out)["counterexamples"][0][side] for side in ("lhs", "rhs")]
      == [str(walk(*JAC, -2)), str(2 * walk(*JAC, -3))]),
+    # a sweep runs a line of cases per call: lines with holes, and an error at a later value
+    ('check --expr "F[n+m] = F[n+1]*F[m] + F[n]*F[m-1]" --grid "m=-3..3,n=-3..3;m<=n;n!=0"', 0,
+     lambda out, err: json.loads(out)["cases_checked"] == 24),
+    ('check --expr "F[n]^(m-1)*F[n] = F[n]^(m)" --grid m=0..1,n=-2..2', 2,
+     lambda out, err: err.endswith("(case m=0;n=0)\n")),
     # kernel identities on rational terms, across many term-table keys on each side of 0
     (f"verify --identity sum-ordinary:1 {RAT_G_H} "
      "--grid a=0..1,b=-1..0,c=1,d=0..1,k=0..3,m=0..1,n=-60..60", 0, None),
