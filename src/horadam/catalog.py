@@ -8,6 +8,8 @@ coefficient terms.
 Natively, each entry is a kernel identity (Theorem 1 or a sum row) at a
 substitution of its indices, up to a sign, evaluated by that identity's
 kernel core bound without the sums' Z = 0 skip: every statement is division-free.
+A sum entry sweeps a line of n at a time, as its kernel core does: its substitution
+and its sign read every variable but n, so each is applied once per line.
 Every entry also carries its classical statement literally in the DSL (field
 dsl_texts), which the test suite verifies against the native route case by
 case; the two routes share no evaluation code. Each identity's statements are
@@ -38,11 +40,11 @@ def _master(n: int, m: int, a: int, b: int) -> tuple:
     return b, b - 1, a, b, m, n
 
 
-def _sum_map(a: int, b: int, k: int, m: int, n: int) -> tuple:  # the same map for the sum rows
-    return b, b - 1, a, b, k, m, n
+def _sum_map(a: int, b: int, k: int, m: int) -> tuple:  # the same map for a sum row's prefix
+    return b, b - 1, a, b, k, m
 
 
-def _alternating(a: int, b: int, k: int, m: int, n: int) -> int:
+def _alternating(a: int, b: int, k: int, m: int) -> int:
     # The kernel's rows for sum-ordinary:3 and sum-binomial:2 carry -(-1)^(a+b) on
     # every weight where the classical statements do not: a factor of its k-th power.
     return m1((a + b + 1) * k)
@@ -56,7 +58,8 @@ class CatalogEntry(NamedTuple):
     """One registered identity: metadata, the kernel identity it instantiates, and its DSL form.
 
     Each substitution, and the sign if any, takes the binding's values in free_vars
-    order; a substitution returns the kernel identity's variables in its order."""
+    order, and returns the kernel identity's variables in its order; for a sum entry,
+    whose one substitution maps a line's prefix, they take and return all but n's."""
 
     id: str
     description: str
@@ -81,8 +84,11 @@ class CatalogEntry(NamedTuple):
             companion = make_sequence(
                 base.params.p, base.params.q, 0 if h0 is None else h0, 1 if h1 is None else h1
             )
-        pair = IDENTITIES[self.identity].core(base, companion, None, False)
+        core = IDENTITIES[self.identity].core(base, companion, None, False)
         (head, *rest), sign = self.substitutions, self.sign
+        if core.line is not None:
+            return Outcome.of_line(_signed_line(core.line, head, sign), self.free_vars)
+        pair = core.positional
 
         def outcome(*args) -> tuple:
             result = pair(*head(*args))
@@ -93,11 +99,28 @@ class CatalogEntry(NamedTuple):
                 if other[0] != other[1]:
                     result = other
             if sign is not None and sign(*args) < 0:
-                lhs, rhs = result
-                return (-lhs,) * 2 if lhs is rhs else (-lhs, -rhs)  # one Fraction for equal sides
+                return _negated(*result)
             return result
 
         return Outcome(outcome, self.free_vars)
+
+
+def _negated(lhs, rhs) -> tuple:
+    return (-lhs,) * 2 if lhs is rhs else (-lhs, -rhs)  # one Fraction for equal sides
+
+
+def _signed_line(line: Callable, head: Callable, sign: Optional[Callable]) -> Callable:
+    """line at the prefix head maps to, its results negated where sign is negative: the
+    core may hand the same stored results to another line, so out's copies are negated."""
+
+    def signed(prefix: tuple, last, out: list) -> list:
+        start = len(out)
+        line(head(*prefix), last, out)
+        if sign is not None and sign(*prefix) < 0:
+            out[start:] = [_negated(lhs, rhs) for lhs, rhs in out[start:]]
+        return out
+
+    return signed
 
 
 _FAMILIES = {

@@ -396,7 +396,7 @@ def pretty_print(node) -> str:
 # operands are then pairs too (2^(-j)*J[j] makes no Fraction). Products multiply
 # the parts, powers raise them, and + - and a sum's total use the lcm of the
 # denominators, never their product. A pair side, or a pair used as an integer,
-# is normalised once by _value, and two equal pair sides once, to one shared value.
+# is normalised once, and two equal pair sides once, to one shared value.
 
 
 def default_registry() -> dict:
@@ -449,7 +449,7 @@ def _added(n: str, d: str, ln: str, ld: str, rn: str, rd: str, op: str) -> str:
 _HELPERS = {
     "__builtins__": {}, "type": type, "int": int, "range": range,
     "_binom": binom, "_gcd": math.gcd, "_index": _index, "_pow": _pow, "_unbound": _unbound,
-    "_value": _value,
+    "_value": _value, "_fraction": _coprime_fraction,
 }
 _PARITY = (IntLit(-1), Neg(IntLit(1)))  # the bases of a parity sign (-1)^(e), 1 - e % 2 * 2
 # each operator's template over two values, and over two pairs (a product's parts multiply)
@@ -458,8 +458,14 @@ _OPS = {t: (f"({{0}} {op} {{1}})", _added("{n}", "{d}", "{0}", "{1}", "{2}", "{3
 # by whether a sum is a pair: its zero, its total and the total's templates at its terms
 _TOTALS = (("0", "_a", "_a = {0}", "_a += {0}"), ("0, 1", "_an, _ad", "_an, _ad = {0}, {1}",
                                                   _added("_an", "_ad", "_an", "_ad", "{0}", "{1}", "+")))
-_PAIRED = ("_out.append((_l := _value({0}, {1}), _l if {0} * {3} == {2} * {1}"  # pair sides
-           " else _value({2}, {3})))")  # {0}/{1}, {2}/{3}: denominators > 0
+# Pair sides {0}/{1} and {2}/{3}, denominators > 0: the left is normalised once, to _l, an int
+# or _p/_q in lowest terms, and the right equals it iff {2} == _l * {3}, or iff _q divides {3}
+# and {2} == _p * ({3} // _q): one division and one product, where cross products take two.
+_PAIRED = ("_g = _gcd({0}, {1})\n"
+           "if _g == {1}: _l = {0} // _g;"
+           " _out.append((_l, _l if {2} == _l * {3} else _value({2}, {3})))\n"
+           "else: _p = {0} // _g; _q = {1} // _g; _l = _fraction(_p, _q);"
+           " _out.append((_l, _l if {3} % _q == 0 and {2} == _p * ({3} // _q) else _value({2}, {3})))")
 # a function being lowered: its statements, each local by (template, operands), the locals
 # that move, and each local's uses (2 for any read by a statement of the other variance). A
 # statement is (its local, or a pair's two: {n} and {d} in its template; its template over
@@ -687,7 +693,7 @@ def _bind(sides: tuple, registry: Mapping[str, Sequence], variables: tuple, ints
         namespace[f"_t{k}"] = _Terms(seq).__getitem__
     exec(code, namespace)
     line = namespace.pop("_make")()  # so that no function and its globals form a cycle
-    return Outcome(lambda *values: line(values[:-1], values[-1:] or (0,), [])[0], variables, line)
+    return Outcome.of_line(line, variables)
 
 
 def eval_expr(node, bindings: Mapping[str, int], registry: Mapping[str, Sequence]) -> Rational:

@@ -22,11 +22,13 @@ relation reads G from G's table over its six indices, as integers over that
 table's scale squared, and each side is divided once at the end. One
 ordinary and one binomial evaluator serve the rows. A summation case with
 k >= 1 and Z = 0 is skipped (rather than failed), since the theorems hypothesize
-Z nonzero. Each identity is one positional core; verify binds it with that skip
-and the catalog, whose statements are all division-free, without. A sum core evaluates
-each distinct (evaluator arguments, k, n) once: a translated row (a+e, ..., m+e) has the
-same three kernel values, so it reads results the core stored, in dicts built per core
-(so per sweep) and capped at _RESULTS_CAP entries, so memory does not grow with the grid.
+Z nonzero. Each identity is one core; verify binds it with that skip and the catalog,
+whose statements are all division-free, without. A sum core sweeps a line of n at a time,
+as every n of a line shares its row, k and skip: it looks the row up once per line and
+evaluates each distinct (evaluator arguments, k, line of n) once, since a translated row
+(a+e, ..., m+e) has the same three kernel values and so reads the results the core stored,
+in dicts built per core (so per sweep) and capped at _RESULTS_CAP results, so memory does
+not grow with the grid. A sum core's one case is a line of one value.
 """
 
 from __future__ import annotations
@@ -121,10 +123,10 @@ def basis_coefficients(
 
 
 # ---------------------------------------------------------------------------
-# Cores. Each returns a function of an identity's variables, in order, giving None
-# for a skipped case or else (lhs, rhs), and run_grid calls it with each case's
-# values (identity_outcome names them). A relation w0*X(n) = w1*X(n-a) + w2*Y(n-b)
-# is the tuple w = (w0, w1, w2, a, b).
+# Cores. Each returns the Outcome of an identity over its variables: a function of their
+# values, in order, giving None for a skipped case or else (lhs, rhs), and for the sums a
+# line function too, which run_grid calls instead (see report.Outcome). A relation
+# w0*X(n) = w1*X(n-a) + w2*Y(n-b) is the tuple w = (w0, w1, w2, a, b).
 
 
 def _swap(w: tuple) -> tuple:
@@ -133,6 +135,10 @@ def _swap(w: tuple) -> tuple:
     return w0, w2, w1, b, a
 
 
+_KERNEL_VARS = ("a", "b", "c", "d", "m", "n")
+_COROLLARY_VARS = ("a", "b", "m", "n")
+_LEMMA_VARS = ("k", "n")
+_SUM_VARS = ("a", "b", "c", "d", "k", "m", "n")
 # Outcomes memoize each relation (a sweep meets it once per n and k) in this much space,
 # and a sum core stores up to this many of its results and interned argument keys.
 _MEMO_SIZE, _RESULTS_CAP = 256, 1 << 16
@@ -153,7 +159,7 @@ def _stores(g: Sequence, h: Sequence) -> tuple:
     return first, first if h is g else _stores(h, h)[0]
 
 
-def _theorem1_pair(g: Sequence, h: Sequence, rel=None, skips: bool = True) -> Callable:
+def _theorem1_pair(g: Sequence, h: Sequence, rel=None, skips: bool = True) -> Outcome:
     (_, gt), (_, table) = _stores(g, h)
     relation = lru_cache(maxsize=_MEMO_SIZE)(partial(_theorem1, gt))
 
@@ -164,14 +170,14 @@ def _theorem1_pair(g: Sequence, h: Sequence, rel=None, skips: bool = True) -> Ca
         lhs, rhs = w0 * ht(nm), w1 * ht(nm - s) + w2 * ht(nm - t)
         return (lhs, rhs) if scale == dh == 1 else _sides(lhs, rhs, scale, dh, dh)
 
-    return pair
+    return Outcome(pair, _KERNEL_VARS)
 
 
-def _corollary_pair(g: Sequence, h: Sequence, rel=None, skips: bool = True) -> Callable:
+def _corollary_pair(g: Sequence, h: Sequence, rel=None, skips: bool = True) -> Outcome:
     # Theorem 1 at (c, d) = (a, b), negated, is Theorem 1 at (a, b, c, d) = (b, a, a, b):
     # f_g changes sign when either index pair is swapped, so all three weights do.
-    pair = _theorem1_pair(g, h)
-    return lambda a, b, m, n: pair(b, a, a, b, m, n)
+    pair = _theorem1_pair(g, h).positional
+    return Outcome(lambda a, b, m, n: pair(b, a, a, b, m, n), _COROLLARY_VARS)
 
 
 # The two summation statements, without division. st is the summed sequence
@@ -278,7 +284,7 @@ def _check_relation_window(xt, yt, w: tuple, anchors, y_name: str, passed: set) 
 
 
 def _lemma_pair(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
-                rel: ThreeTermRelation) -> Callable:
+                rel: ThreeTermRelation) -> Outcome:
     # The lemma at the relation X(n) = f1*X(n-a) + f2*Y(n-b), or at its swap;
     # it sums Y and puts X on the other side. The relation check reads each sequence's
     # store as values and the sums read that store's tables.
@@ -292,17 +298,18 @@ def _lemma_pair(lemma: _Lemma, swapped: bool, x: Sequence, y: Sequence,
         _check_relation_window(xt, yt, w, lemma.anchors(n, k, *w[3:]), y_name, passed)
         return lemma.evaluate(ys, xs, n, k, *values)
 
-    return pair
+    return Outcome(pair, _LEMMA_VARS)
 
 
 def _sum_pair(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None,
-              skips: bool = True) -> Callable:
+              skips: bool = True) -> Outcome:
     # The lemma at T or swap(T); row(a, b, c, d, m) memoizes the evaluator's arguments, whether
     # Z = 0 and their key in results: an int interned in keys, or once keys is full the arguments
-    # themselves. The theorems hypothesize Z != 0: skips gives None where k > 0 and Z = 0.
+    # themselves. The theorems hypothesize Z != 0: skips gives None for a line where k > 0 and
+    # Z = 0. results holds a line's results under (key, k, last) while room is left for them.
     (_, gt), (_, ht) = _stores(g, h)
-    relation, z_at = partial(_theorem1, gt), lemma.z_at
-    keys, results = {}, {}
+    relation, z_at, evaluate = partial(_theorem1, gt), lemma.z_at, lemma.evaluate
+    keys, results, room = {}, {}, _RESULTS_CAP
 
     @lru_cache(maxsize=_MEMO_SIZE)
     def row(a: int, b: int, c: int, d: int, m: int) -> tuple:
@@ -312,18 +319,24 @@ def _sum_pair(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None,
                else keys.get(values, values))
         return values, values[z_at] == 0, key
 
-    def pair(a: int, b: int, c: int, d: int, k: int, m: int, n: int):
+    def line(prefix: tuple, last, out: list):
+        nonlocal room
+        a, b, c, d, k, m = prefix
         values, z_zero, key = row(a, b, c, d, m)
         if skips and k > 0 and z_zero:
             return None
-        if (result := results.get((key, k, n))) is None:
-            result = lemma.evaluate(ht, ht, n, k, *values)
-            if len(results) < _RESULTS_CAP:  # equal sides that are one Fraction, stored once
-                results[key, k, n] = result[0] if result[0] is result[1] else result
-            return result
-        return result if result.__class__ is tuple else (result, result)
+        if (stored := results.get((key, k, last))) is not None:
+            out += stored
+            return out
+        start = len(out)
+        for n in last:
+            out.append(evaluate(ht, ht, n, k, *values))
+        if len(last) <= room:
+            room -= len(last)
+            results[key, k, last] = tuple(out[start:])
+        return out
 
-    return pair
+    return Outcome.of_line(line, _SUM_VARS)
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +344,8 @@ def _sum_pair(lemma: _Lemma, swapped: bool, g: Sequence, h: Sequence, rel=None,
 
 
 class IdentitySpec(NamedTuple):
-    """One identity; core(g, h, rel=None, skips=True) returns its positional function of the
-    variables in order (rel used iff takes_relation, h iff takes_companion; only sums skip)."""
+    """One identity; core(g, h, rel=None, skips=True) returns its Outcome over the variables
+    (rel used iff takes_relation, h iff takes_companion; only sums skip)."""
 
     variables: tuple
     default_grid: str
@@ -341,8 +354,6 @@ class IdentitySpec(NamedTuple):
     takes_companion: bool = True
 
 
-_KERNEL_VARS = ("a", "b", "c", "d", "m", "n")
-_SUM_VARS = ("a", "b", "c", "d", "k", "m", "n")
 _SUM_GRID = "a=-1..2,b=-1..2,c=-1..2,d=-1..2,k=0..5,m=-2..2,n=-2..2"
 
 
@@ -350,7 +361,7 @@ def _lemma(row: str, swapped: bool = False, takes_companion: bool = False) -> Id
     def core(x, y, rel, skips=True):
         return _lemma_pair(_LEMMAS[row], swapped, x, y if takes_companion else x, rel)
 
-    return IdentitySpec(("k", "n"), "k=0..6,n=-5..5", True, core, takes_companion)
+    return IdentitySpec(_LEMMA_VARS, "k=0..6,n=-5..5", True, core, takes_companion)
 
 
 def _sum(row: str, swapped: bool = False) -> IdentitySpec:
@@ -362,7 +373,7 @@ IDENTITIES = {
         _KERNEL_VARS, "a=-2..2,b=-2..2,c=-2..2,d=-2..2,m=-3..3,n=-3..3", False, _theorem1_pair
     ),
     "corollary": IdentitySpec(
-        ("a", "b", "m", "n"), "a=-3..3,b=-3..3,m=-4..4,n=-4..4", False, _corollary_pair
+        _COROLLARY_VARS, "a=-3..3,b=-3..3,m=-4..4,n=-4..4", False, _corollary_pair
     ),
     "lemma1": _lemma("telescope", takes_companion=True),
     "lemma2:1": _lemma("telescope"),
@@ -411,7 +422,7 @@ def identity_outcome(
             rel = ThreeTermRelation(g.params.p, g.params.q, 1, 2)
     else:
         _require_same_params(g, h)
-    return Outcome(spec.core(g, h, rel), spec.variables)
+    return spec.core(g, h, rel)
 
 
 def verify_identity_grid(

@@ -20,16 +20,27 @@ CaseOutcome = Optional[tuple]
 
 class Outcome(NamedTuple):
     """An outcome as a function of a case's values, in the order of names; line, if set, is it
-    as line(prefix, last, out), which appends each (lhs, rhs) of a line of cases to out, and
-    returns out."""
+    as line(prefix, last, out), which appends each (lhs, rhs) of a line of cases to out and
+    returns out, or else appends nothing and returns None: every case of the line is skipped."""
 
     positional: Callable[..., CaseOutcome]
     names: tuple
-    line: Optional[Callable[[tuple, Sequence, list], list]] = None
+    line: Optional[Callable[[tuple, Sequence, list], Optional[list]]] = None
 
     def __call__(self, case: Mapping) -> CaseOutcome:
         """The outcome of a dict case: the package's one reader of a case by name."""
         return self.positional(*[case[name] for name in self.names])
+
+    @classmethod
+    def of_line(cls, line: Callable, names: tuple) -> Outcome:
+        """The Outcome that carries line, whose one case is a line of one value (a grid of no
+        variables is one line of the value 0, which no code reads)."""
+
+        def positional(*values) -> CaseOutcome:
+            out = line(values[:-1], values[-1:] or (0,), [])
+            return None if out is None else out[0]
+
+        return cls(positional, names, line)
 
 
 _TEXT_COUNTEREXAMPLE_CAP = 20
@@ -161,8 +172,9 @@ class VerificationReport(NamedTuple):
 
 def run_grid(identity: str, grid: GridSpec, outcome: Callable[[dict], CaseOutcome]) -> VerificationReport:
     """Evaluate one outcome over every grid case, deterministically. An Outcome over the grid's
-    names gets each line of it (GridSpec.lines) if it carries a line function, else each case's
-    values; any other outcome gets a dict case. An error names its case, if it has variables."""
+    names gets each line of it (GridSpec.lines) if it carries a line function, and every case of
+    a line for which that returns None is skipped; else it gets each case's values; any other
+    outcome gets a dict case. An error names its case, if it has variables."""
     names = grid.var_names
     fast = isinstance(outcome, Outcome) and outcome.names == names
     line = outcome.line if fast else None
@@ -170,9 +182,13 @@ def run_grid(identity: str, grid: GridSpec, outcome: Callable[[dict], CaseOutcom
     call = outcome.positional if fast else lambda *values: outcome(case(values))
     total, skipped, counterexamples, out = 0, 0, [], []
     try:
-        if line is not None:  # kernel and catalog outcomes carry none: a line costs them more
+        if line is not None:
             for prefix, last in grid.lines(_LINE):
-                for value, (lhs, rhs) in zip(last, line(prefix, last, out)):
+                if line(prefix, last, out) is None:
+                    skipped += len(last)
+                    total += len(last)
+                    continue
+                for value, (lhs, rhs) in zip(last, out):
                     if lhs is not rhs and lhs != rhs:  # equal pair sides share one value
                         counterexamples.append((case((*prefix, value)), lhs, rhs))
                 total += len(out)

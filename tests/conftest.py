@@ -6,7 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from horadam import RecurrenceParams, Sequence, make_sequence
+from horadam import HoradamError, RecurrenceParams, Sequence, kernel, make_sequence
+from horadam.report import Outcome, run_grid
 
 # A few tests print integers with tens of thousands of digits.
 if hasattr(sys, "set_int_max_str_digits"):
@@ -64,6 +65,39 @@ def random_sequence(rng: random.Random, params: RecurrenceParams = None) -> Sequ
     while g0 == 0 and g1 == 0:
         g1 = random_rational(rng)
     return make_sequence(p, q, g0, g1)
+
+
+def sweep_routes(identity: str, make, grid, monkeypatch) -> list:
+    """What a sweep of a line outcome, make() built afresh, gives by three routes: its line
+    function, its positional function one case at a time, and its line function with
+    kernel._RESULTS_CAP = 0, so that nothing is stored. Each route gives its report rendered as
+    json, csv and text, or the error it raised as (type, text); then each case's (lhs, rhs), or
+    None, up to the first error, and that error, read again from the same outcome."""
+    routes = []
+    for per_case, cap in ((False, kernel._RESULTS_CAP), (True, kernel._RESULTS_CAP), (False, 0)):
+        with monkeypatch.context() as patched:
+            patched.setattr(kernel, "_RESULTS_CAP", cap)
+            outcome = make()
+            if per_case:
+                outcome = Outcome(outcome.positional, outcome.names)
+            cases = []
+            try:
+                report = run_grid(identity, grid, outcome)
+                report = tuple(report.render(fmt) for fmt in ("json", "csv", "text"))
+            except HoradamError as exc:
+                report = type(exc), str(exc)
+            try:
+                if per_case:
+                    for values in grid.values():
+                        cases.append(outcome.positional(*values))
+                else:
+                    for prefix, last in grid.lines(64):
+                        if outcome.line(prefix, last, cases) is None:
+                            cases += [None] * len(last)
+            except HoradamError as exc:
+                cases.append((type(exc), str(exc)))
+        routes.append((report, cases))
+    return routes
 
 
 def random_pair(rng: random.Random) -> tuple:

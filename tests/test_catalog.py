@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from horadam import (
+    DomainError,
     UsageError,
     catalog_entry,
     catalog_list,
@@ -20,9 +21,11 @@ from horadam import (
     term_iterative_oracle,
 )
 from horadam.kernel import IDENTITIES
+from conftest import sweep_routes
 
 ALL_ENTRIES = catalog_list()
 ALL_IDS = [entry.id for entry in ALL_ENTRIES]
+SUM_IDS = [entry.id for entry in ALL_ENTRIES if entry.identity.startswith("sum-")]
 
 
 def _oracle(seq):
@@ -65,10 +68,15 @@ class TestRegistry:
         assert "pell.halton-lucas" in ALL_IDS
 
     def test_substitutions_take_the_free_variables_in_order(self):
-        # Substitutions and signs are called with the binding's values by position.
+        # Substitutions and signs are called with the binding's values by position; a sum
+        # entry's with a line's prefix, every value but n's, which comes last.
         for entry in ALL_ENTRIES:
+            names = entry.free_vars
+            if entry.identity.startswith("sum-"):
+                *names, last = names
+                assert last == "n" and len(entry.substitutions) == 1, entry.id
             for fn in entry.substitutions + ((entry.sign,) if entry.sign else ()):
-                assert tuple(inspect.signature(fn).parameters) == entry.free_vars, entry.id
+                assert tuple(inspect.signature(fn).parameters) == tuple(names), entry.id
             assert entry.identity in IDENTITIES, entry.id
 
     def test_lookup_unknown_id_suggests(self):
@@ -136,6 +144,51 @@ class TestCompanionDiffersFromBase:
         for case in grid.cases():
             dsl_pair = (eval_expr(ast.lhs, case, registry), eval_expr(ast.rhs, case, registry))
             assert outcome(case) == dsl_pair, (entry_id, case)
+
+
+class TestSumLines:
+    """A sum entry sweeps a line of n at a time: it maps the line's prefix and takes its sign
+    once, and the kernel's line function may hand it results that another line stored."""
+
+    # Lines with holes (n != 0), and lines of 1 to 3 values whose first moves with m (n > m).
+    HOLES = ("a=-2..1,b=-1..1,k=0..3,m=-1..1,n=-2..2;n!=0",
+             "a=-2..1,b=-1..1,k=0..3,m=-1..1,n=-2..2;n>m")
+    # k = -1 raises: b != k puts its first line after lines that pass, at n = 0 (n > m).
+    RAISING = "a=-2..1,b=-1..1,k=-1..2,m=-1..1,n=-2..2;b!=k;n>m"
+
+    @pytest.mark.parametrize("entry_id", SUM_IDS)
+    def test_lines_cases_and_unstored_lines_give_one_sweep(self, entry_id, monkeypatch):
+        entry = catalog_entry(entry_id)
+        # An entry's own sign reads a + b, whose parity a translated prefix (a+e, b+e, k, m+e)
+        # keeps; it shares the kernel's stored results, but a sign that reads a alone changes.
+        by_a = entry._replace(sign=lambda a, b, k, m: -1 if a % 2 else 1)
+        for variant in (entry, by_a):
+            for text in self.HOLES:
+                lines, cases, unstored = sweep_routes(
+                    entry_id, variant.make_outcome, parse_grid(text), monkeypatch)
+                assert lines == cases == unstored, (variant.sign, text)
+                assert None not in lines[1]
+            lines, cases, unstored = sweep_routes(
+                entry_id, variant.make_outcome, parse_grid(self.RAISING), monkeypatch)
+            assert lines == cases == unstored
+            assert lines[0] == (DomainError, "summation bound k must be non-negative, got -1"
+                                " (case a=-2;b=0;k=-1;m=-1;n=0)")
+
+    @pytest.mark.parametrize("entry_id", SUM_IDS)
+    def test_each_case_is_the_kernel_case_at_its_sign(self, entry_id):
+        entry = catalog_entry(entry_id)
+        base = get_named(entry.family)
+        kernel_case = IDENTITIES[entry.identity].core(base, base, None, False).positional
+        outcome = entry.make_outcome()
+        grid = parse_grid(self.HOLES[1])
+        results = []
+        for prefix, last in grid.lines(64):
+            outcome.line(prefix, last, results)
+        (substitution,) = entry.substitutions
+        for values, result in zip(grid.values(), results):
+            lhs, rhs = kernel_case(*substitution(*values[:-1]), values[-1])
+            sign = entry.sign(*values[:-1]) if entry.sign else 1
+            assert result == (sign * lhs, sign * rhs), values
 
 
 class TestLiteralSpotChecks:

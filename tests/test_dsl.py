@@ -757,6 +757,7 @@ _HOSTILE = (
     "KeyError", "exc", "type", "int", "lambda", "None", "__import__", "__builtins__",
     "_make", "_s0", "_s1", "_v1", "_lo", "_hi", "_a", "_an", "_ad", "_g", "_gcd", "_x0", "_x1",
     "_n0", "_d0", "_n1", "_d1", "_c0", "_c1", "range", "_w", "_ns", "_out", "_l", "append",
+    "_p", "_q", "_fraction",
 )
 _TEMPLATE = "{t}[{x}+1]*{x} + sum({s},0,{x},binom({x},{s})*{t}[{s}]) = {t}[{x}+1]*{x} + {t}[2*{x}]"
 
@@ -1136,6 +1137,21 @@ class TestLineSweeps:
         swept = _swept(ast.lhs, ast.rhs, grid, REG)
         assert swept == _walked_sweep(ast.lhs, ast.rhs, grid, REG)
         assert (Fraction(1, 2), 2) in swept
+
+    def test_pair_sides_compare_after_one_normalisation(self):
+        # at n = -1 the sides are the pairs (1, 2) and (1, 3): the left's numerator times
+        # 3 // 2 is the right's, but its denominator 2 does not divide 3
+        ast = parse_identity("J[n] = J[1]*3^(n)")
+        grid = make_grid({"n": (-3, 3)})
+        swept = _swept(ast.lhs, ast.rhs, grid, REG)
+        assert swept == _walked_sweep(ast.lhs, ast.rhs, grid, REG)
+        assert (Fraction(1, 2), Fraction(1, 3)) in swept
+        # equal pair sides, whole (n > 0, past the cached small ints) or not, are one value
+        ast = parse_identity("J[n+1] = J[n] + 2*J[n-1]")
+        outcome = dsl._bind((ast.lhs, ast.rhs), REG, ("n",), True)
+        sides = outcome.line((), range(-12, 13), [])
+        assert len(sides) == 25 and all(lhs is rhs for lhs, rhs in sides)
+        assert {type(lhs) for lhs, _ in sides} == {int, Fraction}
 
     @pytest.mark.parametrize("text", ["F[n+m] = F[n+1]*F[m] + F[n]*F[m-1]",
                                       "J[n+m] = J[n+1]*J[m] + 2*J[n]*J[m-1]",

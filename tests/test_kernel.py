@@ -43,7 +43,7 @@ from horadam import (
 from horadam import kernel
 from horadam.kernel import IDENTITIES, IDENTITY_NAMES, identity_outcome
 from horadam.sequences import _Terms, term_tables
-from conftest import random_pair
+from conftest import random_pair, sweep_routes
 
 F = get_named("fibonacci")
 L = get_named("lucas")
@@ -689,7 +689,7 @@ class TestTheorem1OnIntegers:
     def test_core_and_corollary_match_literal_statements(self, pair, a, b, c, d, m, n):
         g, h, whole = pair
         gt, ht = _oracle(g), _oracle(h)
-        theorem = IDENTITIES["theorem1"].core(g, h)(a, b, c, d, m, n)
+        theorem = IDENTITIES["theorem1"].core(g, h).positional(a, b, c, d, m, n)
         assert theorem == (
             _fg_literal(gt, d, c, b, a) * ht(n + m),
             _fg_literal(gt, d, m, b, a) * ht(n + c) + _fg_literal(gt, c, m, a, b) * ht(n + d),
@@ -709,7 +709,7 @@ class TestTheorem1OnIntegers:
         # of 0; the last three rows put G's six indices past +-9 and out to +-21.
         g, h = make_sequence(Fraction(3, 2), Fraction(2, 3), 2, -3), RATIONAL
         gt, ht = _oracle(g), _oracle(h)
-        pair = IDENTITIES["theorem1"].core(g, h)
+        pair = IDENTITIES["theorem1"].core(g, h).positional
         rows = [(*abcd, m) for abcd in ((1, 0, -1, 1), (0, -1, 2, 0), (2, 1, -2, -1))
                 for m in (-2, 0, 2)]
         for a, b, c, d, m in rows + [(10, -9, -8, 11, 12), (-10, 9, 8, -11, -12), (0, 9, -9, 0, 0)]:
@@ -798,6 +798,31 @@ class TestSumResultMemo:
         monkeypatch.setattr(kernel, "_RESULTS_CAP", 0)
         assert memoized == self.sweep(name, pair)
 
+    # Lines with holes: n != 0 leaves (-2, -1, 1, 2), and n > m lines of 1 to 3 values whose
+    # first value moves with m, so that a translated row meets lines of other lengths.
+    HOLES = ("a=-1..1,b=0..1,c=-1..1,d=0..1,k=0..2,m=-1..1,n=-2..2;n!=0",
+             "a=-1..1,b=0..1,c=-1..1,d=0..1,k=0..2,m=-1..1,n=-2..2;n>m")
+    # k = -1 raises: a != k puts its first line after lines that pass or are skipped, and
+    # n > m starts that line at n = 0.
+    RAISING = "a=-1..1,b=0..1,c=-1..1,d=0..1,k=-1..2,m=-1..1,n=-2..2;a!=k;n>m"
+
+    @pytest.mark.parametrize("pair", sorted(MEMO_PAIRS))
+    @pytest.mark.parametrize("name", SUM_NAMES)
+    def test_lines_cases_and_unstored_lines_give_one_sweep(self, name, pair, monkeypatch):
+        g, h = MEMO_PAIRS[pair]
+        make = partial(identity_outcome, name, g, h)
+        for text in self.HOLES:
+            grid = parse_grid(text)
+            lines, cases, unstored = sweep_routes(name, make, grid, monkeypatch)
+            assert lines == cases == unstored, text
+            # whole lines are skipped (the rows at a = b = 0 have Z = 0), and only at k > 0
+            skipped = [values for values, result in zip(grid.values(), lines[1]) if result is None]
+            assert skipped and all(values[4] > 0 for values in skipped), text
+        lines, cases, unstored = sweep_routes(name, make, parse_grid(self.RAISING), monkeypatch)
+        assert lines == cases == unstored
+        assert lines[0] == (DomainError, "summation bound k must be non-negative, got -1"
+                            " (case a=0;b=0;c=-1;d=0;k=-1;m=-1;n=0)")
+
     @pytest.mark.parametrize("entry_id", CATALOG_SUM_IDS)
     def test_catalog_sum_entries_equal_the_unmemoized_sweep(self, entry_id, monkeypatch):
         entry = catalog_entry(entry_id)
@@ -877,14 +902,22 @@ class TestSumResultMemo:
             assert len(evaluated) == len(distinct) and set(evaluated) == distinct
 
     def test_both_stores_stay_within_the_cap(self, monkeypatch):
-        # The grid meets far more than 5 distinct rows and (row, k, n) inputs.
+        # The grid meets far more than 5 distinct rows and (row, k, n) inputs. The cap counts
+        # results, not lines: one case at a time stores 5 lines of one, and lines of 3 one.
         monkeypatch.setattr(kernel, "_RESULTS_CAP", 5)
-        pair = identity_outcome("sum-ordinary:1", F, L).positional
-        for values in self.GRID.values():
-            pair(*values)
-        stores = inspect.getclosurevars(pair).nonlocals
-        keys = inspect.getclosurevars(inspect.unwrap(stores["row"])).nonlocals["keys"]
-        assert len(stores["results"]) == len(keys) == 5
+        for lines, stored, results in ((False, 5, 5), (True, 1, 3)):
+            outcome = identity_outcome("sum-ordinary:1", F, L)
+            if lines:
+                for prefix, last in self.GRID.lines(64):
+                    outcome.line(prefix, last, [])
+            else:
+                for values in self.GRID.values():
+                    outcome.positional(*values)
+            stores = inspect.getclosurevars(outcome.line).nonlocals
+            keys = inspect.getclosurevars(inspect.unwrap(stores["row"])).nonlocals["keys"]
+            assert len(keys) == 5
+            assert len(stores["results"]) == stored
+            assert sum(map(len, stores["results"].values())) == results
 
     def test_rows_that_differ_only_in_scale_keep_their_own_results(self, monkeypatch):
         # A translated row has the same weights and shifts, and here a scale twice as large
@@ -937,7 +970,7 @@ class TestIdentityDispatch:
             h = g if spec.takes_companion else h
         cases = list(parse_grid(spec.default_grid).cases())
         outcome = identity_outcome(name, g, h, rel)
-        skipping, full = spec.core(g, h, rel), spec.core(g, h, rel, False)
+        skipping, full = spec.core(g, h, rel).positional, spec.core(g, h, rel, False).positional
         skipped = 0
         for case in cases[:: max(1, len(cases) // 600)]:
             values = tuple(case[v] for v in spec.variables)

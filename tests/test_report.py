@@ -91,6 +91,24 @@ class TestOutcomeContract:
         for fmt in ("json", "csv", "text"):
             assert fast.render(fmt) == plain.render(fmt)
 
+    def test_a_skipped_line_skips_each_of_its_cases(self, monkeypatch):
+        # a line function returns None for the whole line at a = 0, which is cut into
+        # chunks of 3 values: every case of each chunk counts as skipped
+        def line(prefix, last, out):
+            if prefix == (0,):
+                return None
+            out += [_positional(*prefix, n) for n in last]
+            return out
+
+        monkeypatch.setattr(report, "_LINE", 3)
+        grid = parse_grid(_CONTRACT_GRID)
+        lines = run_grid("demo", grid, Outcome(_positional, ("a", "n"), line))
+        cases = run_grid("demo", grid, Outcome(_positional, ("a", "n")))
+        assert lines.cases_skipped_precondition == 7 and lines.counterexamples  # n = -2..4
+        assert lines == cases
+        for fmt in ("json", "csv", "text"):
+            assert lines.render(fmt) == cases.render(fmt)
+
     def test_an_error_names_its_case_either_way(self):
         def raising(a, n):
             if (a, n) == (2, 3):

@@ -97,6 +97,13 @@ ROWS = [(f"eval {words} -n {n}", 0, prints(walk, *pqg, n)) for words, pqg, ns in
      lambda out, err: "cases: total=1 checked=1 skipped=0" in out.splitlines()),
     ("verify --identity lemma1 --seq fibonacci --h lucas --f1 3 --f2 -1 --rel-a 1 --rel-b 2", 0,
      None),
+    # sum sweeps run a line of n at a time: a sign taken once per line over lines with holes,
+    # and whole lines skipped (the rows at a = b = 0 have Z = 0)
+    ('catalog run fib.sum.binomial.2 --grid "a=-2..1,b=-1..1,k=0..3,m=-1..1,n=-2..2;n!=0"', 0,
+     lambda out, err: json.loads(out)["cases_checked"] == 576),
+    ("verify --identity sum-binomial:1 --seq fibonacci "
+     "--grid a=0..1,b=0..1,c=-1..1,d=0..1,k=0..2,m=-1..1,n=-2..2 --format text", 0,
+     lambda out, err: "cases: total=1080 checked=600 skipped=480" in out.splitlines()),
     # the deepest trees the parser admits compile on this Python; a 101-term chain is refused
     (f'check --expr "{"+".join(["1"] * 100)} = 100"', 0, None),
     (f'check --expr "{"*".join(["J[n]"] * 99)} = J[n]^(99)" --grid n=-3..3', 0, None),
